@@ -14,11 +14,8 @@ from .datamodel import Dataset, FactorSchema, ingest_csv, load_schema
 from .coding import (
     AugmentedProblem,
     DEFAULT_SQRT_GAMMA,
-    DesignBundle,
     ThetaLayout,
     build_augmented,
-    dummy_design,
-    split_design,
     theta_layout,
     u_back_transform,
     u_transform,
@@ -77,11 +74,8 @@ __all__ = [
     "load_schema",
     "AugmentedProblem",
     "DEFAULT_SQRT_GAMMA",
-    "DesignBundle",
     "ThetaLayout",
     "build_augmented",
-    "dummy_design",
-    "split_design",
     "theta_layout",
     "u_back_transform",
     "u_transform",

@@ -59,12 +59,15 @@ def _config_dict(args: argparse.Namespace, keys: List[str]) -> Dict:
 
 
 def _resolve_s_ratio(raw: str) -> float:
-    """A number, or a path to a cv chosen.json file."""
+    """A number in [0, 1], or a path to a cv chosen.json file holding one."""
     try:
-        return float(raw)
+        s = float(raw)
     except ValueError:
         with open(raw, encoding="utf-8") as fh:
-            return float(json.load(fh)["chosen_s_ratio"])
+            s = float(json.load(fh)["chosen_s_ratio"])
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"--s-ratio {raw}: s/s_max must be in [0, 1], got {s!r}")
+    return s
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:

@@ -1,19 +1,20 @@
 """Design matrices and parameter transforms.
 
-Dummy and split coding, the first-difference transform U and its inverse,
-the pairwise-difference parameterization θ with its restriction matrix A,
-and assembly of the augmented least-squares problem whose plain L1 solution
-approximates the difference-penalized fit.
+One indicator-column routine for dummy and split coding, the
+first-difference transform U and its inverse, the pairwise-difference
+parameterization θ with its restriction matrix A, and assembly of the
+augmented least-squares problem whose plain L1 solution approximates the
+difference-penalized fit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema
-from .errors import DegenerateFactor, NonPositiveGamma, NonPositiveWeight, NotOrdinal
+from .errors import NonPositiveGamma, NonPositiveWeight
 
 DEFAULT_SQRT_GAMMA = 1e5
 
@@ -89,74 +90,15 @@ def theta_layout(schemas: Sequence[FactorSchema]) -> ThetaLayout:
 
 
 # ---------------------------------------------------------------------------
-# dummy / split coding
+# indicator coding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DesignBundle:
-    """Centered coded design with bookkeeping to undo the centering.
-
-    X is the centered matrix actually used for fitting; the raw design is
-    X + column_means.
-    """
-
-    X: np.ndarray
-    column_map: Tuple[Tuple[str, Tuple[str, int]], ...]
-    y_centered: np.ndarray
-    y_mean: float
-    column_means: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
-def _raw_dummy_columns(ds: Dataset, l: int) -> np.ndarray:
-    sch = ds.schemas[l]
-    cols = np.zeros((ds.n, sch.k))
-    for i in range(1, sch.k + 1):
-        cols[:, i - 1] = ds.codes[:, l] == i
-    return cols
-
-
-def dummy_design(ds: Dataset) -> DesignBundle:
-    """0/1 coding, one column per non-reference level, centered columns.
-
-    The intercept is carried by the centering of y and X and is never
-    penalized.
-    """
-    blocks = []
-    cmap = []
-    for l, sch in enumerate(ds.schemas):
-        if sch.k < 1:
-            raise DegenerateFactor(sch.name, sch.k + 1)
-        blocks.append(_raw_dummy_columns(ds, l))
-        cmap.extend((sch.name, ("dummy", i)) for i in range(1, sch.k + 1))
-    X = np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
-    means = X.mean(axis=0)
-    return DesignBundle(
-        X=X - means,
-        column_map=tuple(cmap),
-        y_centered=ds.y - ds.y.mean(),
-        y_mean=float(ds.y.mean()),
-        column_means=means,
-    )
-
-
-def split_design(ds: Dataset, factor: str) -> Tuple[np.ndarray, Tuple[Tuple[str, Tuple[str, int]], ...]]:
-    """Threshold coding for an ordinal factor: column i indicates level >= i.
-
-    Returns raw (uncentered) columns and their column map entries.
-    """
-    l = ds.factor_index(factor)
-    sch = ds.schemas[l]
-    if sch.scale != "ordinal":
-        raise NotOrdinal(factor, sch.scale)
-    cols = np.zeros((ds.n, sch.k))
-    for i in range(1, sch.k + 1):
-        cols[:, i - 1] = ds.codes[:, l] >= i
-    cmap = tuple((sch.name, ("split", i)) for i in range(1, sch.k + 1))
-    return cols, cmap
+def indicator_columns(codes: np.ndarray, labels, split: bool = False) -> np.ndarray:
+    """0/1 columns, one per label: `codes == label` (dummy coding) or, with
+    `split`, `codes >= label` (split coding of an ordinal factor)."""
+    codes = np.asarray(codes)[:, None]
+    labels = np.asarray(labels)[None, :]
+    return (codes >= labels if split else codes == labels).astype(float)
 
 
 def u_transform(beta: np.ndarray) -> np.ndarray:
@@ -214,10 +156,6 @@ class AugmentedProblem:
     def y_tilde(self) -> np.ndarray:
         return np.concatenate([self.y_centered, np.zeros(self.r)])
 
-    @property
-    def A(self) -> np.ndarray:
-        return self.A_scaled
-
 
 def restriction_rows(layout: ThetaLayout) -> np.ndarray:
     """Rows encoding θ_{i0} − θ_{j0} − θ_{ij} = 0 for every nominal (i,j), j >= 1."""
@@ -260,12 +198,11 @@ def build_augmented(ds: Dataset, weights, gamma: float = DEFAULT_SQRT_GAMMA ** 2
 
     n = ds.n
     Z = np.zeros((n, layout.q))
-    for l, (sch, b) in enumerate(zip(ds.schemas, layout.blocks)):
-        if b.kind == "nominal":
-            Z[:, b.offset:b.offset + b.k] = _raw_dummy_columns(ds, l)
-            # remaining block columns stay zero: Z = (X | 0)
-        else:
-            Z[:, b.slice] = split_design(ds, sch.name)[0]
+    for l, b in enumerate(layout.blocks):
+        # nominal: dummies in the θ_i0 columns, the pair columns stay zero
+        # (Z = (X | 0)); ordinal: split coding in the δ columns
+        Z[:, b.offset:b.offset + b.k] = indicator_columns(
+            ds.codes[:, l], np.arange(1, b.k + 1), split=b.kind == "ordinal")
     means = Z.mean(axis=0)
     Zc = Z - means
     A_raw = restriction_rows(layout)

@@ -60,12 +60,6 @@ class DegenerateFactor(CatfuseError):
 # coding
 # ---------------------------------------------------------------------------
 
-class NotOrdinal(CatfuseError):
-    def __init__(self, factor: str, scale: str):
-        self.factor = factor
-        super().__init__(f"factor {factor!r} has scale {scale!r}; split coding needs ordinal")
-
-
 class NonPositiveGamma(CatfuseError):
     pass
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datamodel import Dataset, FactorSchema
 from .errors import ShapeMismatch
-from .coding import build_augmented
+from .coding import build_augmented, theta_layout
 from .selection import (
     build_weights,
     compute_fold_paths,
@@ -170,13 +170,6 @@ class EvalMetrics:
     clustering_fnr: float
 
 
-def _difference_pairs(sch: FactorSchema) -> List[Tuple[int, int]]:
-    k1 = len(sch.levels)
-    if sch.penalty_scale == "nominal":
-        return [(i, j) for j in range(k1) for i in range(j + 1, k1)]
-    return [(i, i - 1) for i in range(1, k1)]
-
-
 def evaluate(
     beta_hat: Dict[str, np.ndarray],
     truth: Dict[str, np.ndarray],
@@ -215,7 +208,7 @@ def evaluate(
             n_rel += 1
             if not selected:
                 sel_fn += 1
-            for (i, j) in _difference_pairs(sch):
+            for (i, j) in theta_layout([sch]).blocks[0].pairs:
                 true_zero = bt[i] == bt[j]
                 est_zero = abs(bh[i] - bh[j]) <= thr
                 if true_zero:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coding import AugmentedProblem, ThetaLayout, u_back_transform
+from .coding import AugmentedProblem, ThetaLayout, induced_theta, u_back_transform
 from .errors import LayoutMismatch, NotConverged, RankDeficient
 
 CD_TOL = 1e-10
@@ -82,14 +82,6 @@ class _Core:
         # float64 quantization of θ alone moves augmented-column gradients
         # by ~γ·ulp, far beyond the generic tolerance.
         return 8.0 * _EPS * (self._absB.T @ (self._absB @ np.abs(theta) + self._abs_y))
-
-    def objective(self, theta: np.ndarray, lam: float) -> float:
-        res = self.y - self.X @ theta
-        val = float(res @ res) + lam * float(np.abs(theta).sum())
-        if self.r:
-            a = self.A @ theta
-            val += self.gamma * float(a @ a)
-        return val
 
     # -- subspace solve ----------------------------------------------------
 
@@ -263,21 +255,6 @@ def _solve_core(
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
     total_solves = 0
     total_sweeps = 0
-    if lam == 0.0:
-        # every (nonzero) column active, no sign constraints
-        S = np.flatnonzero(core.norm_cols > 0.0)
-        if S.size:
-            cand = core.subspace_solve(S, 2.0 * core.Xty[S])
-            theta[:] = 0.0
-            theta[S] = cand
-            total_solves = 1
-        else:
-            theta[:] = 0.0
-        sweeps, _ = _cd_polish(core, theta, lam)
-        total_sweeps += sweeps
-        if not _kkt_ok(core, theta, lam):
-            raise NotConverged("KKT conditions violated at lambda = 0")
-        return theta, {"solves": total_solves, "sweeps": total_sweeps}
     for attempt in range(8):
         total_solves += _active_set_pass(core, theta, lam)
         sweeps, _ = _cd_polish(core, theta, lam)
@@ -475,11 +452,22 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     layout = problem.layout
     y = problem.y_centered
 
-    # Unpenalized fit, solved in unit weights (the λ=0 solution does not
-    # depend on the weights; capped adaptive weights would wreck the
-    # conditioning of a weighted solve).
-    unit_core = _Core(problem.Z_data * w, problem.A_raw, y, problem.gamma)
-    theta_ls, ls_diag = _solve_core(unit_core, 0.0)
+    # The λ = 0 point is the least-squares fit of the data columns (θ_i0 and
+    # δ), solved in unit weights: it does not depend on the weights, and
+    # capped adaptive weights would wreck the conditioning of a weighted
+    # fit. The nominal pair columns carry no data; they follow from
+    # θ_ij = β_i − β_j, which makes Aθ = 0. A column with neither data nor a
+    # restriction is unidentified and stays 0.
+    data_cols = np.array([b.offset + i for b in layout.blocks for i in range(b.k)], dtype=int)
+    X_ls = problem.Z_data[:, data_cols] * w[data_cols]
+    used = np.any(X_ls != 0.0, axis=0) | np.any(problem.A_raw[:, data_cols] != 0.0, axis=0)
+    coef, _, rank, _ = np.linalg.lstsq(X_ls[:, used], y, rcond=None)
+    if rank < coef.size:
+        raise RankDeficient(
+            f"unpenalized fit is rank deficient (rank {rank} < {coef.size})")
+    theta_ls = np.zeros(problem.q)
+    theta_ls[data_cols[used]] = coef
+    theta_ls = induced_theta(layout, back_transform(theta_ls, layout, np.ones(problem.q)))
     theta_ls_scaled = theta_ls * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
     ols_beta = back_transform(theta_ls_scaled, layout, w)
@@ -497,7 +485,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     for lam in lams:
         if lam == 0.0:
             theta = theta_ls_scaled.copy()
-            diag = dict(ls_diag)
+            diag = {"solves": 1, "sweeps": 0}
         else:
             theta, diag = _solve_core(core, lam, warm_start=theta)
         theta_orig = theta / w

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datamodel import Dataset, FactorSchema
 from .errors import RankDeficient
-from .coding import u_transform
+from .coding import indicator_columns, u_transform
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -174,21 +174,22 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     other cluster contributes one indicator column for membership. The
     collapsed design must have full column rank.
     """
-    cols = []
+    blocks = []
     col_owner = []   # (factor index, cluster index)
     for l, sch in enumerate(ds.schemas):
         fp = partition.factors[l]
         if fp.name != sch.name:
             fp = partition.factor(sch.name)
+        level_cluster = np.full(sch.k + 1, fp.zero_cluster)
         for c, members in enumerate(fp.clusters):
-            if c == fp.zero_cluster:
-                continue
-            cols.append(np.isin(ds.codes[:, l], members).astype(float))
-            col_owner.append((l, c))
+            level_cluster[list(members)] = c
+        labels = [c for c in range(len(fp.clusters)) if c != fp.zero_cluster]
+        blocks.append(indicator_columns(level_cluster[ds.codes[:, l]], labels))
+        col_owner.extend((l, c) for c in labels)
     y_mean = float(ds.y.mean())
     yc = ds.y - y_mean
-    if cols:
-        X = np.column_stack(cols)
+    if col_owner:
+        X = np.hstack(blocks)
         means = X.mean(axis=0)
         Xc = X - means
         coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)

@@ -11,13 +11,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .coding import ThetaLayout, dummy_design, theta_layout, u_transform
+from .coding import ThetaLayout, theta_layout
 from .datamodel import Dataset, FactorSchema
 from .errors import (
     MissingCoordinates,
     OlsUnavailable,
+    RankDeficient,
     UnobservedLevel,
 )
+from .structure import ClusterPartition, FactorPartition, refit
 
 ADAPTIVE_CAP = 1e12
 DEFAULT_BANDWIDTH_KM = 15.0
@@ -79,28 +81,23 @@ def standard_weights(ds: Dataset, use_frequency: bool = False) -> WeightSet:
 
 
 def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
-    """Unpenalized least-squares per-level coefficients on the dummy design.
+    """Unpenalized least-squares per-level coefficients: `refit` on the
+    partition that keeps every level in its own cluster.
 
     Returns full per-level vectors (reference entry 0). Raises OlsUnavailable
-    when the centered design is rank deficient.
+    when the dummy design is rank deficient.
     """
-    bundle = dummy_design(ds)
-    X = bundle.X
-    if X.shape[1] == 0:
+    if not ds.schemas:
         raise OlsUnavailable("no coefficients to estimate")
-    coef, _, rank, _ = np.linalg.lstsq(X, bundle.y_centered, rcond=None)
-    if rank < X.shape[1]:
-        raise OlsUnavailable(
-            f"dummy design is rank deficient (rank {rank} < {X.shape[1]})"
-        )
-    out: Dict[str, np.ndarray] = {}
-    pos = 0
-    for sch in ds.schemas:
-        full = np.zeros(sch.k + 1)
-        full[1:] = coef[pos:pos + sch.k]
-        out[sch.name] = full
-        pos += sch.k
-    return out
+    singletons = ClusterPartition(tuple(
+        FactorPartition(sch.name, tuple((i,) for i in range(sch.k + 1)), 0,
+                        (0.0,) * (sch.k + 1))
+        for sch in ds.schemas
+    ), threshold=0.0)
+    try:
+        return refit(ds, singletons).beta
+    except RankDeficient as e:
+        raise OlsUnavailable(f"dummy design: {e}") from None
 
 
 def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:

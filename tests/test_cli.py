@@ -180,3 +180,20 @@ def test_bad_level_errors_as_json(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "UnknownLevel"
+
+
+@pytest.mark.parametrize("s_ratio", ["nan", "1.5", "-0.1", "chosen.json"])
+def test_fit_rejects_s_ratio_outside_unit_interval(tmp_path, capsys, s_ratio):
+    data, schema, _ = write_inputs(tmp_path, seed=14)
+    if s_ratio == "chosen.json":
+        s_ratio = str(tmp_path / "chosen.json")
+        with open(s_ratio, "w", encoding="utf-8") as fh:
+            json.dump({"chosen_s_ratio": 2.0}, fh)
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", data, "--schema", schema, "--out", str(out),
+               "--s-ratio", s_ratio])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "[0, 1]" in err["message"]
+    assert not out.exists()

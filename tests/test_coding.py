@@ -1,4 +1,4 @@
-"""Design construction: dummy/split coding, difference layout, restriction
+"""Design construction: indicator coding, difference layout, restriction
 rows, and the augmented least-squares problem."""
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ import pytest
 
 from catfuse.coding import (
     build_augmented,
-    dummy_design,
     induced_theta,
     nominal_pairs,
     restriction_rows,
-    split_design,
     theta_layout,
     u_back_transform,
     u_transform,
 )
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import NonPositiveGamma, NotOrdinal
+from catfuse.errors import NonPositiveGamma
 from catfuse.weights import standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
@@ -121,39 +119,41 @@ def test_u_transform_values():
     assert u_back_transform(np.array([1.0, 2.0, -1.0])).tolist() == [1.0, 3.0, 2.0]
 
 
-def test_split_design_indicators():
-    ds = toy_mixed_ds(seed=4)
-    cols, cmap = split_design(ds, "b")
-    codes = ds.codes[:, 1]
-    assert cols.shape == (ds.n, 2)
-    assert np.array_equal(cols[:, 0], (codes >= 1).astype(float))
-    assert np.array_equal(cols[:, 1], (codes >= 2).astype(float))
-    assert all(name == "b" for name, _ in cmap)
-    with pytest.raises(NotOrdinal):
-        split_design(ds, "a")
+def raw_columns(prob):
+    """The 0/1 coded design behind a problem, with scaling and centring undone."""
+    return prob.Z_data * prob.weight_values + prob.column_means
 
 
-def test_dummy_design_centered_and_mapped():
+def test_build_augmented_nominal_block_is_dummy_coding():
     ds = toy_mixed_ds(seed=5)
-    bundle = dummy_design(ds)
-    assert bundle.p == 3 + 2 + 1
-    assert np.max(np.abs(bundle.X.mean(axis=0))) < 1e-12
-    assert np.max(np.abs(bundle.y_centered.mean())) < 1e-12
-    # un-centering restores plain indicators
-    raw = bundle.X + bundle.column_means
-    lvl1 = (ds.codes[:, 0] == 1).astype(float)
-    assert np.array_equal(raw[:, 0], lvl1)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    assert np.max(np.abs(prob.Z_data.mean(axis=0))) < 1e-12
+    assert abs(prob.y_centered.mean()) < 1e-12
+    raw = raw_columns(prob)
+    for name, l in (("a", 0), ("c", 2)):
+        blk = prob.layout.block(name)
+        for i in range(1, blk.k + 1):
+            col = raw[:, blk.offset + i - 1]
+            assert np.allclose(col, ds.codes[:, l] == i, rtol=0, atol=1e-12)
+        # the pair columns θ_ij, j >= 1, carry no data
+        assert np.all(prob.Z_data[:, blk.offset + blk.k:blk.offset + blk.length] == 0.0)
 
 
-def test_dummy_design_unobserved_level_gives_zero_column():
+def test_build_augmented_unobserved_level_gives_zero_column():
     # the schema guarantees >= 2 declared levels; a level that never occurs
     # is not an error here, it just yields an uninformative column (weights
     # and OLS reject it downstream where it actually matters)
-    schemas = (FactorSchema("g", "nominal", ("a", "b", "c")),)
-    codes = np.zeros((5, 1), dtype=int)
+    schemas = (
+        FactorSchema("g", "nominal", ("a", "b", "c")),
+        FactorSchema("o", "ordinal", ("1", "2", "3")),
+    )
+    codes = np.column_stack([[0, 1, 0, 1, 0], [0, 1, 1, 0, 1]])
     ds = Dataset(np.arange(5.0), codes, schemas)
-    bundle = dummy_design(ds)
-    assert np.all(bundle.X == 0.0)
+    prob = build_augmented(ds, standard_weights(ds))
+    g, o = prob.layout.block("g"), prob.layout.block("o")
+    assert np.all(prob.Z_data[:, g.offset + 1] == 0.0)     # level c
+    assert np.all(prob.Z_data[:, o.offset + 1] == 0.0)     # level 3
+    assert np.any(prob.Z_data[:, g.offset] != 0.0)
 
 
 def test_build_augmented_shapes_and_scaling():
@@ -167,7 +167,7 @@ def test_build_augmented_shapes_and_scaling():
     assert np.all(prob.y_tilde[ds.n:] == 0.0)
     assert prob.Z_tilde.shape == (ds.n + layout.r, layout.q)
     # stacked tail is sqrt(gamma) times the scaled restriction rows
-    assert np.allclose(prob.Z_tilde[ds.n:], prob.sqrt_gamma * prob.A, rtol=0, atol=0)
+    assert np.allclose(prob.Z_tilde[ds.n:], prob.sqrt_gamma * prob.A_scaled, rtol=0, atol=0)
     # nominal extra-pair columns carry no data
     blk = layout.block("a")
     extra = slice(blk.offset + 3, blk.offset + blk.length)
@@ -185,10 +185,11 @@ def test_build_augmented_ordinal_block_is_split_coding():
     ws = standard_weights(ds, use_frequency=False)
     prob = build_augmented(ds, ws)
     blk = prob.layout.block("b")
-    raw, _ = split_design(ds, "b")
-    centered = raw - raw.mean(axis=0)
-    w = np.asarray(ws.values)[blk.slice]
-    assert np.allclose(prob.Z_data[:, blk.slice], centered / w)
+    raw = raw_columns(prob)[:, blk.slice]
+    codes = ds.codes[:, 1]
+    assert raw.shape == (ds.n, 2)
+    for i in (1, 2):
+        assert np.allclose(raw[:, i - 1], codes >= i, rtol=0, atol=1e-12)
 
 
 def test_build_augmented_rejects_bad_gamma():

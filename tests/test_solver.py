@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from catfuse.coding import build_augmented, theta_layout
+from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import LayoutMismatch
 from catfuse.solver import (
@@ -113,6 +113,19 @@ def test_path_zero_lambda_matches_ols():
     assert np.max(np.abs(beta_hat - expect)) < 1e-8
 
 
+def test_path_zero_lambda_is_induced_ols():
+    # nominal, ordinal and binary factors under adaptive + frequency weights:
+    # the λ = 0 point is the OLS fit expanded to every pair, with Aθ = 0
+    ds = toy_mixed_ds(seed=12)
+    ws = adaptive_weights(standard_weights(ds, use_frequency=True), ols_coefficients(ds))
+    prob = build_augmented(ds, ws)
+    sol = path(prob, grid_size=20).solutions[-1]
+    assert sol.lam == 0.0
+    expect = induced_theta(prob.layout, ols_coefficients(ds))
+    assert np.max(np.abs(sol.theta - expect)) <= 1e-12
+    assert np.max(np.abs(prob.A_raw @ sol.theta)) <= 1e-12
+
+
 def test_path_precision_reports():
     ds = make_s1(seed=5)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
@@ -170,3 +183,18 @@ def test_mixed_problem_path_runs():
     pr = path(build_augmented(ds, ws), grid_size=30)
     assert all(sol.precision.satisfied for sol in pr.solutions)
     assert pr.solutions[-1].s_ratio == 1.0
+
+
+def test_path_zero_lambda_leaves_unidentified_columns_at_zero():
+    # the top ordinal level and one binary level never occur: their columns
+    # carry neither data nor a restriction, so the fit exists and keeps them 0
+    rng = np.random.default_rng(3)
+    schemas = (
+        FactorSchema("o", "ordinal", ("1", "2", "3", "4")),
+        FactorSchema("b", "binary", ("n", "y")),
+    )
+    codes = np.column_stack([rng.integers(0, 3, 40), np.zeros(40, dtype=int)])
+    ds = Dataset(rng.normal(0, 1, 40), codes, schemas)
+    pr = path(build_augmented(ds, standard_weights(ds)), grid_size=10)
+    assert pr.ols_beta["o"][3] == pr.ols_beta["o"][2]
+    assert pr.ols_beta["b"].tolist() == [0.0, 0.0]
