@@ -7,6 +7,7 @@ import pytest
 
 from catfuse.coding import (
     build_augmented,
+    indicator_columns,
     induced_theta,
     nominal_pairs,
     restriction_rows,
@@ -190,6 +191,20 @@ def test_build_augmented_ordinal_block_is_split_coding():
     assert raw.shape == (ds.n, 2)
     for i in (1, 2):
         assert np.allclose(raw[:, i - 1], codes >= i, rtol=0, atol=1e-12)
+
+
+def test_split_design_indicators():
+    # split coding of ordinal "b": column i - 1 is codes >= i, i = 1, 2
+    ds = toy_mixed_ds(seed=4)
+    codes = ds.codes[:, 1]
+    cols = indicator_columns(codes, [1, 2], split=True)
+    assert cols.shape == (ds.n, 2)
+    assert np.array_equal(cols[:, 0], (codes >= 1).astype(float))
+    assert np.array_equal(cols[:, 1], (codes >= 2).astype(float))
+    # without split the same labels give dummy coding, codes == i
+    dummy = indicator_columns(codes, [1, 2])
+    assert np.array_equal(dummy[:, 0], (codes == 1).astype(float))
+    assert np.array_equal(dummy[:, 1], (codes == 2).astype(float))
 
 
 def test_build_augmented_rejects_bad_gamma():
