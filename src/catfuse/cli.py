@@ -64,7 +64,10 @@ def _resolve_s_ratio(raw: str) -> float:
         s = float(raw)
     except ValueError:
         with open(raw, encoding="utf-8") as fh:
-            s = float(json.load(fh)["chosen_s_ratio"])
+            doc = json.load(fh)
+        s = doc.get("chosen_s_ratio") if isinstance(doc, dict) else None
+        if type(s) not in (int, float):
+            raise ValueError(f"--s-ratio {raw}: no numeric chosen_s_ratio in the file")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"--s-ratio {raw}: s/s_max must be in [0, 1], got {s!r}")
     return s

@@ -185,11 +185,6 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
     return Dataset(np.array(ys), np.array(code_rows, dtype=np.int64), schema)
 
 
-def class_frequencies(ds: Dataset, factor: str) -> np.ndarray:
-    """Counts per level for one factor; length k+1, sums to n."""
-    return ds.n_counts[ds.factor_index(factor)].copy()
-
-
 def load_schema(path) -> Tuple[FactorSchema, ...]:
     """Read a schema JSON document: array of {name, scale, levels, spatial_coords?}."""
     with open(path, "r", encoding="utf-8") as fh:

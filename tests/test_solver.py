@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from catfuse import solver
 from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import LayoutMismatch
+from catfuse.errors import LayoutMismatch, NotConverged
+from catfuse.selection import build_weights
+from catfuse.simlab import generate, make_scenario
 from catfuse.solver import (
     PRECISION_SLACK,
+    _Core,
     back_transform,
     ista_oracle,
     lambda_max,
@@ -17,6 +21,7 @@ from catfuse.solver import (
     soft_threshold,
     solve_lasso,
 )
+from catfuse.structure import degrees_of_freedom, extract_clusters
 from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
 
 from conftest import toy_mixed_ds
@@ -198,3 +203,61 @@ def test_path_zero_lambda_leaves_unidentified_columns_at_zero():
     pr = path(build_augmented(ds, standard_weights(ds)), grid_size=10)
     assert pr.ols_beta["o"][3] == pr.ols_beta["o"][2]
     assert pr.ols_beta["b"].tolist() == [0.0, 0.0]
+
+
+def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
+    # Every row twice and γ' = 2γ doubles the whole objective, so the path
+    # has λ doubled at every point and the same minimisers.
+    ds = toy_mixed_ds(seed=13)
+    twice = Dataset(np.concatenate([ds.y, ds.y]), np.vstack([ds.codes, ds.codes]), ds.schemas)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    prob2 = build_augmented(twice, standard_weights(twice, use_frequency=True), 2.0 * prob.gamma)
+    one, two = path(prob, grid_size=40), path(prob2, grid_size=40)
+    for a, b in zip(one.solutions, two.solutions):
+        assert b.lam == pytest.approx(2.0 * a.lam, rel=1e-12, abs=0.0)
+        for name in a.beta:
+            assert np.max(np.abs(a.beta[name] - b.beta[name])) <= 1e-8
+        assert degrees_of_freedom(extract_clusters(a.beta, ds.schemas)) == \
+            degrees_of_freedom(extract_clusters(b.beta, ds.schemas))
+
+
+def test_core_keeps_no_row_sized_array():
+    ds = toy_mixed_ds(seed=2, n=2000)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    n, r = prob.Z_data.shape[0], prob.r
+    assert n > 100 * (prob.q + r)
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    for cache in (core, core.unrestricted()):
+        for name, value in vars(cache).items():
+            if isinstance(value, np.ndarray):
+                assert n not in value.shape and n + r not in value.shape, name
+
+
+def test_scaled_response_with_adaptive_weights_fits_the_path():
+    # λ_max and the gradient read one Xᵀy, so the top of the path is exactly
+    # all-zero on the response scale of the data.
+    for seed in range(4):
+        for use_frequency in (False, True):
+            train = generate(make_scenario("S2", seed)).train
+            ds = Dataset(train.y * 1000.0, train.codes, train.schemas)
+            prob = build_augmented(ds, build_weights(ds, True, use_frequency))
+            assert np.all(path(prob, grid_size=2).solutions[0].theta == 0.0)
+    # The default S2 draw fits along the whole grid. Other draws still fail
+    # at interior points, because KKT_TOL and CD_TOL are absolute.
+    train = generate(make_scenario("S2")).train
+    ds = Dataset(train.y * 1000.0, train.codes, train.schemas)
+    pr = path(build_augmented(ds, build_weights(ds, True, False)), grid_size=100)
+    assert len(pr.solutions) == 100
+    assert all(sol.precision.satisfied for sol in pr.solutions)
+
+
+def test_path_error_names_the_grid_point(monkeypatch):
+    ds = make_s1(seed=1)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    monkeypatch.setattr(solver, "CD_MAX_SWEEPS", 0)
+    with pytest.raises(NotConverged) as err:
+        path(prob, grid_size=10)
+    msg = str(err.value)
+    assert "grid point 0," in msg
+    assert f"lambda = {lambda_max(prob)!r}" in msg
+    assert "augmented solve" in msg
