@@ -159,12 +159,15 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
             if name not in header:
                 raise MissingColumn(name)
             col_of[name] = header.index(name)
+        width = max(col_of.values()) + 1
         level_maps = [{lab: i for i, lab in enumerate(s.levels)} for s in schema]
         ys = []
         code_rows = []
         for rownum, row in enumerate(reader, start=1):
             if not row or all(c.strip() == "" for c in row):
                 continue
+            if len(row) < width:
+                raise ValueError(f"row {rownum}: {len(row)} cells, the header has {len(header)}")
             tok = row[col_of[response_column]].strip()
             try:
                 yval = float(tok)
@@ -192,7 +195,12 @@ def load_schema(path) -> Tuple[FactorSchema, ...]:
     if not isinstance(doc, list):
         raise ValueError("schema document must be a JSON array")
     out = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise ValueError(f"schema entry {i} must be a JSON object")
+        for key in ("name", "scale", "levels"):
+            if key not in entry:
+                raise ValueError(f"schema entry {i} has no {key!r} key")
         out.append(
             FactorSchema(
                 name=entry["name"],

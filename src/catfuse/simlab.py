@@ -32,7 +32,7 @@ from .selection import (
     predicted_effects,
     score_folds,
 )
-from .solver import path
+from .solver import PathResult, path
 from .structure import (
     DEFAULT_CLUSTER_TOL,
     ClusterPartition,
@@ -320,26 +320,6 @@ class SimReport:
         return out
 
 
-def _fit_variant_on_full(
-    data: GeneratedData,
-    vc: VariantConfig,
-    chosen_s: float,
-    gamma: float,
-    grid_size: int,
-    cluster_tol: float,
-):
-    """Final fit at the CV-chosen penalty; returns (beta, partition, df)."""
-    ws = build_weights(data.train, vc.adaptive, vc.use_frequency)
-    pr = path(build_augmented(data.train, ws, gamma), grid_size)
-    sol = pr.solution_at(chosen_s)
-    part = extract_clusters(sol.beta, data.train.schemas, cluster_tol)
-    beta = sol.beta
-    if vc.refit_after:
-        rf = refit(data.train, part)
-        beta, part = rf.beta, rf.partition
-    return beta, part, degrees_of_freedom(part), pr
-
-
 def run_study(
     scenario_name: str,
     variants: Sequence[str],
@@ -355,8 +335,9 @@ def run_study(
 
     Replicate r uses scenario seed (seed + r); variants within a replicate
     see identical train/test draws, enabling paired comparisons. Variants
-    sharing a weight configuration share fold paths (refit changes only the
-    scoring), which roughly halves the cost of refit/no-refit contrasts.
+    sharing a weight configuration share its fold paths and its full-data
+    path (refit changes only the scoring and the read-out at the chosen
+    point), which roughly halves the cost of refit/no-refit contrasts.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -365,27 +346,32 @@ def run_study(
     for rep in range(replicates):
         data = generate(make_scenario(scenario_name, seed=seed + rep))
         train, test = data.train, data.test
-        fold_cache: Dict[Tuple[bool, bool], list] = {}
+        # per weight set (adaptive, use_frequency): fold paths and full-data path
+        paths: Dict[Tuple[bool, bool], Tuple[list, PathResult]] = {}
         for vc in vcs:
             if vc.ols_only:
                 beta = ols_coefficients(train)
                 part = extract_clusters(beta, train.schemas, cluster_tol)
-                df = degrees_of_freedom(part)
                 chosen_s = 1.0
             else:
                 key = (vc.adaptive, vc.use_frequency)
-                if key not in fold_cache:
-                    fold_cache[key] = compute_fold_paths(
-                        train, k_folds, seed + rep, vc.adaptive,
-                        vc.use_frequency, gamma, grid_size,
+                if key not in paths:
+                    folds = compute_fold_paths(
+                        train, k_folds, seed + rep, *key, gamma, grid_size
                     )
+                    ws = build_weights(train, *key)
+                    paths[key] = (folds, path(build_augmented(train, ws, gamma), grid_size))
+                fold_paths, full = paths[key]
                 s_grid, scores = score_folds(
-                    fold_cache[key], grid_size, vc.refit_after, cluster_tol
+                    fold_paths, grid_size, vc.refit_after, cluster_tol
                 )
                 chosen_s = float(s_grid[int(np.argmin(scores.mean(axis=1)))])
-                beta, part, df, _ = _fit_variant_on_full(
-                    data, vc, chosen_s, gamma, grid_size, cluster_tol
-                )
+                beta = full.solution_at(chosen_s).beta
+                part = extract_clusters(beta, train.schemas, cluster_tol)
+                if vc.refit_after:
+                    rf = refit(train, part)
+                    beta, part = rf.beta, rf.partition
+            df = degrees_of_freedom(part)
             m = evaluate(beta, data.beta_star, train.schemas, cluster_tol)
             alpha = intercept_for(beta, train)
             pred = alpha + predicted_effects(beta, test)

@@ -92,18 +92,14 @@ class _Core:
         RankDeficient when the system is singular.
         """
         m = len(S)
-        if self.r:
-            As = self.A[:, S]
-            keep = np.flatnonzero(np.any(As != 0.0, axis=1))
-            As = As[keep]
-        else:
-            As = np.zeros((0, m))
+        As = self.A[:, S]
+        As = As[np.any(As != 0.0, axis=1)]
         ra = As.shape[0]
         M = np.empty((m + ra, m + ra))
         M[:m, :m] = 2.0 * self.XtX[np.ix_(S, S)]
         M[:m, m:] = As.T
         M[m:, :m] = As
-        M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma) if ra else np.zeros((0, 0))
+        M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma)
         rhs = np.concatenate([rhs_head, np.zeros(ra)])
         try:
             sol = np.linalg.solve(M, rhs)
@@ -114,7 +110,7 @@ class _Core:
         except np.linalg.LinAlgError:
             if self.r:
                 raise RankDeficient("augmented subspace system is singular")
-            sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+            sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
         if not np.all(np.isfinite(sol)):
             raise RankDeficient("subspace solve produced non-finite values")
         return sol[:m]
@@ -152,12 +148,8 @@ def _active_set_pass(core: _Core, theta: np.ndarray, lam: float) -> int:
             for j in order:
                 active[j] = True
                 sigma[j] = -np.sign(g[j])
-        elif np.any(active) and n_solves == 0:
-            pass        # warm start already sign-feasible: still re-solve once
-        elif not candidates.size:
-            return n_solves
-        if not np.any(active):
-            return n_solves
+        elif n_solves or not np.any(active):
+            return n_solves     # no violators (a nonzero warm start is re-solved once)
         for _inner in range(_MAX_INNER):
             S = np.flatnonzero(active)
             rhs_head = 2.0 * core.Xty[S] - lam * sigma[S]
@@ -181,12 +173,8 @@ def _active_set_pass(core: _Core, theta: np.ndarray, lam: float) -> int:
                     cross[j] = -theta[j] / d[j]
                 elif theta[j] == 0.0 and sigma[j] * d[j] < 0.0:
                     cross[j] = 0.0
-            tmin = float(np.min(cross))
-            if not np.isfinite(tmin):
-                theta[:] = 0.0
-                theta[S] = cand_S
-                break
-            tmin = min(max(tmin, 0.0), 1.0)
+            # finite: a flipped θ_j ≠ 0 has sign σ_j, so its move crosses 0
+            tmin = min(max(float(np.min(cross)), 0.0), 1.0)
             theta += tmin * d
             dropped = cross <= tmin + 1e-15
             theta[dropped] = 0.0
@@ -259,10 +247,9 @@ def _solve_core(
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
     total_solves = 0
     total_sweeps = 0
-    for attempt in range(8):
+    for _ in range(8):
         total_solves += _active_set_pass(core, theta, lam)
-        sweeps, _ = _cd_polish(core, theta, lam)
-        total_sweeps += sweeps
+        total_sweeps += _cd_polish(core, theta, lam)[0]
         if _kkt_ok(core, theta, lam):
             return theta, {"solves": total_solves, "sweeps": total_sweeps}
     raise NotConverged(f"KKT conditions not met at lambda = {lam:g}")

@@ -4,17 +4,25 @@ A fitted coefficient vector is turned into a partition of each factor's
 levels (levels whose coefficients coincide within tolerance form one
 cluster); the partition drives refitting on the collapsed design and the
 model's degree-of-freedom count.
+
+One sort-and-split rule reads every factor's partition: order the levels
+(by β̂ for a nominal factor, by level for an ordinal one) and cut wherever
+the step to the next level exceeds the threshold. Any two nominal levels
+may fuse, and for values on a line the all-pairs "within threshold"
+closure is exactly the sorted runs without a large step. Only
+neighbouring ordinal levels may fuse, and their steps are the differences
+δ the penalty acts on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema
 from .errors import RankDeficient
-from .coding import indicator_columns, u_transform
+from .coding import u_transform
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -75,27 +83,14 @@ class ClusterPartition:
         }
 
 
-def _union_find_merge(k1: int, merge_pairs) -> List[List[int]]:
-    parent = list(range(k1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in merge_pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            # smaller-level representative wins: deterministic output
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-    groups: Dict[int, List[int]] = {}
-    for lev in range(k1):
-        groups.setdefault(find(lev), []).append(lev)
-    return [sorted(groups[r]) for r in sorted(groups)]
+def _fusion_runs(b: np.ndarray, nominal: bool, threshold: float) -> List[Tuple[int, ...]]:
+    """Levels in fusion order, cut wherever a step is not within threshold;
+    runs sorted ascending and ordered by smallest member."""
+    order = np.argsort(b, kind="stable") if nominal else np.arange(b.size)
+    steps = np.diff(b[order]) if nominal else u_transform(b[1:])
+    cuts = [0, *(np.flatnonzero(~(np.abs(steps) <= threshold)) + 1).tolist(), b.size]
+    order = order.tolist()
+    return sorted(tuple(sorted(order[i:j])) for i, j in zip(cuts, cuts[1:]))
 
 
 def extract_clusters(
@@ -105,9 +100,16 @@ def extract_clusters(
 ) -> ClusterPartition:
     """Group levels whose coefficients agree within tol·max(1, max|β̂|).
 
-    `beta[name]` is a full per-level vector (reference entry 0). Nominal
-    factors merge any pair of levels within threshold (union-find); ordinal
-    factors merge adjacent levels only, keeping clusters contiguous.
+    `beta[name]` is a full per-level vector (reference entry 0). One rule
+    serves both scales: take the levels in fusion order, step from each to
+    the next, and start a new cluster wherever a step is not within the
+    threshold (a NaN step always cuts). A nominal factor's fusion order
+    sorts β̂ and steps between sorted neighbours; this is the all-pairs
+    closure (any two levels within threshold fuse, transitively), because
+    in sorted order a pair that spans a cut differs by at least that cut's
+    step, also after rounding. An ordinal factor keeps level order and
+    steps δ = u_transform(β̂[1:]), so its clusters are contiguous runs.
+    A cluster's coefficient is its members' mean.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -124,34 +126,13 @@ def extract_clusters(
     parts = []
     for sch in schemas:
         b = np.asarray(beta[sch.name], dtype=float)
-        k1 = sch.k + 1
-        if sch.penalty_scale == "nominal":
-            pairs = [
-                (j, i)
-                for i in range(k1)
-                for j in range(i)
-                if abs(b[i] - b[j]) <= threshold
-            ]
-            clusters = _union_find_merge(k1, pairs)
-        else:
-            delta = u_transform(b[1:])
-            clusters = []
-            current = [0]
-            for i in range(1, k1):
-                if abs(delta[i - 1]) <= threshold:
-                    current.append(i)
-                else:
-                    clusters.append(current)
-                    current = [i]
-            clusters.append(current)
-        coefs = tuple(float(np.mean(b[c])) for c in clusters)
-        zero = next(c for c, members in enumerate(clusters) if 0 in members)
+        clusters = _fusion_runs(b, sch.penalty_scale == "nominal", threshold)
         parts.append(
             FactorPartition(
                 name=sch.name,
-                clusters=tuple(tuple(c) for c in clusters),
-                zero_cluster=zero,
-                coefficients=coefs,
+                clusters=tuple(clusters),
+                zero_cluster=0,     # ordered by smallest member, level 0's comes first
+                coefficients=tuple(float(b[list(c)].mean()) for c in clusters),
             )
         )
     return ClusterPartition(tuple(parts), threshold=threshold)
@@ -172,65 +153,47 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
 
     Zero-cluster columns are dropped (their coefficient stays 0); every
     other cluster contributes one indicator column for membership. The
-    collapsed design must have full column rank.
+    collapsed design must have full column rank; it may have no columns.
     """
-    blocks = []
-    col_owner = []   # (factor index, cluster index)
-    for l, sch in enumerate(ds.schemas):
-        fp = partition.factors[l]
-        if fp.name != sch.name:
-            fp = partition.factor(sch.name)
-        level_cluster = np.full(sch.k + 1, fp.zero_cluster)
-        for c, members in enumerate(fp.clusters):
-            level_cluster[list(members)] = c
-        labels = [c for c in range(len(fp.clusters)) if c != fp.zero_cluster]
-        blocks.append(indicator_columns(level_cluster[ds.codes[:, l]], labels))
-        col_owner.extend((l, c) for c in labels)
+    fps = {fp.name: fp for fp in partition.factors}
+    # per factor: its partition, the design column of each cluster and of
+    # each level (column -1 for the zero cluster)
+    columns = []
+    m = 0
+    for sch in ds.schemas:
+        fp = fps[sch.name]
+        cols = []
+        for c in range(len(fp.clusters)):
+            cols.append(-1 if c == fp.zero_cluster else m)
+            m += c != fp.zero_cluster
+        of_level = [-1] * (sch.k + 1)
+        for col, members in zip(cols, fp.clusters):
+            for lev in members:
+                of_level[lev] = col
+        columns.append((fp, cols, np.array(of_level)))
+    X = np.zeros((ds.n, m + 1))      # column -1 collects the zero clusters
+    rows = np.arange(ds.n)
+    for l, (_, _, of_level) in enumerate(columns):
+        X[rows, of_level[ds.codes[:, l]]] = 1.0
+    X = X[:, :m]
     y_mean = float(ds.y.mean())
     yc = ds.y - y_mean
-    if col_owner:
-        X = np.hstack(blocks)
-        means = X.mean(axis=0)
-        Xc = X - means
-        coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
-        if rank < Xc.shape[1]:
-            raise RankDeficient(
-                f"collapsed design is rank deficient (rank {rank} < {Xc.shape[1]})"
-            )
-        fitted = Xc @ coef
-        intercept = y_mean - float(means @ coef)
-    else:
-        coef = np.zeros(0)
-        fitted = np.zeros(ds.n)
-        intercept = y_mean
-    rss = float(np.sum((yc - fitted) ** 2))
+    means = X.mean(axis=0)
+    Xc = X - means
+    coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
+    if rank < m:
+        raise RankDeficient(f"collapsed design is rank deficient (rank {rank} < {m})")
+    intercept = y_mean - float(means @ coef)
+    rss = float(np.sum((yc - Xc @ coef) ** 2))
 
-    by_factor: Dict[int, Dict[int, float]] = {}
-    for (l, c), value in zip(col_owner, coef):
-        by_factor.setdefault(l, {})[c] = float(value)
-    beta = {}
-    new_parts = []
-    for l, sch in enumerate(ds.schemas):
-        fp = partition.factor(sch.name)
-        cluster_vals = []
-        full = np.zeros(sch.k + 1)
-        for c, members in enumerate(fp.clusters):
-            v = 0.0 if c == fp.zero_cluster else by_factor.get(l, {}).get(c, 0.0)
-            cluster_vals.append(v)
-            for lev in members:
-                full[lev] = v
-        beta[sch.name] = full
-        new_parts.append(
-            FactorPartition(
-                name=fp.name,
-                clusters=fp.clusters,
-                zero_cluster=fp.zero_cluster,
-                coefficients=tuple(cluster_vals),
-            )
-        )
+    coef = np.append(coef, 0.0)      # column -1 reads the zero cluster's 0
+    new_parts = tuple(
+        FactorPartition(fp.name, fp.clusters, fp.zero_cluster, tuple(coef[cols].tolist()))
+        for fp, cols, _ in columns
+    )
     return RefitResult(
-        beta=beta,
-        partition=ClusterPartition(tuple(new_parts), threshold=partition.threshold),
+        beta={fp.name: coef[of_level] for fp, _, of_level in columns},
+        partition=ClusterPartition(new_parts, threshold=partition.threshold),
         intercept=intercept,
         rss=rss,
     )

@@ -7,7 +7,7 @@ for factors carrying per-level coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class WeightSet:
 
     values: np.ndarray
     layout: ThetaLayout
-    use_frequency: bool = False
-    adaptive: bool = False
-    spatial: bool = False
-    ols_reference: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -77,7 +73,7 @@ def standard_weights(ds: Dataset, use_frequency: bool = False) -> WeightSet:
             if use_frequency:
                 w *= np.sqrt((counts[i] + counts[j]) / ds.n)
             values[b.offset + c] = w
-    return WeightSet(values, layout, use_frequency=use_frequency)
+    return WeightSet(values, layout)
 
 
 def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
@@ -109,7 +105,6 @@ def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:
     fusion at any positive penalty without breaking the arithmetic.
     """
     values = np.array(base.values)
-    flat = np.concatenate([np.asarray(ols[b.name], float) for b in base.layout.blocks])
     for b in base.layout.blocks:
         bl = np.asarray(ols[b.name], dtype=float)
         if bl.shape != (b.k + 1,):
@@ -120,14 +115,7 @@ def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:
             d = abs(bl[i] - bl[j])
             mult = ADAPTIVE_CAP if d == 0 else min(1.0 / d, ADAPTIVE_CAP)
             values[b.offset + c] *= mult
-    return WeightSet(
-        values,
-        base.layout,
-        use_frequency=base.use_frequency,
-        adaptive=True,
-        spatial=base.spatial,
-        ols_reference=flat,
-    )
+    return WeightSet(values, base.layout)
 
 
 def epanechnikov(u: float) -> float:
@@ -174,4 +162,4 @@ def with_spatial(
         touched = True
     if not touched:
         raise MissingCoordinates("(no factor has spatial coordinates)")
-    return replace(ws, values=values, spatial=True)
+    return replace(ws, values=values)

@@ -212,3 +212,31 @@ def test_fit_rejects_s_ratio_outside_unit_interval(tmp_path, capsys, s_ratio):
     assert err["error"] == "ValueError"
     assert "[0, 1]" in err["message"]
     assert not out.exists()
+
+
+def test_short_csv_row_errors_as_json(tmp_path, capsys):
+    data, schema, _ = write_inputs(tmp_path, seed=15)
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write("1.0\n")
+    rc = main(["path", "--data", data, "--schema", schema, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("row 181:")
+
+
+@pytest.mark.parametrize("entry, where", [
+    ({"scale": "nominal", "levels": ["a", "b"]}, "schema entry 1 has no 'name' key"),
+    ({"name": "h", "levels": ["a", "b"]}, "schema entry 1 has no 'scale' key"),
+    ({"name": "h", "scale": "nominal"}, "schema entry 1 has no 'levels' key"),
+    (["h", "nominal"], "schema entry 1 must be a JSON object"),
+])
+def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
+    data, schema, _ = write_inputs(tmp_path, seed=16)
+    doc = json.loads(open(schema, encoding="utf-8").read()) + [entry]
+    with open(schema, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    rc = main(["path", "--data", data, "--schema", schema, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": where}

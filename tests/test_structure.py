@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from catfuse.coding import u_transform
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import RankDeficient
 from catfuse.structure import (
@@ -167,3 +168,98 @@ def test_partition_json_shape():
     assert doc["factors"]["g"]["clusters"] == [[0, 1], [2]]
     assert doc["factors"]["g"]["zero_cluster"] == 0
     assert doc["threshold"] == part.threshold
+
+
+def _all_pairs_clusters(b, nominal, threshold):
+    """Reference rule: union-find over every pair within threshold (nominal),
+    runs of adjacent u_transform steps within threshold (ordinal)."""
+    k1 = b.size
+    if not nominal:
+        delta = u_transform(b[1:])
+        clusters, current = [], [0]
+        for i in range(1, k1):
+            if abs(delta[i - 1]) <= threshold:
+                current.append(i)
+            else:
+                clusters.append(current)
+                current = [i]
+        return [tuple(c) for c in clusters + [current]]
+    parent = list(range(k1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(k1):
+        for j in range(i):
+            if abs(b[i] - b[j]) <= threshold:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for lev in range(k1):
+        groups.setdefault(find(lev), []).append(lev)
+    return [tuple(groups[r]) for r in sorted(groups)]
+
+
+def _draw_factor_values(rng, k1, scale, threshold):
+    # steps: exact ties, at and next to the threshold, clear gaps
+    menu = np.array([0.0, threshold * (1 - 1e-12), threshold, threshold * (1 + 1e-12),
+                     0.5 * threshold, 3.0 * threshold])
+    steps = np.where(rng.random(k1 - 1) < 0.8, rng.choice(menu, k1 - 1),
+                     rng.uniform(0.0, 0.1 * scale, k1 - 1))
+    b = rng.uniform(-0.1, 0.1) * scale + np.concatenate([[0.0], np.cumsum(steps)])
+    b = rng.permutation(b)
+    if rng.random() < 0.5:
+        b[0] = 0.0
+    if rng.random() < 0.2:
+        b[rng.integers(k1, size=rng.integers(1, 3))] = np.nan
+    return b
+
+
+def test_extract_clusters_matches_all_pairs_closure():
+    rng = np.random.default_rng(20240611)
+    for _ in range(2000):
+        tol = float(rng.choice([0.0, 1e-8, 1e-3, 0.02]))
+        scale = float(rng.choice([1.0, 64.0]))
+        threshold = tol * scale
+        # a binary factor at ±scale pins max|β| and so the threshold
+        schemas = [FactorSchema("pin", "binary", ("0", "1"))]
+        beta = {"pin": np.array([0.0, rng.choice([-1.0, 1.0]) * scale])}
+        for f in range(rng.integers(1, 4)):
+            k1 = int(rng.integers(2, 10))
+            scale_kind = "nominal" if rng.random() < 0.5 else "ordinal"
+            schemas.append(FactorSchema(f"f{f}", scale_kind, tuple(map(str, range(k1)))))
+            beta[f"f{f}"] = _draw_factor_values(rng, k1, scale, threshold)
+        part = extract_clusters(beta, schemas, tol=tol)
+        assert part.threshold == threshold
+        for sch, fp in zip(schemas, part.factors):
+            b = beta[sch.name]
+            expect = _all_pairs_clusters(b, sch.penalty_scale == "nominal", threshold)
+            assert fp.clusters == tuple(expect), (sch, b.tolist(), tol)
+            assert fp.zero_cluster == 0
+            means = [np.mean(b[list(c)]) for c in expect]
+            assert np.array_equal(fp.coefficients, means, equal_nan=True)
+
+
+def test_refit_reads_partition_by_factor_name():
+    schemas = (
+        FactorSchema("g", "nominal", ("a", "b", "c")),
+        FactorSchema("h", "ordinal", ("0", "1", "2")),
+    )
+    rng = np.random.default_rng(3)
+    codes = np.column_stack([rng.integers(0, 3, 40), rng.integers(0, 3, 40)])
+    y = np.array([0.0, 2.0, 2.0])[codes[:, 0]] + np.array([0.0, 0.0, 1.0])[codes[:, 1]]
+    ds = Dataset(y + rng.normal(0.0, 0.1, 40), codes, schemas)
+    g = FactorPartition("g", ((0,), (1, 2)), 0, (0.0, 0.0))
+    h = FactorPartition("h", ((0, 1), (2,)), 0, (0.0, 0.0))
+    in_order = refit(ds, ClusterPartition((g, h), threshold=1e-8))
+    swapped = refit(ds, ClusterPartition((h, g), threshold=1e-8))
+    assert [fp.name for fp in swapped.partition.factors] == ["g", "h"]
+    assert swapped.partition == in_order.partition
+    for name in ("g", "h"):
+        assert np.array_equal(swapped.beta[name], in_order.beta[name])
+    assert (swapped.intercept, swapped.rss) == (in_order.intercept, in_order.rss)
+    assert swapped.beta["g"][1] == swapped.beta["g"][2] == pytest.approx(2.0, abs=0.1)
+    assert swapped.beta["h"].tolist()[:2] == [0.0, 0.0]
+    assert swapped.beta["h"][2] == pytest.approx(1.0, abs=0.1)
