@@ -51,10 +51,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _config_dict(args: argparse.Namespace, keys: List[str]) -> Dict:
-    cfg = {"command": args.command, "schema_version": SCHEMA_VERSION, "version": __version__}
-    for k in keys:
-        cfg[k] = getattr(args, k)
+def _config_dict(args: argparse.Namespace) -> Dict:
+    """The command's parsed arguments, without the output directory."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    cfg.update(schema_version=SCHEMA_VERSION, version=__version__)
     return cfg
 
 
@@ -87,12 +87,8 @@ def _full_path(ds: Dataset, args: argparse.Namespace) -> PathResult:
 # commands
 # ---------------------------------------------------------------------------
 
-_FIT_KEYS = ["data", "schema", "response", "adaptive", "frequency", "spatial_h",
-             "gamma", "grid", "s_ratio", "refit"]
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config_dict(args, _FIT_KEYS)
+    cfg = _config_dict(args)
     ds = _load_dataset(args)
     s_req = _resolve_s_ratio(args.s_ratio)
     pr = _full_path(ds, args)
@@ -151,12 +147,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-_PATH_KEYS = ["data", "schema", "response", "adaptive", "frequency", "spatial_h",
-              "gamma", "grid"]
-
-
 def cmd_path(args: argparse.Namespace) -> int:
-    cfg = _config_dict(args, _PATH_KEYS)
+    cfg = _config_dict(args)
     ds = _load_dataset(args)
     pr = _full_path(ds, args)
 
@@ -180,12 +172,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
-_CV_KEYS = ["data", "schema", "response", "adaptive", "frequency", "spatial_h",
-            "gamma", "grid", "k_folds", "seed", "refit"]
-
-
 def cmd_cv(args: argparse.Namespace) -> int:
-    cfg = _config_dict(args, _CV_KEYS)
+    cfg = _config_dict(args)
     ds = _load_dataset(args)
     curve = kfold_cv(ds, CvConfig(
         k_folds=args.k_folds,
@@ -218,11 +206,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIM_KEYS = ["scenario", "replicates", "variants", "k_folds", "grid", "gamma", "seed"]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _config_dict(args, _SIM_KEYS)
+    cfg = _config_dict(args)
     report = run_study(
         args.scenario,
         args.variants,

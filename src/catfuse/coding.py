@@ -130,7 +130,6 @@ class AugmentedProblem:
     A_scaled: np.ndarray
     A_raw: np.ndarray
     y_centered: np.ndarray
-    y_mean: float
     gamma: float
     layout: ThetaLayout
     weight_values: np.ndarray
@@ -211,7 +210,6 @@ def build_augmented(ds: Dataset, weights, gamma: float = DEFAULT_SQRT_GAMMA ** 2
         A_scaled=A_raw / w,
         A_raw=A_raw,
         y_centered=ds.y - ds.y.mean(),
-        y_mean=float(ds.y.mean()),
         gamma=float(gamma),
         layout=layout,
         weight_values=w.copy(),

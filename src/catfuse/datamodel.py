@@ -201,14 +201,17 @@ def load_schema(path) -> Tuple[FactorSchema, ...]:
         for key in ("name", "scale", "levels"):
             if key not in entry:
                 raise ValueError(f"schema entry {i} has no {key!r} key")
+        levels, coords = entry["levels"], entry.get("spatial_coords")
+        if not isinstance(levels, list):
+            raise ValueError(f"schema entry {i}: 'levels' must be a JSON array")
+        if coords is not None and not isinstance(coords, list):
+            raise ValueError(f"schema entry {i}: 'spatial_coords' must be a JSON array")
         out.append(
             FactorSchema(
                 name=entry["name"],
                 scale=entry["scale"],
-                levels=tuple(entry["levels"]),
-                spatial_coords=tuple(entry["spatial_coords"])
-                if entry.get("spatial_coords") is not None
-                else None,
+                levels=tuple(levels),
+                spatial_coords=None if coords is None else tuple(coords),
             )
         )
     return tuple(out)

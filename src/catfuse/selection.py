@@ -22,13 +22,11 @@ from .errors import (
 )
 from .solver import PathResult, path
 from .structure import (
-    DEFAULT_CLUSTER_TOL,
     extract_clusters,
     refit,
     degrees_of_freedom,
 )
 from .weights import (
-    DEFAULT_SPATIAL_FLOOR,
     adaptive_weights,
     ols_coefficients,
     standard_weights,
@@ -45,9 +43,7 @@ class CvConfig:
     use_frequency: bool = False
     refit_inside: bool = False
     gamma: float = DEFAULT_SQRT_GAMMA ** 2
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
     spatial_h: Optional[float] = None
-    spatial_floor: float = DEFAULT_SPATIAL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -89,13 +85,12 @@ def build_weights(
     adaptive: bool,
     use_frequency: bool,
     spatial_h: Optional[float] = None,
-    spatial_floor: float = DEFAULT_SPATIAL_FLOOR,
 ):
     ws = standard_weights(ds, use_frequency=use_frequency)
     if adaptive:
         ws = adaptive_weights(ws, ols_coefficients(ds))
     if spatial_h is not None:
-        ws = with_spatial(ws, ds.schemas, spatial_h, spatial_floor)
+        ws = with_spatial(ws, ds.schemas, spatial_h)
     return ws
 
 
@@ -115,7 +110,6 @@ def compute_fold_paths(
     gamma: float,
     grid_size: int,
     spatial_h: Optional[float] = None,
-    spatial_floor: float = DEFAULT_SPATIAL_FLOOR,
 ) -> List[_FoldFit]:
     """Per-fold training paths; shared by CV scorers with and without refit."""
     folds = fold_assignment(ds.n, k_folds, seed)
@@ -126,7 +120,7 @@ def compute_fold_paths(
         train = ds.subset(train_rows)
         test = ds.subset(test_rows)
         try:
-            ws = build_weights(train, adaptive, use_frequency, spatial_h, spatial_floor)
+            ws = build_weights(train, adaptive, use_frequency, spatial_h)
             pr = path(build_augmented(train, ws, gamma), grid_size)
         except (RankDeficient, OlsUnavailable, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
@@ -138,7 +132,6 @@ def score_folds(
     fits: Sequence[_FoldFit],
     grid_size: int,
     refit_inside: bool,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Map each fold's curve onto the common s grid; returns (s_grid, scores)."""
     s_grid = np.linspace(0.0, 1.0, grid_size)
@@ -149,7 +142,7 @@ def score_folds(
         for g, sol in enumerate(fit.path.solutions):
             beta = sol.beta
             if refit_inside:
-                part = extract_clusters(beta, fit.train.schemas, cluster_tol)
+                part = extract_clusters(beta, fit.train.schemas)
                 try:
                     beta = refit(fit.train, part).beta
                 except RankDeficient as e:
@@ -180,11 +173,8 @@ def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
         config.gamma,
         config.grid_size,
         config.spatial_h,
-        config.spatial_floor,
     )
-    s_grid, scores = score_folds(
-        fits, config.grid_size, config.refit_inside, config.cluster_tol
-    )
+    s_grid, scores = score_folds(fits, config.grid_size, config.refit_inside)
     mean_score = scores.mean(axis=1)
     chosen = float(s_grid[int(np.argmin(mean_score))])
     return CvCurve(
@@ -212,7 +202,7 @@ def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np
         alpha = intercept_for(sol.beta, ds)
         pred = alpha + predicted_effects(sol.beta, ds)
         rss = float(np.sum((ds.y - pred) ** 2))
-        part = extract_clusters(sol.beta, ds.schemas, DEFAULT_CLUSTER_TOL)
+        part = extract_clusters(sol.beta, ds.schemas)
         df = degrees_of_freedom(part)
         scores[g] = ds.n * np.log(max(rss, 1e-300) / ds.n) + pen * df
     return scores

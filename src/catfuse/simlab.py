@@ -174,11 +174,11 @@ def evaluate(
     beta_hat: Dict[str, np.ndarray],
     truth: Dict[str, np.ndarray],
     schemas: Sequence[FactorSchema],
-    tol: float = DEFAULT_CLUSTER_TOL,
 ) -> EvalMetrics:
     """Score an estimate against the truth.
 
-    "Nonzero" means outside the structure tolerance tol·max(1, max|β̂|), so
+    "Nonzero" means outside the structure tolerance
+    DEFAULT_CLUSTER_TOL·max(1, max|β̂|), so
     penalized and refitted estimates are judged by the same rule. Selection
     rates are over whole factors; clustering rates over differences within
     relevant (non-noise) factors — all pairs for nominal factors, adjacent
@@ -195,7 +195,7 @@ def evaluate(
             )
         scale = max(scale, float(np.max(np.abs(bh))))
         sq_err.extend(((bh - bt)[1:] ** 2).tolist())
-    thr = tol * scale
+    thr = DEFAULT_CLUSTER_TOL * scale
 
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
@@ -328,8 +328,6 @@ def run_study(
     k_folds: int = 5,
     grid_size: int = 100,
     gamma: float = 1e10,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    progress: bool = False,
 ) -> SimReport:
     """CV-tuned fits of every variant on shared per-replicate data.
 
@@ -351,7 +349,7 @@ def run_study(
         for vc in vcs:
             if vc.ols_only:
                 beta = ols_coefficients(train)
-                part = extract_clusters(beta, train.schemas, cluster_tol)
+                part = extract_clusters(beta, train.schemas)
                 chosen_s = 1.0
             else:
                 key = (vc.adaptive, vc.use_frequency)
@@ -362,17 +360,15 @@ def run_study(
                     ws = build_weights(train, *key)
                     paths[key] = (folds, path(build_augmented(train, ws, gamma), grid_size))
                 fold_paths, full = paths[key]
-                s_grid, scores = score_folds(
-                    fold_paths, grid_size, vc.refit_after, cluster_tol
-                )
+                s_grid, scores = score_folds(fold_paths, grid_size, vc.refit_after)
                 chosen_s = float(s_grid[int(np.argmin(scores.mean(axis=1)))])
                 beta = full.solution_at(chosen_s).beta
-                part = extract_clusters(beta, train.schemas, cluster_tol)
+                part = extract_clusters(beta, train.schemas)
                 if vc.refit_after:
                     rf = refit(train, part)
                     beta, part = rf.beta, rf.partition
             df = degrees_of_freedom(part)
-            m = evaluate(beta, data.beta_star, train.schemas, cluster_tol)
+            m = evaluate(beta, data.beta_star, train.schemas)
             alpha = intercept_for(beta, train)
             pred = alpha + predicted_effects(beta, test)
             msep = float(np.mean((test.y - pred) ** 2))
@@ -390,6 +386,4 @@ def run_study(
                     df=df,
                 )
             )
-        if progress and (rep + 1) % 10 == 0:
-            print(f"  replicate {rep + 1}/{replicates} done")
     return SimReport(scenario=scenario_name, records=tuple(records), seed=seed)

@@ -3,23 +3,28 @@
 The augmented problem minimizes ||y − Xθ||² + γ||Aθ||² + λΣ|θ_j|, a plain
 L1 problem on the stacked (ỹ, Z̃). The solver works in Gram form (XᵀX, Xᵀy,
 A, γ) and never builds that (n + r) × q stack. At γ = 1e10 the quadratic is
-extremely stiff along restriction directions: plain cyclic coordinate
-descent moves O(λ/γ) per sweep there and meets any per-sweep movement
-threshold long before reaching the optimum. Solutions are therefore driven
-by an active-set method whose inner step solves the saddle-point system
+extremely stiff along restriction directions, where coordinate-wise methods
+move O(λ/γ) per step. Solutions are therefore found by an active-set method
+(the homotopy/active-set lasso of Osborne, Presnell & Turlach 2000) whose
+inner step solves the saddle-point system
 
     [ 2·Xₛ'Xₛ   Aₛ' ] [θₛ]   [ 2Xₛ'y − λσ ]
     [   Aₛ   −I/(2γ)] [ v ] = [     0      ]
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
-style sign handling. Coordinate-descent sweeps with covariance updates,
-whose cost per coordinate does not depend on n, remain as the final polish
-and supply the documented convergence criterion (max coefficient change
-< 1e−10); KKT conditions are verified at every accepted solution and
-NotConverged is raised otherwise, never swallowed.
+style sign handling. Every accepted solution is certified by the KKT
+conditions; NotConverged is raised otherwise, never swallowed.
+
+Each problem is solved on the response y·c, where c is the power of two
+nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
+the absolute KKT_TOL acts relative to λ_max. Multiplying by a power of two
+is exact: the fit of 2ᵏ·y is bit for bit 2ᵏ times the fit of y. λ, warm
+starts and θ are mapped across c in _solve_core, so every result and every
+message is in the data's units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,8 +33,6 @@ import numpy as np
 from .coding import AugmentedProblem, ThetaLayout, induced_theta, u_back_transform
 from .errors import LayoutMismatch, NotConverged, RankDeficient
 
-CD_TOL = 1e-10
-CD_MAX_SWEEPS = 100_000
 KKT_TOL = 1e-6
 PRECISION_SLACK = 1e-12
 DEFAULT_GRID_SIZE = 100
@@ -38,37 +41,43 @@ GRID_RATIO = 1e-4   # smallest positive grid λ relative to λ_max
 _EPS = np.finfo(float).eps
 
 
-def soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
 # problem core: data block + restriction block, shared precomputations
 # ---------------------------------------------------------------------------
 
 class _Core:
     """||y − Xθ||² + γ||Aθ||² as XᵀX, Xᵀy, |X|ᵀ|X|, |X|ᵀ|y|, A and γ: no array
-    here has n rows, so no solver step after construction costs O(n)."""
+    here has n rows, so no solver step after construction costs O(n).
 
-    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float):
+    Xᵀy and |X|ᵀ|y| hold the response multiplied by y_scale, the power of two
+    nearest 1/max_j|X_jᵀy|; _solve_core maps λ and θ across it.
+    """
+
+    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float, y_scale: float):
         self.XtX, self.Xty, self._absXtX, self._absXty = XtX, Xty, absXtX, absXty
         self.A, self._absA, self.gamma = A, np.abs(A), float(gamma)
         self.q, self.r = XtX.shape[0], A.shape[0]
-        self.norm_cols = np.diagonal(XtX) + self.gamma * np.einsum("ij,ij->j", A, A)
+        self.y_scale = y_scale
 
     @classmethod
     def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
         absX = np.abs(X)
-        return cls(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A, gamma)
+        Xty = X.T @ y
+        # frexp splits off the exponent exactly, so scaling y by 2ᵏ shifts
+        # y_scale by 2⁻ᵏ and leaves the scaled Xᵀy bit for bit unchanged
+        m, e = math.frexp(float(np.max(np.abs(Xty), initial=0.0)))   # m in [½, 1)
+        y_scale = math.ldexp(1.0, 1 - e if m < math.sqrt(0.5) else -e)
+        return cls(X.T @ X, Xty * y_scale, absX.T @ absX, (absX.T @ np.abs(y)) * y_scale,
+                   A, gamma, y_scale)
 
     def unrestricted(self) -> "_Core":
         """The γ = 0 core on the same data Gram."""
         return _Core(self.XtX, self.Xty, self._absXtX, self._absXty,
-                     np.zeros((0, self.q)), 0.0)
+                     np.zeros((0, self.q)), 0.0, self.y_scale)
+
+    @property
+    def lambda_max(self) -> float:
+        return _lambda_max(self.Xty) / self.y_scale
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return (2.0 * (self.XtX @ theta - self.Xty)
@@ -186,46 +195,6 @@ def _active_set_pass(core: _Core, theta: np.ndarray, lam: float) -> int:
     raise NotConverged("active-set driver exceeded round cap")
 
 
-def _cd_polish(core: _Core, theta: np.ndarray, lam: float) -> Tuple[int, float]:
-    """Cyclic coordinate-descent sweeps until max coefficient change < 1e−10.
-
-    This is the documented convergence criterion; after the active-set pass
-    it needs one or two sweeps. Each 1-d update exactly minimizes its
-    section, so the objective never increases along sweeps. The updates are
-    in covariance form (Friedman, Hastie & Tibshirani 2010): h = XᵀXθ and
-    u = Aθ are kept current, so one coordinate costs O(q + r), whatever n.
-    """
-    XtX, Xty, AT, gamma, r = core.XtX, core.Xty, core.A.T, core.gamma, core.r
-    h = XtX @ theta
-    u = core.A @ theta
-    half = lam / 2.0
-    sweeps = 0
-    max_delta = np.inf
-    while sweeps < CD_MAX_SWEEPS:
-        max_delta = 0.0
-        for j in range(core.q):
-            nc = core.norm_cols[j]
-            if nc == 0.0:
-                continue
-            old = theta[j]
-            tmp = Xty[j] - h[j] - (gamma * (AT[j] @ u) if r else 0.0) + nc * old
-            new = soft_threshold(tmp, half) / nc
-            if new != old:
-                step = new - old
-                h += step * XtX[j]
-                u += step * AT[j]
-                theta[j] = new
-                delta = abs(step)
-                if delta > max_delta:
-                    max_delta = delta
-        sweeps += 1
-        if max_delta < CD_TOL:
-            return sweeps, max_delta
-    raise NotConverged(
-        f"coordinate descent still moving {max_delta:.3e} after {CD_MAX_SWEEPS} sweeps"
-    )
-
-
 def _kkt_ok(core: _Core, theta: np.ndarray, lam: float) -> bool:
     g = core.grad(theta)
     tol = KKT_TOL + core.kkt_floor(theta)
@@ -239,19 +208,25 @@ def _solve_core(
     core: _Core,
     lam: float,
     warm_start: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Dict[str, int]]:
+) -> Tuple[np.ndarray, int]:
+    """The minimizer at λ and the number of subspace solves it took.
+
+    λ, the warm start and the result are in the data's units; the active-set
+    pass and the KKT certificate run on the response scaled by core.y_scale.
+    A pass whose result fails the certificate is retried from that result.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     theta = np.zeros(core.q) if warm_start is None else np.array(warm_start, dtype=float)
     if theta.shape != (core.q,):
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
-    total_solves = 0
-    total_sweeps = 0
+    theta *= core.y_scale
+    lam_scaled = lam * core.y_scale
+    solves = 0
     for _ in range(8):
-        total_solves += _active_set_pass(core, theta, lam)
-        total_sweeps += _cd_polish(core, theta, lam)[0]
-        if _kkt_ok(core, theta, lam):
-            return theta, {"solves": total_solves, "sweeps": total_sweeps}
+        solves += _active_set_pass(core, theta, lam_scaled)
+        if _kkt_ok(core, theta, lam_scaled):
+            return theta / core.y_scale, solves
     raise NotConverged(f"KKT conditions not met at lambda = {lam:g}")
 
 
@@ -287,7 +262,7 @@ def ista_oracle(
 
     Monotone ISTA with backtracking on the step size; stops when the
     objective decrease falls below 1e−14. Deliberately shares no code with
-    solve_lasso beyond the soft-threshold scalar.
+    solve_lasso.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -353,17 +328,15 @@ class PathSolution:
     beta: Dict[str, np.ndarray]       # per factor, full per-level vector
     precision: PrecisionReport
     solves: int
-    sweeps: int
+    sweeps: int                       # always 0: perfbench/spans.py still sums it
 
 
 @dataclass(frozen=True)
 class PathResult:
     grid: Tuple[Tuple[float, float], ...]     # (lambda, s_ratio) pairs
     solutions: Tuple[PathSolution, ...]
-    ols_theta_l1: float
     lambda_max: float
     ols_beta: Dict[str, np.ndarray]
-    y_mean: float
 
     def solution_at(self, s_ratio: float) -> PathSolution:
         """Grid point with nearest s_ratio; ties take the sparser point."""
@@ -372,8 +345,8 @@ class PathResult:
 
 
 def _lambda_max(Xty: np.ndarray) -> float:
-    # The sweeps and grad at θ = 0 read these same Xᵀy entries, so at λ_max
-    # every update lands on exactly 0: the path's top is all-zero, not dust.
+    # grad at θ = 0 reads these same Xᵀy entries, so at λ_max no entry
+    # violates the KKT conditions: the path's top is exactly all-zero
     return 2.0 * float(np.max(np.abs(Xty), initial=0.0))
 
 
@@ -425,10 +398,6 @@ def _solve_grid_point(core: _Core, lam: float, warm_start: np.ndarray, index: in
 def _grid_lambdas(lam_max: float, grid_size: int) -> np.ndarray:
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    if lam_max <= 0:
-        return np.zeros(grid_size)
-    if grid_size == 2:
-        return np.array([lam_max, 0.0])
     expo = np.linspace(0.0, 1.0, grid_size - 1)
     lams = lam_max * GRID_RATIO ** expo
     return np.concatenate([lams, [0.0]])
@@ -468,7 +437,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     core = _Core.from_design(problem.Z_data, problem.A_scaled, y, problem.gamma)
     plain_core = core.unrestricted()
 
-    lam_max = _lambda_max(core.Xty)
+    lam_max = core.lambda_max
     lams = _grid_lambdas(lam_max, grid_size)
 
     solutions: List[PathSolution] = []
@@ -478,10 +447,10 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     for i, lam in enumerate(lams):
         if lam == 0.0:
             theta = theta_ls_scaled.copy()
-            diag = {"solves": 1, "sweeps": 0}
+            solves = 1
             bound = 0.0
         else:
-            theta, diag = _solve_grid_point(core, lam, theta, i, "augmented")
+            theta, solves = _solve_grid_point(core, lam, theta, i, "augmented")
             theta_plain, _ = _solve_grid_point(plain_core, lam, theta_plain, i, "gamma = 0 bound")
             bound = lam * (ols_l1 - float(np.abs(theta_plain).sum())) / problem.gamma
         theta_orig = theta / w
@@ -496,16 +465,14 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
                 theta=theta_orig,
                 beta=back_transform(theta, layout, w),
                 precision=PrecisionReport(delta=delta, bound=bound),
-                solves=diag["solves"],
-                sweeps=diag["sweeps"],
+                solves=solves,
+                sweeps=0,
             )
         )
         grid.append((float(lam), s_ratio))
     return PathResult(
         grid=tuple(grid),
         solutions=tuple(solutions),
-        ols_theta_l1=ols_l1,
         lambda_max=lam_max,
         ols_beta=ols_beta,
-        y_mean=problem.y_mean,
     )

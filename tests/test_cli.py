@@ -230,6 +230,13 @@ def test_short_csv_row_errors_as_json(tmp_path, capsys):
     ({"name": "h", "levels": ["a", "b"]}, "schema entry 1 has no 'scale' key"),
     ({"name": "h", "scale": "nominal"}, "schema entry 1 has no 'levels' key"),
     (["h", "nominal"], "schema entry 1 must be a JSON object"),
+    ({"name": "h", "scale": "nominal", "levels": 3}, "schema entry 1: 'levels' must be a JSON array"),
+    ({"name": "h", "scale": "nominal", "levels": "ab"},
+     "schema entry 1: 'levels' must be a JSON array"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": 5},
+     "schema entry 1: 'spatial_coords' must be a JSON array"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": "12"},
+     "schema entry 1: 'spatial_coords' must be a JSON array"),
 ])
 def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     data, schema, _ = write_inputs(tmp_path, seed=16)

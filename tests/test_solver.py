@@ -18,7 +18,6 @@ from catfuse.solver import (
     ista_oracle,
     lambda_max,
     path,
-    soft_threshold,
     solve_lasso,
 )
 from catfuse.structure import degrees_of_freedom, extract_clusters
@@ -42,13 +41,6 @@ def random_instance(rng):
     X = rng.normal(size=(n, p))
     y = X @ rng.normal(size=p) * 0.5 + rng.normal(size=n)
     return X, y
-
-
-def test_soft_threshold():
-    assert soft_threshold(3.0, 1.0) == 2.0
-    assert soft_threshold(-3.0, 1.0) == -2.0
-    assert soft_threshold(0.5, 1.0) == 0.0
-    assert soft_threshold(0.5, 0.0) == 0.5
 
 
 def test_lasso_matches_ista_on_random_instances():
@@ -235,29 +227,59 @@ def test_core_keeps_no_row_sized_array():
 
 def test_scaled_response_with_adaptive_weights_fits_the_path():
     # λ_max and the gradient read one Xᵀy, so the top of the path is exactly
-    # all-zero on the response scale of the data.
-    for seed in range(4):
-        for use_frequency in (False, True):
+    # all-zero on the response scale of the data; the solver's tolerances act
+    # on the response scaled to λ_max, so every interior point fits too.
+    for factor, adaptive in ((1000.0, True), (1e6, False)):
+        for seed in range(4):
             train = generate(make_scenario("S2", seed)).train
-            ds = Dataset(train.y * 1000.0, train.codes, train.schemas)
-            prob = build_augmented(ds, build_weights(ds, True, use_frequency))
-            assert np.all(path(prob, grid_size=2).solutions[0].theta == 0.0)
-    # The default S2 draw fits along the whole grid. Other draws still fail
-    # at interior points, because KKT_TOL and CD_TOL are absolute.
+            ds = Dataset(train.y * factor, train.codes, train.schemas)
+            for use_frequency in (False, True):
+                prob = build_augmented(ds, build_weights(ds, adaptive, use_frequency))
+                pr = path(prob, grid_size=100)
+                assert np.all(pr.solutions[0].theta == 0.0)
+                assert len(pr.solutions) == 100
+                assert all(sol.precision.satisfied for sol in pr.solutions)
+
+
+def test_path_is_scale_equivariant():
     train = generate(make_scenario("S2")).train
-    ds = Dataset(train.y * 1000.0, train.codes, train.schemas)
-    pr = path(build_augmented(ds, build_weights(ds, True, False)), grid_size=100)
-    assert len(pr.solutions) == 100
-    assert all(sol.precision.satisfied for sol in pr.solutions)
+
+    def fit(c, adaptive):
+        ds = Dataset(train.y * c, train.codes, train.schemas)
+        pr = path(build_augmented(ds, build_weights(ds, adaptive, True)), grid_size=30)
+        # the partition is read on the data's scale: extract_clusters' threshold
+        # has an absolute floor, tol·max(1, max|β̂|)
+        dfs = [degrees_of_freedom(extract_clusters({k: v / c for k, v in s.beta.items()},
+                                                   ds.schemas))
+               for s in pr.solutions]
+        return np.array([s.theta for s in pr.solutions]), dfs
+
+    # under standard weights a power of two scales every floating-point step
+    # exactly (capped adaptive weights do not scale with y)
+    theta, dfs = fit(1.0, False)
+    for c in (2.0 ** k for k in (-20, -3, 7, 20)):
+        theta_c, dfs_c = fit(c, False)
+        assert np.array_equal(theta_c, c * theta), c
+        assert dfs_c == dfs, c
+    for adaptive in (False, True):
+        theta, dfs = fit(1.0, adaptive)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(theta))))
+        for c in (10.0 ** k for k in (-6, -3, 1, 3, 6)):
+            theta_c, dfs_c = fit(c, adaptive)
+            assert np.max(np.abs(theta_c / c - theta)) <= tol, (c, adaptive)
+            assert dfs_c == dfs, (c, adaptive)
 
 
 def test_path_error_names_the_grid_point(monkeypatch):
+    # a failing solve is named in the data's units, not the solver's
     ds = make_s1(seed=1)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    monkeypatch.setattr(solver, "CD_MAX_SWEEPS", 0)
-    with pytest.raises(NotConverged) as err:
-        path(prob, grid_size=10)
-    msg = str(err.value)
-    assert "grid point 0," in msg
-    assert f"lambda = {lambda_max(prob)!r}" in msg
-    assert "augmented solve" in msg
+    for name, value in (("_MAX_ROUNDS", 0), ("KKT_TOL", -1.0)):
+        with monkeypatch.context() as m:
+            m.setattr(solver, name, value)
+            with pytest.raises(NotConverged) as err:
+                path(prob, grid_size=10)
+        msg = str(err.value)
+        assert "grid point 0," in msg, name
+        assert f"lambda = {lambda_max(prob)!r}" in msg, name
+        assert "augmented solve" in msg, name
