@@ -44,6 +44,7 @@ from .structure import (
     RefitResult,
     degrees_of_freedom,
     extract_clusters,
+    extract_clusters_path,
     refit,
 )
 from .selection import (
@@ -98,6 +99,7 @@ __all__ = [
     "RefitResult",
     "degrees_of_freedom",
     "extract_clusters",
+    "extract_clusters_path",
     "refit",
     "CvConfig",
     "CvCurve",

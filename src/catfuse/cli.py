@@ -27,7 +27,7 @@ from .selection import (
 )
 from .simlab import SimReport, run_study
 from .solver import PathResult, path
-from .structure import degrees_of_freedom, extract_clusters, refit
+from .structure import degrees_of_freedom, extract_clusters, extract_clusters_path, refit
 
 SCHEMA_VERSION = 1
 
@@ -157,9 +157,10 @@ def cmd_path(args: argparse.Namespace) -> int:
         cols.extend(f"{sch.name}:{lvl}" for lvl in sch.levels[1:])
     header = ["s_ratio", "lambda"] + cols + ["df", "delta", "bound"]
     rows = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
+    parts = extract_clusters_path([sol.beta for sol in pr.solutions], ds.schemas)
     # rows run from the unpenalized end (s_ratio 1, the OLS fit) down to 0
-    for sol in reversed(pr.solutions):
-        df = degrees_of_freedom(extract_clusters(sol.beta, ds.schemas))
+    for sol, part in zip(reversed(pr.solutions), reversed(parts)):
+        df = degrees_of_freedom(part)
         cells = [_fmt(sol.s_ratio), _fmt(sol.lam)]
         for sch in ds.schemas:
             cells.extend(_fmt(v) for v in sol.beta[sch.name][1:])

@@ -16,13 +16,14 @@ from .coding import build_augmented, DEFAULT_SQRT_GAMMA
 from .datamodel import Dataset
 from .errors import (
     FoldRankDeficient,
+    NotConverged,
     OlsUnavailable,
     RankDeficient,
     UnobservedLevel,
 )
 from .solver import PathResult, path
 from .structure import (
-    extract_clusters,
+    extract_clusters_path,
     refit,
     degrees_of_freedom,
 )
@@ -67,12 +68,26 @@ def fold_assignment(n: int, k_folds: int, seed: int) -> List[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, k_folds)]
 
 
+def _effects(betas: Sequence[Dict[str, np.ndarray]], ds: Dataset) -> np.ndarray:
+    """(len(betas) × n) sums of per-level effects, one row per β dict."""
+    out = np.zeros((len(betas), ds.n))
+    for l, sch in enumerate(ds.schemas):
+        out += np.array([b[sch.name] for b in betas])[:, ds.codes[:, l]]
+    return out
+
+
+def _residuals(
+    betas: Sequence[Dict[str, np.ndarray]], train: Dataset, test: Dataset
+) -> np.ndarray:
+    """test.y minus each β's prediction, its intercept fitted on train
+    (intercept_for): a (len(betas) × test.n) array."""
+    alpha = train.y.mean() - _effects(betas, train).mean(axis=1)
+    return test.y - (alpha[:, None] + _effects(betas, test))
+
+
 def predicted_effects(beta: Dict[str, np.ndarray], ds: Dataset) -> np.ndarray:
     """Sum of per-level effects for each observation of ds."""
-    out = np.zeros(ds.n)
-    for l, sch in enumerate(ds.schemas):
-        out += np.asarray(beta[sch.name])[ds.codes[:, l]]
-    return out
+    return _effects([beta], ds)[0]
 
 
 def intercept_for(beta: Dict[str, np.ndarray], train: Dataset) -> float:
@@ -111,7 +126,12 @@ def compute_fold_paths(
     grid_size: int,
     spatial_h: Optional[float] = None,
 ) -> List[_FoldFit]:
-    """Per-fold training paths; shared by CV scorers with and without refit."""
+    """Per-fold training paths; shared by CV scorers with and without refit.
+
+    A failure names its fold: a singular training part raises
+    FoldRankDeficient, and a NotConverged from the fold's path keeps its
+    class with "(fold f)" added to its message.
+    """
     folds = fold_assignment(ds.n, k_folds, seed)
     all_rows = np.arange(ds.n)
     fits = []
@@ -124,8 +144,28 @@ def compute_fold_paths(
             pr = path(build_augmented(train, ws, gamma), grid_size)
         except (RankDeficient, OlsUnavailable, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
+        except NotConverged as e:
+            raise type(e)(f"{e} (fold {f})") from e
         fits.append(_FoldFit(train=train, test=test, path=pr))
     return fits
+
+
+def _refit_betas(
+    train: Dataset, betas: Sequence[Dict[str, np.ndarray]], fold: int
+) -> List[Dict[str, np.ndarray]]:
+    """refit(train, ·).beta at the partition of each β, read in one path
+    pass; each distinct partition is refitted once."""
+    memo: Dict[tuple, Dict[str, np.ndarray]] = {}
+    out = []
+    for part in extract_clusters_path(betas, train.schemas):
+        key = tuple(fp.clusters for fp in part.factors)
+        if key not in memo:
+            try:
+                memo[key] = refit(train, part).beta
+            except RankDeficient as e:
+                raise FoldRankDeficient(fold, detail=str(e))
+        out.append(memo[key])
+    return out
 
 
 def score_folds(
@@ -133,26 +173,25 @@ def score_folds(
     grid_size: int,
     refit_inside: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Map each fold's curve onto the common s grid; returns (s_grid, scores)."""
+    """Map each fold's curve onto the common s grid; returns (s_grid, scores).
+
+    A fold's test MSEP is computed at all its grid points at once. With
+    `refit_inside`, the fold path's partitions are read in one
+    extract_clusters_path pass and each distinct partition is refitted
+    once on the training part (refit reads only the clusters), so points
+    that share a partition share its refit.
+    """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))
     for f, fit in enumerate(fits):
         fold_s = np.array([s for _, s in fit.path.grid])
-        msep = np.empty(len(fit.path.solutions))
-        for g, sol in enumerate(fit.path.solutions):
-            beta = sol.beta
-            if refit_inside:
-                part = extract_clusters(beta, fit.train.schemas)
-                try:
-                    beta = refit(fit.train, part).beta
-                except RankDeficient as e:
-                    raise FoldRankDeficient(f, detail=str(e))
-            alpha = intercept_for(beta, fit.train)
-            pred = alpha + predicted_effects(beta, fit.test)
-            msep[g] = float(np.mean((fit.test.y - pred) ** 2))
+        betas = [sol.beta for sol in fit.path.solutions]
+        if refit_inside:
+            betas = _refit_betas(fit.train, betas, f)
+        msep = (_residuals(betas, fit.train, fit.test) ** 2).mean(axis=1)
         # nearest fold point per common-grid point; argmin takes the first
         # (larger-λ, sparser) index on ties
-        idx = np.array([int(np.argmin(np.abs(fold_s - s))) for s in s_grid])
+        idx = np.argmin(np.abs(fold_s[None, :] - s_grid[:, None]), axis=1)
         scores[:, f] = msep[idx]
     return s_grid, scores
 
@@ -162,7 +201,7 @@ def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
 
     Weights (including adaptive OLS references) are recomputed on each
     training part. A singular training part raises FoldRankDeficient with
-    the fold index.
+    the fold index; a fold path's NotConverged names the fold too.
     """
     fits = compute_fold_paths(
         ds,
@@ -197,12 +236,7 @@ def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np
     if kind not in ("AIC", "BIC"):
         raise ValueError(f"kind must be AIC or BIC, got {kind!r}")
     pen = 2.0 if kind == "AIC" else float(np.log(ds.n))
-    scores = np.empty(len(path_result.solutions))
-    for g, sol in enumerate(path_result.solutions):
-        alpha = intercept_for(sol.beta, ds)
-        pred = alpha + predicted_effects(sol.beta, ds)
-        rss = float(np.sum((ds.y - pred) ** 2))
-        part = extract_clusters(sol.beta, ds.schemas)
-        df = degrees_of_freedom(part)
-        scores[g] = ds.n * np.log(max(rss, 1e-300) / ds.n) + pen * df
-    return scores
+    betas = [sol.beta for sol in path_result.solutions]
+    rss = (_residuals(betas, ds, ds) ** 2).sum(axis=1)
+    df = np.array([degrees_of_freedom(p) for p in extract_clusters_path(betas, ds.schemas)])
+    return ds.n * np.log(np.maximum(rss, 1e-300) / ds.n) + pen * df

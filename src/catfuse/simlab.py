@@ -336,6 +336,8 @@ def run_study(
     sharing a weight configuration share its fold paths and its full-data
     path (refit changes only the scoring and the read-out at the chosen
     point), which roughly halves the cost of refit/no-refit contrasts.
+    A "+rf" variant's CV scoring reads each fold path's partitions in one
+    pass and refits each distinct partition of a fold once (score_folds).
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")

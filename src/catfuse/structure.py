@@ -12,6 +12,10 @@ may fuse, and for values on a line the all-pairs "within threshold"
 closure is exactly the sorted runs without a large step. Only
 neighbouring ordinal levels may fuse, and their steps are the differences
 δ the penalty acts on.
+
+A path is read in one pass: `extract_clusters_path` stacks each factor's
+β̂ over the grid, sorts and cuts all rows at once, and builds each distinct
+partition once; `extract_clusters` is its one-row case.
 """
 from __future__ import annotations
 
@@ -40,14 +44,6 @@ class FactorPartition:
     clusters: Tuple[Tuple[int, ...], ...]
     zero_cluster: int
     coefficients: Tuple[float, ...]
-
-    def level_coefficients(self) -> np.ndarray:
-        k1 = sum(len(c) for c in self.clusters)
-        out = np.zeros(k1)
-        for c, members in enumerate(self.clusters):
-            for lev in members:
-                out[lev] = self.coefficients[c]
-        return out
 
     def cluster_of(self, level: int) -> int:
         for c, members in enumerate(self.clusters):
@@ -83,14 +79,83 @@ class ClusterPartition:
         }
 
 
-def _fusion_runs(b: np.ndarray, nominal: bool, threshold: float) -> List[Tuple[int, ...]]:
-    """Levels in fusion order, cut wherever a step is not within threshold;
-    runs sorted ascending and ordered by smallest member."""
-    order = np.argsort(b, kind="stable") if nominal else np.arange(b.size)
-    steps = np.diff(b[order]) if nominal else u_transform(b[1:])
-    cuts = [0, *(np.flatnonzero(~(np.abs(steps) <= threshold)) + 1).tolist(), b.size]
-    order = order.tolist()
-    return sorted(tuple(sorted(order[i:j])) for i, j in zip(cuts, cuts[1:]))
+def extract_clusters_path(
+    betas: Sequence[Dict[str, np.ndarray]],
+    schemas: Sequence[FactorSchema],
+    tol: float = DEFAULT_CLUSTER_TOL,
+) -> List[ClusterPartition]:
+    """One ClusterPartition per β dict: levels grouped whose coefficients
+    agree within that β's threshold tol·max(1, max|β̂|).
+
+    `betas[g][name]` is a full per-level vector (reference entry 0). Each
+    factor's vectors are stacked into a (grid × levels) array and read by
+    one rule: take the levels in fusion order, step from each to the next,
+    and start a new cluster wherever a step is not within the row's
+    threshold (a NaN step always cuts). A nominal factor's fusion order
+    sorts β̂ and steps between sorted neighbours; this is the all-pairs
+    closure (any two levels within threshold fuse, transitively), because
+    in sorted order a pair that spans a cut differs by at least that cut's
+    step, also after rounding. An ordinal factor keeps level order and
+    steps δ = u_transform(β̂[1:]), so its clusters are contiguous runs.
+    A factor holding a NaN does not count towards max|β̂|. A cluster's
+    coefficient is its members' mean.
+    """
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    stacks = []
+    for sch in schemas:
+        rows = [np.asarray(b[sch.name], dtype=float) for b in betas]
+        if any(row.shape != (sch.k + 1,) for row in rows):
+            raise ValueError(
+                f"factor {sch.name!r}: expected {sch.k + 1} per-level values"
+            )
+        stacks.append(np.array(rows).reshape(len(betas), sch.k + 1))
+    scale = np.zeros(len(betas))
+    for B in stacks:
+        scale = np.fmax(scale, np.abs(B).max(axis=1))
+    thresholds = tol * np.maximum(1.0, scale)
+    per_factor = [_factor_partitions(sch, B, thresholds) for sch, B in zip(schemas, stacks)]
+    return [
+        ClusterPartition(tuple(parts[g] for parts in per_factor), threshold=float(t))
+        for g, t in enumerate(thresholds)
+    ]
+
+
+def _factor_partitions(
+    sch: FactorSchema, B: np.ndarray, thresholds: np.ndarray
+) -> List[FactorPartition]:
+    """One factor's partition at every row of B (grid × levels)."""
+    if sch.penalty_scale == "nominal":
+        order = np.argsort(B, axis=1, kind="stable")
+        steps = np.diff(np.take_along_axis(B, order, axis=1), axis=1)
+    else:
+        order = np.broadcast_to(np.arange(B.shape[1]), B.shape)
+        steps = u_transform(B[:, 1:])
+    runs = np.zeros(B.shape, dtype=int)          # run index in fusion order
+    runs[:, 1:] = np.cumsum(~(np.abs(steps) <= thresholds[:, None]), axis=1)
+    labels = np.empty_like(runs)                 # run index of each level
+    np.put_along_axis(labels, order, runs, axis=1)
+    # each distinct labelling is turned into clusters once: levels ascending
+    # within a cluster, clusters by smallest member
+    rows_of: Dict[bytes, List[int]] = {}
+    for g, row in enumerate(labels):
+        rows_of.setdefault(row.tobytes(), []).append(g)
+    parts = [None] * B.shape[0]
+    for rows in rows_of.values():
+        members: Dict[int, List[int]] = {}
+        for lev, run in enumerate(labels[rows[0]].tolist()):
+            members.setdefault(run, []).append(lev)
+        clusters = tuple(tuple(m) for m in members.values())
+        # a C-contiguous (rows × members) block reduces each row in the
+        # order b[list(c)].mean() does, so the means are bit-identical
+        block = B[rows]
+        means = np.column_stack(
+            [np.ascontiguousarray(block[:, c]).mean(axis=1) for c in clusters]
+        )
+        for g, coefficients in zip(rows, means.tolist()):
+            # ordered by smallest member, level 0's cluster comes first
+            parts[g] = FactorPartition(sch.name, clusters, 0, tuple(coefficients))
+    return parts
 
 
 def extract_clusters(
@@ -98,44 +163,8 @@ def extract_clusters(
     schemas: Sequence[FactorSchema],
     tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ClusterPartition:
-    """Group levels whose coefficients agree within tol·max(1, max|β̂|).
-
-    `beta[name]` is a full per-level vector (reference entry 0). One rule
-    serves both scales: take the levels in fusion order, step from each to
-    the next, and start a new cluster wherever a step is not within the
-    threshold (a NaN step always cuts). A nominal factor's fusion order
-    sorts β̂ and steps between sorted neighbours; this is the all-pairs
-    closure (any two levels within threshold fuse, transitively), because
-    in sorted order a pair that spans a cut differs by at least that cut's
-    step, also after rounding. An ordinal factor keeps level order and
-    steps δ = u_transform(β̂[1:]), so its clusters are contiguous runs.
-    A cluster's coefficient is its members' mean.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    scale = 0.0
-    for sch in schemas:
-        b = np.asarray(beta[sch.name], dtype=float)
-        if b.shape != (sch.k + 1,):
-            raise ValueError(
-                f"factor {sch.name!r}: expected {sch.k + 1} per-level values"
-            )
-        if b.size:
-            scale = max(scale, float(np.max(np.abs(b))))
-    threshold = tol * max(1.0, scale)
-    parts = []
-    for sch in schemas:
-        b = np.asarray(beta[sch.name], dtype=float)
-        clusters = _fusion_runs(b, sch.penalty_scale == "nominal", threshold)
-        parts.append(
-            FactorPartition(
-                name=sch.name,
-                clusters=tuple(clusters),
-                zero_cluster=0,     # ordered by smallest member, level 0's comes first
-                coefficients=tuple(float(b[list(c)].mean()) for c in clusters),
-            )
-        )
-    return ClusterPartition(tuple(parts), threshold=threshold)
+    """The partition of one β: the one-row case of extract_clusters_path."""
+    return extract_clusters_path([beta], schemas, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ class WeightSet:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def factor_values(self, name: str) -> np.ndarray:
-        b = self.layout.block(name)
-        return self.values[b.slice]
-
 
 def standard_weights(ds: Dataset, use_frequency: bool = False) -> WeightSet:
     """Base weights: nominal pair (i,j) gets 2/(k+1), ordinal differences 1.

@@ -5,7 +5,8 @@ import pytest
 
 from catfuse.coding import build_augmented
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import FoldRankDeficient
+from catfuse import selection
+from catfuse.errors import FoldRankDeficient, NotConverged
 from catfuse.selection import (
     CvConfig,
     build_weights,
@@ -17,8 +18,9 @@ from catfuse.selection import (
     predicted_effects,
     score_folds,
 )
+from catfuse.simlab import generate, make_scenario
 from catfuse.solver import path
-from catfuse.structure import DEFAULT_CLUSTER_TOL, degrees_of_freedom, extract_clusters
+from catfuse.structure import DEFAULT_CLUSTER_TOL, degrees_of_freedom, extract_clusters, refit
 
 from conftest import toy_mixed_ds
 
@@ -141,3 +143,96 @@ def test_bic_penalizes_harder_than_aic():
         degrees_of_freedom(extract_clusters(s.beta, ds.schemas)) for s in pr.solutions
     ])
     assert np.allclose(bic - aic, (np.log(ds.n) - 2.0) * dfs)
+
+
+def _score_folds_per_point(fits, grid_size, refit_inside):
+    """score_folds one grid point at a time: extract_clusters, refit and
+    predicted_effects at every point."""
+    s_grid = np.linspace(0.0, 1.0, grid_size)
+    scores = np.empty((grid_size, len(fits)))
+    for f, fit in enumerate(fits):
+        fold_s = np.array([s for _, s in fit.path.grid])
+        msep = np.empty(len(fit.path.solutions))
+        for g, sol in enumerate(fit.path.solutions):
+            beta = sol.beta
+            if refit_inside:
+                beta = refit(fit.train, extract_clusters(beta, fit.train.schemas)).beta
+            alpha = float(fit.train.y.mean() - predicted_effects(beta, fit.train).mean())
+            pred = alpha + predicted_effects(beta, fit.test)
+            msep[g] = float(np.mean((fit.test.y - pred) ** 2))
+        idx = [int(np.argmin(np.abs(fold_s - s))) for s in s_grid]
+        scores[:, f] = msep[idx]
+    return s_grid, scores
+
+
+@pytest.fixture(scope="module")
+def scenario_fold_paths():
+    out = {}
+    for name, adaptive in (("S1", False), ("S2", True)):
+        train = generate(make_scenario(name, seed=2)).train
+        out[name] = compute_fold_paths(train, 5, 2, adaptive, True, 1e10, 40)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+@pytest.mark.parametrize("refit_inside", [False, True])
+def test_score_folds_equals_per_point_reference(scenario_fold_paths, name, refit_inside):
+    fits = scenario_fold_paths[name]
+    s_grid, scores = score_folds(fits, 40, refit_inside)
+    ref_grid, ref = _score_folds_per_point(fits, 40, refit_inside)
+    assert s_grid.tobytes() == ref_grid.tobytes()
+    assert scores.tobytes() == ref.tobytes()
+
+
+def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, monkeypatch):
+    fits = scenario_fold_paths["S2"]
+    calls = {}
+
+    def counting_refit(ds, partition):
+        key = tuple(fp.clusters for fp in partition.factors)
+        calls.setdefault(id(ds), []).append(key)
+        return refit(ds, partition)
+
+    monkeypatch.setattr(selection, "refit", counting_refit)
+    score_folds(fits, 40, refit_inside=True)
+    for fit in fits:
+        keys = [tuple(fp.clusters for fp in extract_clusters(s.beta, fit.train.schemas).factors)
+                for s in fit.path.solutions]
+        made = calls[id(fit.train)]
+        assert sorted(made) == sorted(set(keys))
+        assert len(made) < len(keys)
+
+
+def test_information_criterion_equals_per_point_reference():
+    for name in ("S1", "S2"):
+        ds = generate(make_scenario(name, seed=5)).train
+        pr = path(build_augmented(ds, build_weights(ds, True, True)), 40)
+        dfs = np.array([degrees_of_freedom(extract_clusters(s.beta, ds.schemas))
+                        for s in pr.solutions])
+        rss = np.array([
+            float(np.sum((ds.y - intercept_for(s.beta, ds) - predicted_effects(s.beta, ds)) ** 2))
+            for s in pr.solutions
+        ])
+        aic = information_criterion(ds, pr, "AIC")
+        bic = information_criterion(ds, pr, "BIC")
+        for scores, pen in ((aic, 2.0), (bic, np.log(ds.n))):
+            ref = ds.n * np.log(rss / ds.n) + pen * dfs
+            assert np.allclose(scores, ref, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.rint((bic - aic) / (np.log(ds.n) - 2.0)), dfs)
+
+
+def test_fold_path_failure_names_the_fold(monkeypatch):
+    ds = toy_mixed_ds(seed=25, n=100)
+    calls = []
+
+    def failing_path(problem, grid_size):
+        calls.append(grid_size)
+        if len(calls) == 3:
+            raise NotConverged("KKT conditions not met (grid point 4, augmented solve)")
+        return path(problem, grid_size)
+
+    monkeypatch.setattr(selection, "path", failing_path)
+    with pytest.raises(NotConverged) as ei:
+        compute_fold_paths(ds, 4, 0, False, False, 1e10, 10)
+    assert type(ei.value) is NotConverged
+    assert str(ei.value) == "KKT conditions not met (grid point 4, augmented solve) (fold 2)"

@@ -11,6 +11,7 @@ from catfuse.structure import (
     FactorPartition,
     degrees_of_freedom,
     extract_clusters,
+    extract_clusters_path,
     refit,
 )
 
@@ -18,6 +19,14 @@ from conftest import rent_schema
 
 
 NOM3 = (FactorSchema("g", "nominal", ("a", "b", "c")),)
+
+
+def level_coefficients(fp: FactorPartition) -> np.ndarray:
+    """Each level's cluster coefficient."""
+    out = np.zeros(sum(len(c) for c in fp.clusters))
+    for members, value in zip(fp.clusters, fp.coefficients):
+        out[list(members)] = value
+    return out
 
 
 def test_nominal_clusters_transitive():
@@ -66,7 +75,7 @@ def test_cluster_coefficient_is_member_mean():
 def test_level_coefficients_and_cluster_of():
     schemas = (FactorSchema("g", "ordinal", ("0", "1", "2")),)
     fp = extract_clusters({"g": np.array([0.0, 2.0, 2.0])}, schemas).factor("g")
-    assert fp.level_coefficients().tolist() == [0.0, 2.0, 2.0]
+    assert level_coefficients(fp).tolist() == [0.0, 2.0, 2.0]
     assert fp.cluster_of(0) == 0
     assert fp.cluster_of(2) == 1
 
@@ -240,6 +249,63 @@ def test_extract_clusters_matches_all_pairs_closure():
             assert fp.zero_cluster == 0
             means = [np.mean(b[list(c)]) for c in expect]
             assert np.array_equal(fp.coefficients, means, equal_nan=True)
+
+
+def _same_partition(a: ClusterPartition, b: ClusterPartition) -> bool:
+    """Equal clusters and bit-identical threshold and coefficients (NaN too)."""
+    return (
+        np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes()
+        and [(fp.name, fp.clusters, fp.zero_cluster) for fp in a.factors]
+        == [(fp.name, fp.clusters, fp.zero_cluster) for fp in b.factors]
+        and all(np.array(fa.coefficients).tobytes() == np.array(fb.coefficients).tobytes()
+                for fa, fb in zip(a.factors, b.factors))
+    )
+
+
+def test_extract_clusters_path_matches_per_row():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        tol = float(rng.choice([0.0, 1e-8, 1e-3]))
+        schemas = [FactorSchema("pin", "binary", ("0", "1"))]
+        kinds = [("nominal" if rng.random() < 0.5 else "ordinal", int(rng.integers(2, 10)))
+                 for _ in range(rng.integers(1, 4))]
+        for f, (kind, k1) in enumerate(kinds):
+            schemas.append(FactorSchema(f"f{f}", kind, tuple(map(str, range(k1)))))
+        betas = []
+        for _ in range(rng.integers(1, 12)):
+            # each row its own scale, so rows have different thresholds
+            scale = float(rng.choice([0.25, 1.0, 64.0]))
+            beta = {"pin": np.array([0.0, rng.choice([-1.0, 1.0]) * scale])}
+            for f, (_, k1) in enumerate(kinds):
+                beta[f"f{f}"] = _draw_factor_values(rng, k1, scale, tol * max(1.0, scale))
+            betas.append(beta)
+        parts = extract_clusters_path(betas, schemas, tol=tol)
+        assert len(parts) == len(betas)
+        for beta, part in zip(betas, parts):
+            assert _same_partition(part, extract_clusters(beta, schemas, tol=tol)), (beta, tol)
+
+
+def test_nan_factor_does_not_set_any_threshold():
+    # a factor holding a NaN is left out of max|β̂|, whichever its position,
+    # and only in its own row
+    schemas = (FactorSchema("a", "nominal", ("0", "1", "2")),
+               FactorSchema("b", "ordinal", ("0", "1")))
+    nan_row = {"a": np.array([0.0, np.nan, 100.0]), "b": np.array([0.0, 5.0])}
+    big_row = {"a": np.array([0.0, 1.0, 100.0]), "b": np.array([0.0, 5.0])}
+    nan_first = extract_clusters_path([nan_row, big_row], schemas, tol=1e-3)
+    assert [p.threshold for p in nan_first] == [1e-3 * 5.0, 1e-3 * 100.0]
+    flipped = (schemas[1], schemas[0])
+    nan_last = extract_clusters_path([big_row, nan_row], flipped, tol=1e-3)
+    assert [p.threshold for p in nan_last] == [1e-3 * 100.0, 1e-3 * 5.0]
+    assert extract_clusters_path([], schemas) == []
+
+
+def test_extract_clusters_path_checks_shapes():
+    betas = [{"g": np.zeros(3)}, {"g": np.zeros(2)}]
+    with pytest.raises(ValueError, match="'g': expected 3"):
+        extract_clusters_path(betas, NOM3)
+    with pytest.raises(ValueError):
+        extract_clusters_path(betas[:1], NOM3, tol=-1.0)
 
 
 def test_refit_reads_partition_by_factor_name():
