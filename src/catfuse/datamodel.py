@@ -21,7 +21,6 @@ from .errors import (
     EmptyDataset,
     MissingColumn,
     NonNumericResponse,
-    UnknownFactor,
     UnknownLevel,
 )
 
@@ -127,12 +126,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    def factor_index(self, name: str) -> int:
-        for l, sch in enumerate(self.schemas):
-            if sch.name == name:
-                return l
-        raise UnknownFactor(name)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""

@@ -44,12 +44,6 @@ class EmptyDataset(CatfuseError):
     pass
 
 
-class UnknownFactor(CatfuseError):
-    def __init__(self, factor: str):
-        self.factor = factor
-        super().__init__(f"no factor named {factor!r}")
-
-
 class DegenerateFactor(CatfuseError):
     def __init__(self, factor: str, n_levels: int):
         self.factor = factor

@@ -34,7 +34,6 @@ from .selection import (
 )
 from .solver import PathResult, path
 from .structure import (
-    DEFAULT_CLUSTER_TOL,
     ClusterPartition,
     degrees_of_freedom,
     extract_clusters,
@@ -177,15 +176,15 @@ def evaluate(
 ) -> EvalMetrics:
     """Score an estimate against the truth.
 
-    "Nonzero" means outside the structure tolerance
-    DEFAULT_CLUSTER_TOL·max(1, max|β̂|), so
-    penalized and refitted estimates are judged by the same rule. Selection
-    rates are over whole factors; clustering rates over differences within
-    relevant (non-noise) factors — all pairs for nominal factors, adjacent
-    pairs for ordinal ones.
+    Selection and fusion are read off partitions (structure.extract_clusters):
+    the estimate's at the default tolerance, so penalized and refitted
+    estimates are judged by the same rule, the truth's at tolerance 0. A
+    factor is selected when it has more than one cluster; a pair of levels is
+    fused when both share a cluster. Selection rates are over whole factors;
+    clustering rates over differences within relevant (non-noise) factors —
+    all pairs for nominal factors, adjacent pairs for ordinal ones.
     """
     sq_err = []
-    scale = 1.0
     for sch in schemas:
         bh = np.asarray(beta_hat[sch.name], dtype=float)
         bt = np.asarray(truth[sch.name], dtype=float)
@@ -193,24 +192,21 @@ def evaluate(
             raise ShapeMismatch(
                 f"factor {sch.name!r}: estimate {bh.shape} vs truth {bt.shape}"
             )
-        scale = max(scale, float(np.max(np.abs(bh))))
         sq_err.extend(((bh - bt)[1:] ** 2).tolist())
-    thr = DEFAULT_CLUSTER_TOL * scale
+    est = extract_clusters(beta_hat, schemas)
+    true = extract_clusters(truth, schemas, tol=0.0)
 
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
-    for sch in schemas:
-        bh = np.asarray(beta_hat[sch.name], dtype=float)
-        bt = np.asarray(truth[sch.name], dtype=float)
-        relevant = bool(np.any(bt != 0.0))
-        selected = bool(np.any(np.abs(bh[1:]) > thr))
-        if relevant:
+    for sch, fe, ft in zip(schemas, est.factors, true.factors):
+        selected = len(fe.clusters) > 1
+        if len(ft.clusters) > 1:
             n_rel += 1
             if not selected:
                 sel_fn += 1
             for (i, j) in theta_layout([sch]).blocks[0].pairs:
-                true_zero = bt[i] == bt[j]
-                est_zero = abs(bh[i] - bh[j]) <= thr
+                true_zero = ft.cluster_of(i) == ft.cluster_of(j)
+                est_zero = fe.cluster_of(i) == fe.cluster_of(j)
                 if true_zero:
                     n_zero_diff += 1
                     if not est_zero:

@@ -12,8 +12,10 @@ inner step solves the saddle-point system
     [   Aₛ   −I/(2γ)] [ v ] = [     0      ]
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
-style sign handling. Every accepted solution is certified by the KKT
-conditions; NotConverged is raised otherwise, never swallowed.
+style sign handling. One loop drives a solve, and its one exit test is the
+KKT certificate: each round evaluates the gradient and its rounding floor
+once, then adds violators, returns a certified θ or re-solves the active set.
+A solve that cannot be certified raises NotConverged, never swallowed.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -134,76 +136,6 @@ _MAX_ROUNDS = 200
 _MAX_INNER = 500
 
 
-def _active_set_pass(core: _Core, theta: np.ndarray, lam: float) -> int:
-    """Add KKT violators and re-solve subspace problems until none remain.
-
-    Mutates theta in place; returns the number of subspace solves. Each
-    accepted step decreases the objective (exact subspace minimizer, or a
-    line-searched prefix of the move before the first sign crossing).
-    """
-    q = core.q
-    sigma = np.sign(theta)
-    n_solves = 0
-    for _ in range(_MAX_ROUNDS):
-        g = core.grad(theta)
-        active = theta != 0.0
-        viol = np.abs(g) - lam
-        viol[active] = -np.inf
-        # only violations beyond a fraction of the final tolerance matter
-        tol_add = 0.25 * (KKT_TOL + core.kkt_floor(theta))
-        candidates = np.flatnonzero(viol > tol_add)
-        if candidates.size:
-            order = candidates[np.argsort(viol[candidates])[::-1]][:_ADD_PER_ROUND]
-            for j in order:
-                active[j] = True
-                sigma[j] = -np.sign(g[j])
-        elif n_solves or not np.any(active):
-            return n_solves     # no violators (a nonzero warm start is re-solved once)
-        for _inner in range(_MAX_INNER):
-            S = np.flatnonzero(active)
-            rhs_head = 2.0 * core.Xty[S] - lam * sigma[S]
-            cand_S = core.subspace_solve(S, rhs_head)
-            n_solves += 1
-            if lam == 0.0:
-                theta[:] = 0.0
-                theta[S] = cand_S
-                break
-            flips = cand_S * sigma[S] < 0.0
-            if not np.any(flips):
-                theta[:] = 0.0
-                theta[S] = cand_S
-                break
-            # walk toward the candidate, stop at the first zero crossing
-            d = np.zeros(q)
-            d[S] = cand_S - theta[S]
-            cross = np.full(q, np.inf)
-            for j in S:
-                if theta[j] != 0.0 and np.sign(theta[j]) != np.sign(theta[j] + d[j]) and d[j] != 0.0:
-                    cross[j] = -theta[j] / d[j]
-                elif theta[j] == 0.0 and sigma[j] * d[j] < 0.0:
-                    cross[j] = 0.0
-            # finite: a flipped θ_j ≠ 0 has sign σ_j, so its move crosses 0
-            tmin = min(max(float(np.min(cross)), 0.0), 1.0)
-            theta += tmin * d
-            dropped = cross <= tmin + 1e-15
-            theta[dropped] = 0.0
-            active[dropped] = False
-            if not np.any(active):
-                break
-        else:
-            raise NotConverged("active-set inner loop exceeded iteration cap")
-    raise NotConverged("active-set driver exceeded round cap")
-
-
-def _kkt_ok(core: _Core, theta: np.ndarray, lam: float) -> bool:
-    g = core.grad(theta)
-    tol = KKT_TOL + core.kkt_floor(theta)
-    active = theta != 0.0
-    ok_active = np.all(np.abs(g[active] + lam * np.sign(theta[active])) <= tol[active])
-    ok_inactive = np.all(np.abs(g[~active]) <= lam + tol[~active])
-    return bool(ok_active and ok_inactive)
-
-
 def _solve_core(
     core: _Core,
     lam: float,
@@ -211,9 +143,21 @@ def _solve_core(
 ) -> Tuple[np.ndarray, int]:
     """The minimizer at λ and the number of subspace solves it took.
 
-    λ, the warm start and the result are in the data's units; the active-set
-    pass and the KKT certificate run on the response scaled by core.y_scale.
-    A pass whose result fails the certificate is retried from that result.
+    λ, the warm start and the result are in the data's units; the rounds run
+    on the response scaled by core.y_scale. Each round evaluates the gradient
+    g and its rounding floor once, sets tol = KKT_TOL + floor, and reads the
+    KKT certificate off them:
+
+    - inactive columns with |g_j| over λ by more than ¼·tol are violators; up
+      to _ADD_PER_ROUND of the worst join the active set with σ_j = −sign g_j;
+    - with no violator, θ is returned once every active column is stationary,
+      |g_j + λ·sign θ_j| ≤ tol_j;
+    - otherwise the active set is re-solved.
+
+    A re-solve solves the subspace system on the active set S and walks
+    toward its solution, stopping at the first sign crossing and dropping the
+    columns that reach 0, until a solution keeps every sign σ (at λ = 0 any
+    solution is accepted). Each step decreases the objective.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -221,13 +165,49 @@ def _solve_core(
     if theta.shape != (core.q,):
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
     theta *= core.y_scale
-    lam_scaled = lam * core.y_scale
+    lam_s = lam * core.y_scale
+    sigma = np.sign(theta)
     solves = 0
-    for _ in range(8):
-        solves += _active_set_pass(core, theta, lam_scaled)
-        if _kkt_ok(core, theta, lam_scaled):
+    for _ in range(_MAX_ROUNDS):
+        g = core.grad(theta)
+        tol = KKT_TOL + core.kkt_floor(theta)
+        active = theta != 0.0
+        viol = np.where(active, -np.inf, np.abs(g) - lam_s)
+        add = np.flatnonzero(viol > 0.25 * tol)
+        if add.size:
+            add = add[np.argsort(viol[add])[::-1]][:_ADD_PER_ROUND]
+            active[add] = True
+            sigma[add] = -np.sign(g[add])
+        elif np.all(np.abs(g[active] + lam_s * np.sign(theta[active])) <= tol[active]):
             return theta / core.y_scale, solves
-    raise NotConverged(f"KKT conditions not met at lambda = {lam:g}")
+        for _inner in range(_MAX_INNER):
+            S = np.flatnonzero(active)
+            cand = core.subspace_solve(S, 2.0 * core.Xty[S] - lam_s * sigma[S])
+            solves += 1
+            if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
+                theta[:] = 0.0
+                theta[S] = cand
+                break
+            # walk toward the candidate, stop at the first zero crossing: a
+            # θ_j ≠ 0 that would change sign, or a new θ_j = 0 moving against
+            # σ_j (finite: a flipped θ_j ≠ 0 has sign σ_j, so it crosses 0)
+            d = np.zeros(core.q)
+            d[S] = cand - theta[S]
+            t, dS = theta[S], d[S]
+            cross = np.full(S.size, np.inf)
+            hit = (t != 0.0) & (np.sign(t) != np.sign(t + dS)) & (dS != 0.0)
+            cross[hit] = -t[hit] / dS[hit]
+            cross[(t == 0.0) & (sigma[S] * dS < 0.0)] = 0.0
+            tmin = min(max(float(np.min(cross)), 0.0), 1.0)
+            theta += tmin * d
+            dropped = S[cross <= tmin + 1e-15]
+            theta[dropped] = 0.0
+            active[dropped] = False
+            if not np.any(active):
+                break
+        else:
+            raise NotConverged("active-set inner loop exceeded iteration cap")
+    raise NotConverged("active-set driver exceeded round cap")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +316,6 @@ class PathResult:
     grid: Tuple[Tuple[float, float], ...]     # (lambda, s_ratio) pairs
     solutions: Tuple[PathSolution, ...]
     lambda_max: float
-    ols_beta: Dict[str, np.ndarray]
 
     def solution_at(self, s_ratio: float) -> PathSolution:
         """Grid point with nearest s_ratio; ties take the sparser point."""
@@ -432,7 +411,6 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     theta_ls = induced_theta(layout, back_transform(theta_ls, layout, np.ones(problem.q)))
     theta_ls_scaled = theta_ls * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
-    ols_beta = back_transform(theta_ls_scaled, layout, w)
 
     core = _Core.from_design(problem.Z_data, problem.A_scaled, y, problem.gamma)
     plain_core = core.unrestricted()
@@ -474,5 +452,4 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
         grid=tuple(grid),
         solutions=tuple(solutions),
         lambda_max=lam_max,
-        ols_beta=ols_beta,
     )

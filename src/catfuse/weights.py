@@ -121,9 +121,9 @@ def epanechnikov(u: float) -> float:
 def spatial_factors(
     schema: FactorSchema,
     h: float = DEFAULT_BANDWIDTH_KM,
-    floor: float = DEFAULT_SPATIAL_FLOOR,
 ) -> np.ndarray:
-    """Kernel multipliers ζ_ij = max(K((ς_i − ς_j)/h), floor) per difference.
+    """Kernel multipliers ζ_ij = max(K((ς_i − ς_j)/h), DEFAULT_SPATIAL_FLOOR)
+    per difference.
 
     Order matches the factor's block in theta_layout. The floor keeps all
     multipliers strictly positive where the Epanechnikov kernel hits 0.
@@ -137,7 +137,7 @@ def spatial_factors(
     b = layout.blocks[0]
     out = np.empty(b.length)
     for c, (i, j) in enumerate(b.pairs):
-        out[c] = max(epanechnikov((coords[i] - coords[j]) / h), floor)
+        out[c] = max(epanechnikov((coords[i] - coords[j]) / h), DEFAULT_SPATIAL_FLOOR)
     return out
 
 
@@ -145,7 +145,6 @@ def with_spatial(
     ws: WeightSet,
     schemas,
     h: float = DEFAULT_BANDWIDTH_KM,
-    floor: float = DEFAULT_SPATIAL_FLOOR,
 ) -> WeightSet:
     """Apply spatial multipliers to every factor that has coordinates."""
     values = np.array(ws.values)
@@ -154,7 +153,7 @@ def with_spatial(
         if sch.spatial_coords is None:
             continue
         b = ws.layout.block(sch.name)
-        values[b.slice] *= spatial_factors(sch, h=h, floor=floor)
+        values[b.slice] *= spatial_factors(sch, h=h)
         touched = True
     if not touched:
         raise MissingCoordinates("(no factor has spatial coordinates)")

@@ -17,7 +17,6 @@ from catfuse.errors import (
     EmptyDataset,
     MissingColumn,
     NonNumericResponse,
-    UnknownFactor,
     UnknownLevel,
 )
 
@@ -60,8 +59,6 @@ def test_dataset_counts_and_subset():
     sub = ds.subset(np.arange(10))
     assert sub.n == 10
     assert np.array_equal(sub.codes, ds.codes[:10])
-    with pytest.raises(UnknownFactor):
-        ds.factor_index("nope")
 
 
 def test_dataset_arrays_immutable():
@@ -138,9 +135,14 @@ def test_schema_json_round_trip(tmp_path):
     assert load_schema(str(p)) == schemas
 
 
+def factor_index(ds: Dataset, name: str) -> int:
+    """Position of the named factor in ds.schemas."""
+    return [sch.name for sch in ds.schemas].index(name)
+
+
 def class_frequencies(ds: Dataset, factor: str) -> np.ndarray:
     """Counts per level for one factor; length k+1, sums to n."""
-    return ds.n_counts[ds.factor_index(factor)].copy()
+    return ds.n_counts[factor_index(ds, factor)].copy()
 
 
 def test_class_frequencies():

@@ -80,6 +80,25 @@ def test_warm_start_is_consistent():
     assert np.max(np.abs(cold - warm)) < 1e-9
 
 
+def test_certified_warm_start_takes_no_solve():
+    # a solve ends on the KKT certificate, so a solve started from its own
+    # certified result re-reads that certificate and returns θ untouched
+    rng = np.random.default_rng(9)
+    X, y = random_instance(rng)
+    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    ds = make_s1(seed=2)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    s1 = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    for core in (generic, s1):
+        for frac in (0.5, 0.1, 0.01):
+            lam = frac * core.lambda_max
+            theta, solves = solver._solve_core(core, lam)
+            assert solves > 0 and np.any(theta != 0.0)
+            again, solves = solver._solve_core(core, lam, warm_start=theta)
+            assert solves == 0
+            assert again.tobytes() == theta.tobytes()
+
+
 def test_lambda_max_formula():
     ds = make_s1()
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
@@ -193,8 +212,9 @@ def test_path_zero_lambda_leaves_unidentified_columns_at_zero():
     codes = np.column_stack([rng.integers(0, 3, 40), np.zeros(40, dtype=int)])
     ds = Dataset(rng.normal(0, 1, 40), codes, schemas)
     pr = path(build_augmented(ds, standard_weights(ds)), grid_size=10)
-    assert pr.ols_beta["o"][3] == pr.ols_beta["o"][2]
-    assert pr.ols_beta["b"].tolist() == [0.0, 0.0]
+    ols_beta = pr.solutions[-1].beta
+    assert ols_beta["o"][3] == ols_beta["o"][2]
+    assert ols_beta["b"].tolist() == [0.0, 0.0]
 
 
 def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():

@@ -98,7 +98,7 @@ def test_epanechnikov_kernel():
 
 def test_spatial_factors_floor_and_kernel():
     sch = FactorSchema("g", "nominal", ("a", "b", "c"), spatial_coords=(0.0, 10.0, 100.0))
-    mult = spatial_factors(sch, h=15.0, floor=DEFAULT_SPATIAL_FLOOR)
+    mult = spatial_factors(sch, h=15.0)
     # pair order (1,0), (2,0), (2,1); distant pairs sit on the floor
     assert mult[0] == pytest.approx(0.75 * (1 - (10.0 / 15.0) ** 2))
     assert mult[1] == DEFAULT_SPATIAL_FLOOR
@@ -114,7 +114,7 @@ def test_with_spatial_multiplies_only_located_factors():
     codes = np.column_stack([rng.integers(0, 3, 60), rng.integers(0, 2, 60)])
     ds = Dataset(rng.normal(size=60), codes, schemas)
     base = standard_weights(ds)
-    spat = with_spatial(base, schemas, h=15.0, floor=1e-6)
+    spat = with_spatial(base, schemas, h=15.0)
     assert not np.allclose(factor_values(spat, "g"), factor_values(base, "g"))
     assert np.array_equal(factor_values(spat, "h"), factor_values(base, "h"))
 
@@ -123,7 +123,7 @@ def test_with_spatial_requires_coordinates():
     ds = toy_mixed_ds(seed=9)
     base = standard_weights(ds)
     with pytest.raises(MissingCoordinates):
-        with_spatial(base, ds.schemas, h=15.0, floor=1e-6)
+        with_spatial(base, ds.schemas, h=15.0)
 
 
 def test_weight_positivity_enforced():
