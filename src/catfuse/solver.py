@@ -12,10 +12,17 @@ inner step solves the saddle-point system
     [   Aₛ   −I/(2γ)] [ v ] = [     0      ]
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
-style sign handling. One loop drives a solve, and its one exit test is the
-KKT certificate: each round evaluates the gradient and its rounding floor
-once, then adds violators, returns a certified θ or re-solves the active set.
-A solve that cannot be certified raises NotConverged, never swallowed.
+style sign handling. A nominal pair column θ_ij (j ≥ 1) carries no data and
+sits in one restriction row ρ, so when it is active its stationarity row
+fixes v_ρ in closed form and row ρ gives θ_ij from the data columns. The
+solve therefore runs only on the active data columns (θ_i0 and ordinal δ)
+and the restriction rows whose pair column is inactive; the elimination is
+exact, with no approximation in γ.
+
+One loop drives a solve, and its one exit test is the KKT certificate: each
+round evaluates the gradient and its rounding floor once, then adds
+violators, returns a certified θ or re-solves the active set. A solve that
+cannot be certified raises NotConverged, never swallowed.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -60,6 +67,15 @@ class _Core:
         self.A, self._absA, self.gamma = A, np.abs(A), float(gamma)
         self.q, self.r = XtX.shape[0], A.shape[0]
         self.y_scale = y_scale
+        # pair_row[c] = ρ for a column with no data and one nonzero in A, at
+        # row ρ, when it is the only such column of ρ (the nominal θ_ij,
+        # j ≥ 1); -1 elsewhere. subspace_solve eliminates these columns.
+        lone = np.flatnonzero(~np.any(XtX != 0.0, axis=0)
+                              & (np.count_nonzero(A, axis=0) == 1))
+        rows, at = np.nonzero(A[:, lone])
+        alone = np.bincount(rows, minlength=self.r)[rows] == 1
+        self.pair_row = np.full(self.q, -1)
+        self.pair_row[lone[at[alone]]] = rows[alone]
 
     @classmethod
     def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
@@ -99,19 +115,37 @@ class _Core:
     def subspace_solve(self, S: np.ndarray, rhs_head: np.ndarray) -> np.ndarray:
         """Solve the fixed-sign stationarity system on columns S.
 
-        rhs_head = 2Xₛ'y − λσ. Uses one iterative-refinement step; raises
-        RankDeficient when the system is singular.
+        rhs_head = 2Xₛ'y − λσ. An active pair column c (pair_row[c] = ρ) has
+        no data, so its stationarity row A[ρ, c]·v_ρ = rhs_c gives v_ρ in
+        closed form. The solve then runs on the other active columns D and
+        the restriction rows K that touch D and map no active pair column:
+
+            [ 2·X_D'X_D   A_KD' ] [θ_D]   [ rhs_D − A_ED'·v_E ]
+            [   A_KD    −I/(2γ) ] [v_K] = [         0         ]
+
+        and row ρ gives θ_c = (v_ρ/(2γ) − A[ρ, D]·θ_D) / A[ρ, c]. The pivots
+        A[ρ, c] are nonzero, so this system is singular exactly when the full
+        one on S is. Uses one iterative-refinement step; raises RankDeficient
+        when the system is singular.
         """
-        m = len(S)
-        As = self.A[:, S]
-        As = As[np.any(As != 0.0, axis=1)]
-        ra = As.shape[0]
+        rho = self.pair_row[S]
+        elim = rho >= 0
+        keep = ~elim
+        D, E = S[keep], rho[elim]
+        pivot = self.A[E, S[elim]]
+        v_E = rhs_head[elim] / pivot
+        A_D = self.A[:, D]
+        A_ED = A_D[E]
+        touched = A_D.any(axis=1)
+        touched[E] = False
+        A_KD = A_D[touched]
+        m, ra = D.size, A_KD.shape[0]
         M = np.empty((m + ra, m + ra))
-        M[:m, :m] = 2.0 * self.XtX[np.ix_(S, S)]
-        M[:m, m:] = As.T
-        M[m:, :m] = As
+        M[:m, :m] = 2.0 * self.XtX[D][:, D]
+        M[:m, m:] = A_KD.T
+        M[m:, :m] = A_KD
         M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma)
-        rhs = np.concatenate([rhs_head, np.zeros(ra)])
+        rhs = np.concatenate([rhs_head[keep] - A_ED.T @ v_E, np.zeros(ra)])
         try:
             sol = np.linalg.solve(M, rhs)
             sol += np.linalg.solve(M, rhs - M @ sol)
@@ -122,9 +156,12 @@ class _Core:
             if self.r:
                 raise RankDeficient("augmented subspace system is singular")
             sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(sol)):
+        out = np.empty(S.size)
+        out[keep] = sol[:m]
+        out[elim] = (v_E / (2.0 * self.gamma) - A_ED @ sol[:m]) / pivot
+        if not np.all(np.isfinite(out)):
             raise RankDeficient("subspace solve produced non-finite values")
-        return sol[:m]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +438,17 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     # restriction is unidentified and stays 0.
     data_cols = np.array([b.offset + i for b in layout.blocks for i in range(b.k)], dtype=int)
     X_ls = problem.Z_data[:, data_cols] * w[data_cols]
-    used = np.any(X_ls != 0.0, axis=0) | np.any(problem.A_raw[:, data_cols] != 0.0, axis=0)
+    has_data = np.any(X_ls != 0.0, axis=0)
+    used = has_data | np.any(problem.A_raw[:, data_cols] != 0.0, axis=0)
     coef, _, rank, _ = np.linalg.lstsq(X_ls[:, used], y, rcond=None)
     if rank < coef.size:
+        # a nominal level no row uses keeps its restriction rows but has an
+        # all-zero data column: name each such level by its schema index
+        levels = [(b.name, i) for b in layout.blocks for i in range(1, b.k + 1)]
+        named = "".join(f"; factor {levels[c][0]!r} level index {levels[c][1]} has no rows"
+                        for c in np.flatnonzero(used & ~has_data))
         raise RankDeficient(
-            f"unpenalized fit is rank deficient (rank {rank} < {coef.size})")
+            f"unpenalized fit is rank deficient (rank {rank} < {coef.size}){named}")
     theta_ls = np.zeros(problem.q)
     theta_ls[data_cols[used]] = coef
     theta_ls = induced_theta(layout, back_transform(theta_ls, layout, np.ones(problem.q)))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from catfuse import solver
-from catfuse.coding import build_augmented, induced_theta, theta_layout
+from catfuse.coding import DEFAULT_SQRT_GAMMA, build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import LayoutMismatch, NotConverged
-from catfuse.selection import build_weights
+from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
+from catfuse.selection import build_weights, compute_fold_paths
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import (
     PRECISION_SLACK,
@@ -21,9 +21,9 @@ from catfuse.solver import (
     solve_lasso,
 )
 from catfuse.structure import degrees_of_freedom, extract_clusters
-from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
+from catfuse.weights import ADAPTIVE_CAP, adaptive_weights, ols_coefficients, standard_weights
 
-from conftest import toy_mixed_ds
+from conftest import rent_schema, toy_mixed_ds
 
 
 def make_s1(seed: int = 0) -> Dataset:
@@ -303,3 +303,113 @@ def test_path_error_names_the_grid_point(monkeypatch):
         assert "grid point 0," in msg, name
         assert f"lambda = {lambda_max(prob)!r}" in msg, name
         assert "augmented solve" in msg, name
+
+
+def _full_saddle_solve(core, S, rhs_head):
+    # the saddle-point system on every active column, pair columns included,
+    # and every restriction row those columns touch, with one refinement step
+    As = core.A[:, S]
+    As = As[np.any(As != 0.0, axis=1)]
+    ra = As.shape[0]
+    M = np.block([[2.0 * core.XtX[np.ix_(S, S)], As.T],
+                  [As, -np.eye(ra) / (2.0 * core.gamma)]])
+    rhs = np.concatenate([rhs_head, np.zeros(ra)])
+    sol = np.linalg.solve(M, rhs)
+    sol += np.linalg.solve(M, rhs - M @ sol)
+    return sol[:len(S)]
+
+
+def _rent_shaped_ds(seed: int, n: int = 600) -> Dataset:
+    # every level observed at least once, so frequency weights exist
+    rng = np.random.default_rng(seed)
+    schemas = rent_schema()
+    codes = np.column_stack([
+        rng.permutation(np.concatenate([np.arange(s.k + 1), rng.integers(0, s.k + 1, n - s.k - 1)]))
+        for s in schemas])
+    y = sum(rng.normal(0, 1, s.k + 1)[codes[:, l]] for l, s in enumerate(schemas))
+    return Dataset(y + rng.normal(0, 1, n), codes, schemas)
+
+
+def _pair_columns(layout):
+    return [b.offset + c for b in layout.blocks if b.kind == "nominal"
+            for c, (_, j) in enumerate(b.pairs) if j >= 1]
+
+
+def test_subspace_solve_matches_full_saddle_system():
+    rng = np.random.default_rng(17)
+    datasets = (make_s1(seed=1), generate(make_scenario("S2", 0)).train, _rent_shaped_ds(4))
+    for ds in datasets:
+        base = standard_weights(ds, use_frequency=True)
+        ols = ols_coefficients(ds)
+        b = theta_layout(ds.schemas).blocks[0]
+        # ties in the OLS fit give capped (1e12) adaptive multipliers
+        ols[b.name][2] = ols[b.name][1]
+        ols[b.name][3] = ols[b.name][1]
+        adapt = adaptive_weights(base, ols)
+        assert np.sum(adapt.values == base.values * ADAPTIVE_CAP) == 3
+        for ws in (base, adapt):
+            prob = build_augmented(ds, ws)
+            core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+            pairs = _pair_columns(prob.layout)
+            assert np.flatnonzero(core.pair_row >= 0).tolist() == pairs
+            assert np.all(core.A[core.pair_row[pairs], pairs] != 0.0)
+            data = np.setdiff1d(np.arange(prob.q), pairs)
+            lam = 0.1 * core.lambda_max * core.y_scale
+            for S in (data, np.array(pairs), np.sort(rng.choice(prob.q, prob.q // 2, replace=False))):
+                for _ in range(3):
+                    rhs = 2.0 * core.Xty[S] - lam * rng.choice([-1.0, 1.0], S.size)
+                    ours = core.subspace_solve(S, rhs)
+                    full = _full_saddle_solve(core, S, rhs)
+                    scale = max(1.0, float(np.max(np.abs(full))))
+                    assert np.max(np.abs(ours - full)) <= 1e-9 * scale
+    # nothing to eliminate: no restriction rows, or a row whose two lone columns share it
+    assert np.all(core.unrestricted().pair_row == -1)
+    X, y = random_instance(rng)
+    assert np.all(_Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0).pair_row == -1)
+    schemas = (FactorSchema("a", "nominal", ("x", "y", "z")),
+               FactorSchema("b", "nominal", ("p", "q", "r", "s")))
+    codes = np.column_stack([rng.choice([0, 2], 80), rng.integers(0, 4, 80)])
+    ds = Dataset(rng.normal(0, 1, 80), codes, schemas)
+    prob = build_augmented(ds, standard_weights(ds))
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    assert np.all(core.pair_row[prob.layout.blocks[0].slice] == -1)
+    assert np.flatnonzero(core.pair_row >= 0).tolist() == _pair_columns(prob.layout)[1:]
+
+
+def test_many_level_nominal_path():
+    rng = np.random.default_rng(20)
+    codes = rng.permutation(np.repeat(np.arange(20), 20))[:, None]
+    y = np.repeat([0.0, 1.5, 3.0, 4.5], 5)[codes[:, 0]] + rng.normal(0, 1, 400)
+    schemas = (FactorSchema("g", "nominal", tuple(f"l{i}" for i in range(20))),)
+    ds = Dataset(y, codes, schemas)
+    prob = build_augmented(ds, build_weights(ds, adaptive=True, use_frequency=True))
+    assert (prob.q, prob.r) == (190, 171)
+    pr = path(prob, grid_size=30)
+    assert all(sol.precision.satisfied for sol in pr.solutions)
+    assert np.max(np.abs(pr.solutions[-1].beta["g"] - ols_coefficients(ds)["g"])) < 1e-8
+
+
+def test_rank_deficient_fit_names_the_unobserved_level():
+    rng = np.random.default_rng(5)
+    schemas = (FactorSchema("a", "nominal", ("x", "y", "z", "w")),
+               FactorSchema("o", "ordinal", ("0", "1", "2")))
+    codes = np.column_stack([rng.choice([0, 1, 3], 60), rng.integers(0, 3, 60)])
+    ds = Dataset(rng.normal(0, 1, 60), codes, schemas)
+    with pytest.raises(RankDeficient) as err:
+        path(build_augmented(ds, standard_weights(ds)), grid_size=10)
+    assert str(err.value) == ("unpenalized fit is rank deficient (rank 4 < 5); "
+                              "factor 'a' level index 2 has no rows")
+    # the fold mapping keeps its class and carries the named level
+    with pytest.raises(FoldRankDeficient, match="factor 'a' level index 2 has no rows"):
+        compute_fold_paths(ds, 3, 0, adaptive=False, use_frequency=False,
+                           gamma=DEFAULT_SQRT_GAMMA ** 2, grid_size=5)
+
+
+def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
+    rng = np.random.default_rng(6)
+    schemas = (FactorSchema("b1", "binary", ("n", "y")), FactorSchema("b2", "binary", ("n", "y")))
+    col = rng.integers(0, 2, 50)
+    ds = Dataset(rng.normal(0, 1, 50), np.column_stack([col, col]), schemas)
+    with pytest.raises(RankDeficient) as err:
+        path(build_augmented(ds, standard_weights(ds)), grid_size=10)
+    assert str(err.value) == "unpenalized fit is rank deficient (rank 1 < 2)"
