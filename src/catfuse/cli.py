@@ -20,13 +20,14 @@ from .coding import build_augmented
 from .datamodel import Dataset, ingest_csv, load_schema
 from .errors import CatfuseError
 from .selection import (
+    DEFAULT_K_FOLDS,
     CvConfig,
     build_weights,
     intercept_for,
     kfold_cv,
 )
 from .simlab import SimReport, run_study
-from .solver import PathResult, path
+from .solver import DEFAULT_GRID_SIZE, PathResult, path
 from .structure import degrees_of_freedom, extract_clusters, extract_clusters_path, refit
 
 SCHEMA_VERSION = 1
@@ -80,7 +81,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 def _full_path(ds: Dataset, args: argparse.Namespace) -> PathResult:
     ws = build_weights(ds, args.adaptive, args.frequency, args.spatial_h)
-    return path(build_augmented(ds, ws, args.gamma), args.grid)
+    return path(build_augmented(ds, ws), args.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         adaptive=args.adaptive,
         use_frequency=args.frequency,
         refit_inside=args.refit,
-        gamma=args.gamma,
         spatial_h=args.spatial_h,
     ))
     header = ["s_ratio", "mean_score"] + [f"fold_{k + 1}" for k in range(args.k_folds)]
@@ -200,8 +200,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
         "config": cfg,
         "chosen_s_ratio": float(curve.chosen_s_ratio),
         "mean_score_at_chosen": float(np.min(curve.mean_score)),
-        "k_folds": curve.k_folds,
-        "seed": curve.seed,
+        "k_folds": args.k_folds,
+        "seed": args.seed,
     }
     _atomic_write(os.path.join(args.out, "chosen.json"), _json_text(chosen))
     return 0
@@ -216,7 +216,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         k_folds=args.k_folds,
         grid_size=args.grid,
-        gamma=args.gamma,
     )
     header = ["replicate", "variant"] + list(SimReport.METRICS)
     rows = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
@@ -257,9 +256,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="include class-frequency terms in the weights")
     p.add_argument("--spatial-h", type=float, default=None, dest="spatial_h",
                    help="kernel bandwidth for factors with spatial coordinates")
-    p.add_argument("--gamma", type=float, default=1e10,
-                   help="restriction penalty (default 1e10, i.e. sqrt(gamma)=1e5)")
-    p.add_argument("--grid", type=int, default=100, help="grid points (default 100)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
+                   help=f"grid points (default {DEFAULT_GRID_SIZE})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="K-fold cross-validation over the s/s_max grid")
     _add_data_flags(p)
     _add_model_flags(p)
-    p.add_argument("--k-folds", type=int, default=5, dest="k_folds")
+    p.add_argument("--k-folds", type=int, default=DEFAULT_K_FOLDS, dest="k_folds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refit", action="store_true",
                    help="score refitted cluster means instead of penalized fits")
@@ -303,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", nargs="+",
                    default=["ols", "stdrd", "stdrd+rf", "adapt", "adapt+rf"],
                    help="estimator labels: ols, stdrd, adapt, with +rf / -nf suffixes")
-    p.add_argument("--k-folds", type=int, default=5, dest="k_folds")
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=1e10)
+    p.add_argument("--k-folds", type=int, default=DEFAULT_K_FOLDS, dest="k_folds")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

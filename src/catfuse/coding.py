@@ -14,8 +14,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema
-from .errors import NonPositiveGamma, NonPositiveWeight
+from .errors import NonPositiveWeight
 
+# √γ for the restriction rows: γ = 1e10 is a constant of the method. A fused
+# pair's β̂ still differ by the O(λ/γ) restriction violation, which
+# structure.DEFAULT_CLUSTER_TOL is matched to absorb.
 DEFAULT_SQRT_GAMMA = 1e5
 
 
@@ -177,15 +180,14 @@ def restriction_rows(layout: ThetaLayout) -> np.ndarray:
     return np.array(rows)
 
 
-def build_augmented(ds: Dataset, weights, gamma: float = DEFAULT_SQRT_GAMMA ** 2) -> AugmentedProblem:
-    """Assemble the augmented problem for the full factor set.
+def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
+    """Assemble the augmented problem for the full factor set at
+    γ = DEFAULT_SQRT_GAMMA².
 
     Nominal blocks contribute Z = (X | 0) plus restriction rows; ordinal
     blocks contribute centered split-coded columns and no restrictions.
     `weights` is a WeightSet aligned with theta_layout(ds.schemas).
     """
-    if not (gamma > 0) or not np.isfinite(gamma):
-        raise NonPositiveGamma(f"gamma must be positive and finite, got {gamma}")
     w = np.asarray(weights.values, dtype=float)
     layout = theta_layout(ds.schemas)
     if w.shape != (layout.q,):
@@ -210,7 +212,7 @@ def build_augmented(ds: Dataset, weights, gamma: float = DEFAULT_SQRT_GAMMA ** 2
         A_scaled=A_raw / w,
         A_raw=A_raw,
         y_centered=ds.y - ds.y.mean(),
-        gamma=float(gamma),
+        gamma=DEFAULT_SQRT_GAMMA ** 2,
         layout=layout,
         weight_values=w.copy(),
         column_means=means,

@@ -51,14 +51,6 @@ class DegenerateFactor(CatfuseError):
 
 
 # ---------------------------------------------------------------------------
-# coding
-# ---------------------------------------------------------------------------
-
-class NonPositiveGamma(CatfuseError):
-    pass
-
-
-# ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 

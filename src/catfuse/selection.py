@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coding import build_augmented, DEFAULT_SQRT_GAMMA
+from .coding import build_augmented
 from .datamodel import Dataset
 from .errors import (
     FoldRankDeficient,
@@ -21,7 +21,7 @@ from .errors import (
     RankDeficient,
     UnobservedLevel,
 )
-from .solver import PathResult, path
+from .solver import DEFAULT_GRID_SIZE, PathResult, path
 from .structure import (
     extract_clusters_path,
     refit,
@@ -35,15 +35,17 @@ from .weights import (
 )
 
 
+DEFAULT_K_FOLDS = 5
+
+
 @dataclass(frozen=True)
 class CvConfig:
-    k_folds: int = 5
-    grid_size: int = 100
+    k_folds: int = DEFAULT_K_FOLDS
+    grid_size: int = DEFAULT_GRID_SIZE
     seed: int = 0
     adaptive: bool = False
     use_frequency: bool = False
     refit_inside: bool = False
-    gamma: float = DEFAULT_SQRT_GAMMA ** 2
     spatial_h: Optional[float] = None
 
 
@@ -53,9 +55,6 @@ class CvCurve:
     mean_score: np.ndarray
     fold_scores: np.ndarray           # (grid_size, K)
     chosen_s_ratio: float
-    seed: int
-    refit_inside: bool
-    k_folds: int
 
 
 def fold_assignment(n: int, k_folds: int, seed: int) -> List[np.ndarray]:
@@ -116,23 +115,15 @@ class _FoldFit:
     path: PathResult
 
 
-def compute_fold_paths(
-    ds: Dataset,
-    k_folds: int,
-    seed: int,
-    adaptive: bool,
-    use_frequency: bool,
-    gamma: float,
-    grid_size: int,
-    spatial_h: Optional[float] = None,
-) -> List[_FoldFit]:
-    """Per-fold training paths; shared by CV scorers with and without refit.
+def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
+    """Per-fold training paths of config's folds, weights and grid; shared
+    by CV scorers with and without refit (config.refit_inside is not read).
 
     A failure names its fold: a singular training part raises
     FoldRankDeficient, and a NotConverged from the fold's path keeps its
     class with "(fold f)" added to its message.
     """
-    folds = fold_assignment(ds.n, k_folds, seed)
+    folds = fold_assignment(ds.n, config.k_folds, config.seed)
     all_rows = np.arange(ds.n)
     fits = []
     for f, test_rows in enumerate(folds):
@@ -140,8 +131,8 @@ def compute_fold_paths(
         train = ds.subset(train_rows)
         test = ds.subset(test_rows)
         try:
-            ws = build_weights(train, adaptive, use_frequency, spatial_h)
-            pr = path(build_augmented(train, ws, gamma), grid_size)
+            ws = build_weights(train, config.adaptive, config.use_frequency, config.spatial_h)
+            pr = path(build_augmented(train, ws), config.grid_size)
         except (RankDeficient, OlsUnavailable, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
         except NotConverged as e:
@@ -203,16 +194,7 @@ def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
     training part. A singular training part raises FoldRankDeficient with
     the fold index; a fold path's NotConverged names the fold too.
     """
-    fits = compute_fold_paths(
-        ds,
-        config.k_folds,
-        config.seed,
-        config.adaptive,
-        config.use_frequency,
-        config.gamma,
-        config.grid_size,
-        config.spatial_h,
-    )
+    fits = compute_fold_paths(ds, config)
     s_grid, scores = score_folds(fits, config.grid_size, config.refit_inside)
     mean_score = scores.mean(axis=1)
     chosen = float(s_grid[int(np.argmin(mean_score))])
@@ -221,9 +203,6 @@ def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
         mean_score=mean_score,
         fold_scores=scores,
         chosen_s_ratio=chosen,
-        seed=config.seed,
-        refit_inside=config.refit_inside,
-        k_folds=config.k_folds,
     )
 
 

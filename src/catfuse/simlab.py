@@ -26,13 +26,15 @@ from .datamodel import Dataset, FactorSchema
 from .errors import ShapeMismatch
 from .coding import build_augmented, theta_layout
 from .selection import (
+    DEFAULT_K_FOLDS,
+    CvConfig,
     build_weights,
     compute_fold_paths,
     intercept_for,
     predicted_effects,
     score_folds,
 )
-from .solver import PathResult, path
+from .solver import DEFAULT_GRID_SIZE, PathResult, path
 from .structure import (
     ClusterPartition,
     degrees_of_freedom,
@@ -321,9 +323,8 @@ def run_study(
     variants: Sequence[str],
     replicates: int,
     seed: int = 0,
-    k_folds: int = 5,
-    grid_size: int = 100,
-    gamma: float = 1e10,
+    k_folds: int = DEFAULT_K_FOLDS,
+    grid_size: int = DEFAULT_GRID_SIZE,
 ) -> SimReport:
     """CV-tuned fits of every variant on shared per-replicate data.
 
@@ -352,11 +353,11 @@ def run_study(
             else:
                 key = (vc.adaptive, vc.use_frequency)
                 if key not in paths:
-                    folds = compute_fold_paths(
-                        train, k_folds, seed + rep, *key, gamma, grid_size
-                    )
+                    folds = compute_fold_paths(train, CvConfig(
+                        k_folds=k_folds, grid_size=grid_size, seed=seed + rep,
+                        adaptive=vc.adaptive, use_frequency=vc.use_frequency))
                     ws = build_weights(train, *key)
-                    paths[key] = (folds, path(build_augmented(train, ws, gamma), grid_size))
+                    paths[key] = (folds, path(build_augmented(train, ws), grid_size))
                 fold_paths, full = paths[key]
                 s_grid, scores = score_folds(fold_paths, grid_size, vc.refit_after)
                 chosen_s = float(s_grid[int(np.argmin(scores.mean(axis=1)))])

@@ -48,6 +48,7 @@ DEFAULT_GRID_SIZE = 100
 GRID_RATIO = 1e-4   # smallest positive grid λ relative to λ_max
 
 _EPS = np.finfo(float).eps
+_ISTA_MAX_ITER = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +270,12 @@ def solve_lasso(
     return theta
 
 
-def ista_oracle(
-    design: np.ndarray,
-    response: np.ndarray,
-    lam: float,
-    max_iter: int = 2_000_000,
-) -> np.ndarray:
+def ista_oracle(design: np.ndarray, response: np.ndarray, lam: float) -> np.ndarray:
     """Independent proximal-gradient reference solver (verification only).
 
     Monotone ISTA with backtracking on the step size; stops when the
-    objective decrease falls below 1e−14. Deliberately shares no code with
-    solve_lasso.
+    objective decrease falls below 1e−14 (at most _ISTA_MAX_ITER
+    iterations). Deliberately shares no code with solve_lasso.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -301,7 +297,7 @@ def ista_oracle(
     L = 2.0 * float(np.max(np.einsum("ij,ij->j", X, X))) if p else 1.0
     L = max(L, 1e-12)
     obj = objective(theta)
-    for _ in range(max_iter):
+    for _ in range(_ISTA_MAX_ITER):
         g = 2.0 * (XtX @ theta - Xty)
         f0 = f_smooth(theta)
         while True:
@@ -317,7 +313,7 @@ def ista_oracle(
         if obj - new_obj < 1e-14:
             return theta
         obj = new_obj
-    raise NotConverged(f"ISTA oracle did not stabilize within {max_iter} iterations")
+    raise NotConverged(f"ISTA oracle did not stabilize within {_ISTA_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

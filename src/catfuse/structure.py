@@ -28,6 +28,8 @@ from .datamodel import Dataset, FactorSchema
 from .errors import RankDeficient
 from .coding import u_transform
 
+# matched to γ = coding.DEFAULT_SQRT_GAMMA²: absorbs the O(λ/γ) gap left
+# between fused levels
 DEFAULT_CLUSTER_TOL = 1e-8
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +249,26 @@ def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": where}
+
+
+def _readme_command_line_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _subcommand_options(command, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main([command, "--help"])
+    assert ei.value.code == 0
+    return set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+
+def test_readme_command_line_section_matches_the_parser(capsys):
+    section = _readme_command_line_section()
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    options = {c: _subcommand_options(c, capsys) for c in ("fit", "path", "cv", "simulate")}
+    # every documented flag is accepted by some subcommand
+    assert documented - set.union(*options.values()) == set()
+    # every option fit, path and cv share is documented
+    shared = (options["fit"] & options["path"] & options["cv"]) - {"--help"}
+    assert shared - documented == set()

@@ -3,7 +3,6 @@ rows, and the augmented least-squares problem."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from catfuse.coding import (
     build_augmented,
@@ -16,7 +15,6 @@ from catfuse.coding import (
     u_transform,
 )
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import NonPositiveGamma
 from catfuse.weights import standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
@@ -205,10 +203,3 @@ def test_split_design_indicators():
     dummy = indicator_columns(codes, [1, 2])
     assert np.array_equal(dummy[:, 0], (codes == 1).astype(float))
     assert np.array_equal(dummy[:, 1], (codes == 2).astype(float))
-
-
-def test_build_augmented_rejects_bad_gamma():
-    ds = toy_mixed_ds(seed=8)
-    ws = standard_weights(ds)
-    with pytest.raises(NonPositiveGamma):
-        build_augmented(ds, ws, gamma=0.0)

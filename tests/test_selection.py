@@ -90,7 +90,8 @@ def test_cv_flat_scores_choose_smallest_s():
 
 def test_cv_refit_scoring_differs():
     ds = toy_mixed_ds(seed=22, n=180)
-    fits = compute_fold_paths(ds, 4, 5, True, True, 1e10, 30)
+    fits = compute_fold_paths(ds, CvConfig(
+        k_folds=4, grid_size=30, seed=5, adaptive=True, use_frequency=True))
     s_grid, plain = score_folds(fits, 30, refit_inside=False)
     _, refitted = score_folds(fits, 30, refit_inside=True)
     assert plain.shape == refitted.shape == (30, 4)
@@ -107,11 +108,11 @@ def test_fold_rank_deficiency_reports_fold():
     # the fold holding the single level-c row trains without it; frequency
     # weights are undefined there
     with pytest.raises(FoldRankDeficient) as ei:
-        compute_fold_paths(ds, 3, 0, False, True, 1e10, 10)
+        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=10, use_frequency=True))
     assert 0 <= ei.value.fold < 3
     # adaptive weights fail the same way through the training OLS
     with pytest.raises(FoldRankDeficient):
-        compute_fold_paths(ds, 3, 0, True, False, 1e10, 10)
+        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=10, adaptive=True))
 
 
 def test_information_criterion_recomputation():
@@ -170,7 +171,8 @@ def scenario_fold_paths():
     out = {}
     for name, adaptive in (("S1", False), ("S2", True)):
         train = generate(make_scenario(name, seed=2)).train
-        out[name] = compute_fold_paths(train, 5, 2, adaptive, True, 1e10, 40)
+        out[name] = compute_fold_paths(train, CvConfig(
+            k_folds=5, grid_size=40, seed=2, adaptive=adaptive, use_frequency=True))
     return out
 
 
@@ -233,6 +235,6 @@ def test_fold_path_failure_names_the_fold(monkeypatch):
 
     monkeypatch.setattr(selection, "path", failing_path)
     with pytest.raises(NotConverged) as ei:
-        compute_fold_paths(ds, 4, 0, False, False, 1e10, 10)
+        compute_fold_paths(ds, CvConfig(k_folds=4, grid_size=10))
     assert type(ei.value) is NotConverged
     assert str(ei.value) == "KKT conditions not met (grid point 4, augmented solve) (fold 2)"

@@ -2,14 +2,16 @@
 reference, limit cases, and full paths on augmented problems."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from catfuse import solver
-from catfuse.coding import DEFAULT_SQRT_GAMMA, build_augmented, induced_theta, theta_layout
+from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
-from catfuse.selection import build_weights, compute_fold_paths
+from catfuse.selection import CvConfig, build_weights, compute_fold_paths
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import (
     PRECISION_SLACK,
@@ -223,7 +225,8 @@ def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
     ds = toy_mixed_ds(seed=13)
     twice = Dataset(np.concatenate([ds.y, ds.y]), np.vstack([ds.codes, ds.codes]), ds.schemas)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    prob2 = build_augmented(twice, standard_weights(twice, use_frequency=True), 2.0 * prob.gamma)
+    prob2 = dataclasses.replace(build_augmented(twice, standard_weights(twice, use_frequency=True)),
+                                gamma=2.0 * prob.gamma)
     one, two = path(prob, grid_size=40), path(prob2, grid_size=40)
     for a, b in zip(one.solutions, two.solutions):
         assert b.lam == pytest.approx(2.0 * a.lam, rel=1e-12, abs=0.0)
@@ -401,8 +404,7 @@ def test_rank_deficient_fit_names_the_unobserved_level():
                               "factor 'a' level index 2 has no rows")
     # the fold mapping keeps its class and carries the named level
     with pytest.raises(FoldRankDeficient, match="factor 'a' level index 2 has no rows"):
-        compute_fold_paths(ds, 3, 0, adaptive=False, use_frequency=False,
-                           gamma=DEFAULT_SQRT_GAMMA ** 2, grid_size=5)
+        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=5))
 
 
 def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
@@ -413,3 +415,41 @@ def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
     with pytest.raises(RankDeficient) as err:
         path(build_augmented(ds, standard_weights(ds)), grid_size=10)
     assert str(err.value) == "unpenalized fit is rank deficient (rank 1 < 2)"
+
+
+def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
+    # Two binary factors with the same codes give two identical data
+    # columns, so the subspace system on them is singular.
+    rng = np.random.default_rng(7)
+    schemas = (FactorSchema("a", "nominal", ("w", "x", "y", "z")),
+               FactorSchema("b1", "binary", ("n", "y")), FactorSchema("b2", "binary", ("n", "y")))
+    col = rng.integers(0, 2, 80)
+    codes = np.column_stack([rng.integers(0, 4, 80), col, col])
+    ds = Dataset(rng.normal(0, 1, 80), codes, schemas)
+    prob = build_augmented(ds, standard_weights(ds))
+    b1, b2 = prob.layout.block("b1").offset, prob.layout.block("b2").offset
+    S = np.array([0, b1, b2])     # θ_10 touches restriction rows; b1, b2 touch none
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    assert core.r > 0 and np.array_equal(core.XtX[:, b1], core.XtX[:, b2])
+    # one sign for both copies keeps the right-hand side in the range
+    sigma = np.array([1.0, -1.0, -1.0])
+    with pytest.raises(RankDeficient, match="augmented subspace system is singular"):
+        core.subspace_solve(S, 2.0 * core.Xty[S] - 0.1 * sigma)
+
+    # r = 0 falls back to lstsq: solve_lasso's generic core and core.unrestricted()
+    X, y = random_instance(rng)
+    X[:, 3] = X[:, 1]
+    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    lstsq, lstsq_calls = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    for plain, S in ((generic, np.array([0, 1, 3])), (core.unrestricted(), S)):
+        rhs = 2.0 * plain.Xty[S] - 0.1 * sigma
+        sol = plain.subspace_solve(S, rhs)
+        res = 2.0 * plain.XtX[np.ix_(S, S)] @ sol - rhs
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+    assert len(lstsq_calls) == 2
