@@ -19,6 +19,10 @@ solve therefore runs only on the active data columns (θ_i0 and ordinal δ)
 and the restriction rows whose pair column is inactive; the elimination is
 exact, with no approximation in γ.
 
+γ is finite, so a fit violates the restrictions by Δ = ‖Aθ̂‖². The λ = 0
+fit θ_LS has Aθ_LS = 0 and the least RSS, so comparing the objective at θ̂
+and at θ_LS gives γΔ ≤ λ(‖θ̃_LS‖₁ − ‖θ̃‖₁) at each point, with no second solve.
+
 One loop drives a solve, and its one exit test is the KKT certificate: each
 round evaluates the gradient and its rounding floor once, then adds
 violators, returns a certified θ or re-solves the active set. A solve that
@@ -88,11 +92,6 @@ class _Core:
         y_scale = math.ldexp(1.0, 1 - e if m < math.sqrt(0.5) else -e)
         return cls(X.T @ X, Xty * y_scale, absX.T @ absX, (absX.T @ np.abs(y)) * y_scale,
                    A, gamma, y_scale)
-
-    def unrestricted(self) -> "_Core":
-        """The γ = 0 core on the same data Gram."""
-        return _Core(self.XtX, self.Xty, self._absXtX, self._absXty,
-                     np.zeros((0, self.q)), 0.0, self.y_scale)
 
     @property
     def lambda_max(self) -> float:
@@ -322,7 +321,7 @@ def ista_oracle(design: np.ndarray, response: np.ndarray, lam: float) -> np.ndar
 
 @dataclass(frozen=True)
 class PrecisionReport:
-    """Restriction violation Δ = (Aθ̂)'(Aθ̂) and its theoretical bound."""
+    """Restriction violation Δ = (Aθ̂)'(Aθ̂) and its bound λ(‖θ̃_LS‖₁ − ‖θ̃‖₁)/γ."""
 
     delta: float
     bound: float
@@ -397,13 +396,13 @@ def back_transform(
     return out
 
 
-def _solve_grid_point(core: _Core, lam: float, warm_start: np.ndarray, index: int, which: str):
-    # a failure keeps its class and names the grid point, λ and the solve
+def _solve_grid_point(core: _Core, lam: float, warm_start: np.ndarray, index: int):
+    # a failure keeps its class and names the grid point and λ
     try:
         return _solve_core(core, lam, warm_start=warm_start)
     except (NotConverged, RankDeficient) as exc:
         raise type(exc)(
-            f"{exc} (grid point {index}, lambda = {float(lam)!r}, {which} solve)"
+            f"{exc} (grid point {index}, lambda = {float(lam)!r}, augmented solve)"
         ) from exc
 
 
@@ -420,7 +419,8 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
 
     s_ratio is the weighted penalty functional Σw|θ̂ differences| divided by
     its value at the unpenalized fit. A PrecisionReport accompanies every
-    point; its bound uses the γ = 0 solution at the same λ.
+    point; its bound λ(‖θ̃_LS‖₁ − ‖θ̃‖₁)/γ is read off that point's fit and
+    the λ = 0 fit θ̃_LS (module docstring), so each λ > 0 takes one solve.
     """
     w = problem.weight_values
     layout = problem.layout
@@ -452,7 +452,6 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
 
     core = _Core.from_design(problem.Z_data, problem.A_scaled, y, problem.gamma)
-    plain_core = core.unrestricted()
 
     lam_max = core.lambda_max
     lams = _grid_lambdas(lam_max, grid_size)
@@ -460,20 +459,18 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     solutions: List[PathSolution] = []
     grid: List[Tuple[float, float]] = []
     theta = np.zeros(problem.q)
-    theta_plain = np.zeros(problem.q)
     for i, lam in enumerate(lams):
         if lam == 0.0:
             theta = theta_ls_scaled.copy()
             solves = 1
-            bound = 0.0
         else:
-            theta, solves = _solve_grid_point(core, lam, theta, i, "augmented")
-            theta_plain, _ = _solve_grid_point(plain_core, lam, theta_plain, i, "gamma = 0 bound")
-            bound = lam * (ols_l1 - float(np.abs(theta_plain).sum())) / problem.gamma
+            theta, solves = _solve_grid_point(core, lam, theta, i)
+        l1 = float(np.abs(theta).sum())
+        bound = float(lam) * (ols_l1 - l1) / problem.gamma
         theta_orig = theta / w
         a_viol = problem.A_raw @ theta_orig
         delta = float(a_viol @ a_viol)
-        s_ratio = float(np.abs(theta).sum() / ols_l1) if ols_l1 > 0 else 0.0
+        s_ratio = l1 / ols_l1 if ols_l1 > 0 else 0.0
         solutions.append(
             PathSolution(
                 lam=float(lam),

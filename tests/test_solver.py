@@ -236,13 +236,19 @@ def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
             degrees_of_freedom(extract_clusters(b.beta, ds.schemas))
 
 
+def _gamma_zero_core(core):
+    # the γ = 0 core on the same data Gram
+    return _Core(core.XtX, core.Xty, core._absXtX, core._absXty,
+                 np.zeros((0, core.q)), 0.0, core.y_scale)
+
+
 def test_core_keeps_no_row_sized_array():
     ds = toy_mixed_ds(seed=2, n=2000)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
     n, r = prob.Z_data.shape[0], prob.r
     assert n > 100 * (prob.q + r)
     core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
-    for cache in (core, core.unrestricted()):
+    for cache in (core, _gamma_zero_core(core)):
         for name, value in vars(cache).items():
             if isinstance(value, np.ndarray):
                 assert n not in value.shape and n + r not in value.shape, name
@@ -308,6 +314,46 @@ def test_path_error_names_the_grid_point(monkeypatch):
         assert "augmented solve" in msg, name
 
 
+def test_path_makes_no_gamma_zero_solve(monkeypatch):
+    # the precision bound is read off the augmented fit: one solve per
+    # positive grid point, none on a γ = 0 core
+    train = generate(make_scenario("S2")).train
+    prob = build_augmented(train, build_weights(train, True, True))
+    solve_core, calls = solver._solve_core, []
+
+    def counted(core, lam, warm_start=None):
+        theta, solves = solve_core(core, lam, warm_start)
+        calls.append((core.r, solves))
+        return theta, solves
+
+    monkeypatch.setattr(solver, "_solve_core", counted)
+    pr = path(prob, grid_size=100)
+    assert len(calls) == 99
+    assert all(r > 0 for r, _ in calls)
+    assert sum(sol.solves for sol in pr.solutions if sol.lam > 0) == sum(n for _, n in calls)
+
+
+def test_precision_bound_is_read_off_the_fit():
+    # γΔ ≤ λ(‖θ̃_LS‖₁ − ‖θ̃‖₁) on the fit itself; the γ = 0 certificate,
+    # λ(‖θ̃_LS‖₁ − ‖θ̃₀‖₁)/γ with θ̃₀ the unrestricted lasso, holds as well
+    for name in ("S1", "S2", "S3"):
+        train = generate(make_scenario(name)).train
+        for adaptive in (False, True):
+            prob = build_augmented(train, build_weights(train, adaptive, True))
+            pr = path(prob, grid_size=50)
+            ols_l1 = np.abs(pr.solutions[-1].theta_scaled).sum()
+            plain = np.zeros(prob.q)
+            for sol in pr.solutions:
+                delta, bound = sol.precision.delta, sol.precision.bound
+                assert bound == sol.lam * (ols_l1 - np.abs(sol.theta_scaled).sum()) / prob.gamma
+                assert bound >= 0.0, (name, adaptive, sol.lam)
+                assert delta <= bound + PRECISION_SLACK, (name, adaptive, sol.lam)
+                if sol.lam > 0:
+                    plain = solve_lasso(prob.Z_data, prob.y_centered, sol.lam, warm_start=plain)
+                gamma_zero = sol.lam * (ols_l1 - np.abs(plain).sum()) / prob.gamma
+                assert delta <= gamma_zero + PRECISION_SLACK, (name, adaptive, sol.lam)
+
+
 def _full_saddle_solve(core, S, rhs_head):
     # the saddle-point system on every active column, pair columns included,
     # and every restriction row those columns touch, with one refinement step
@@ -366,7 +412,7 @@ def test_subspace_solve_matches_full_saddle_system():
                     scale = max(1.0, float(np.max(np.abs(full))))
                     assert np.max(np.abs(ours - full)) <= 1e-9 * scale
     # nothing to eliminate: no restriction rows, or a row whose two lone columns share it
-    assert np.all(core.unrestricted().pair_row == -1)
+    assert np.all(_gamma_zero_core(core).pair_row == -1)
     X, y = random_instance(rng)
     assert np.all(_Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0).pair_row == -1)
     schemas = (FactorSchema("a", "nominal", ("x", "y", "z")),
@@ -436,7 +482,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     with pytest.raises(RankDeficient, match="augmented subspace system is singular"):
         core.subspace_solve(S, 2.0 * core.Xty[S] - 0.1 * sigma)
 
-    # r = 0 falls back to lstsq: solve_lasso's generic core and core.unrestricted()
+    # r = 0 falls back to lstsq: solve_lasso's generic core and a γ = 0 core
     X, y = random_instance(rng)
     X[:, 3] = X[:, 1]
     generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
@@ -447,7 +493,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-    for plain, S in ((generic, np.array([0, 1, 3])), (core.unrestricted(), S)):
+    for plain, S in ((generic, np.array([0, 1, 3])), (_gamma_zero_core(core), S)):
         rhs = 2.0 * plain.Xty[S] - 0.1 * sigma
         sol = plain.subspace_solve(S, rhs)
         res = 2.0 * plain.XtX[np.ix_(S, S)] @ sol - rhs
