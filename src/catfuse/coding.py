@@ -5,6 +5,10 @@ first-difference transform U and its inverse, the pairwise-difference
 parameterization θ with its restriction matrix A, and assembly of the
 augmented least-squares problem whose plain L1 solution approximates the
 difference-penalized fit.
+
+Both penalties sum w_ij·|β_i − β_j| over one set of level pairs, and
+`theta_layout` is its one statement (see ThetaLayout): θ, A, the weights and
+the evaluation all read it through `FactorBlock.pair_index`.
 """
 from __future__ import annotations
 
@@ -44,14 +48,22 @@ class FactorBlock:
     def slice(self) -> slice:
         return slice(self.offset, self.offset + self.length)
 
+    @property
+    def pair_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`pairs` as two integer arrays (i, j), in column order."""
+        return tuple(np.array(self.pairs, dtype=np.intp).T)
+
 
 @dataclass(frozen=True)
 class ThetaLayout:
-    """Ordered factor blocks plus global sizes.
+    """Ordered factor blocks plus global sizes: the penalty's one statement
+    of the level pairs it sums over, column c holding θ_c = β_i − β_j.
 
     Nominal blocks carry all pairs (i, j), i > j >= 0, in the order
-    (1,0),(2,0),...,(k,0),(2,1),...,(k,k-1); block length (k+1)k/2.
-    Ordinal blocks carry the adjacent differences δ_i, length k.
+    (1,0),(2,0),...,(k,0),(2,1),...,(k,k-1); block length (k+1)k/2. So
+    θ_{i0} sits at column offset + i − 1, which `back_transform`, `path`'s
+    data columns and `restriction_rows` rely on. Ordinal blocks carry the
+    adjacent differences δ_i = β_i − β_{i−1}, length k.
     """
 
     blocks: Tuple[FactorBlock, ...]
@@ -81,12 +93,9 @@ def theta_layout(schemas: Sequence[FactorSchema]) -> ThetaLayout:
     blocks = []
     offset = 0
     for sch in schemas:
-        if sch.penalty_scale == "nominal":
-            pairs = tuple(nominal_pairs(sch.k))
-            kind = "nominal"
-        else:
-            pairs = tuple((i, i - 1) for i in range(1, sch.k + 1))
-            kind = "ordinal"
+        kind = sch.penalty_scale
+        pairs = tuple(nominal_pairs(sch.k) if kind == "nominal"
+                      else ((i, i - 1) for i in range(1, sch.k + 1)))
         blocks.append(FactorBlock(sch.name, kind, sch.k, offset, pairs))
         offset += len(pairs)
     return ThetaLayout(tuple(blocks))
@@ -162,22 +171,19 @@ class AugmentedProblem:
 def restriction_rows(layout: ThetaLayout) -> np.ndarray:
     """Rows encoding θ_{i0} − θ_{j0} − θ_{ij} = 0 for every nominal (i,j), j >= 1."""
     q = layout.q
-    rows = []
+    blocks = [np.zeros((0, q))]
     for b in layout.blocks:
-        if b.kind != "nominal" or b.k < 2:
+        if b.kind != "nominal":
             continue
-        col_of = {pair: b.offset + c for c, pair in enumerate(b.pairs)}
-        for (i, j) in b.pairs:
-            if j == 0:
-                continue
-            row = np.zeros(q)
-            row[col_of[(i, 0)]] = 1.0
-            row[col_of[(j, 0)]] = -1.0
-            row[col_of[(i, j)]] = -1.0
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, q))
-    return np.array(rows)
+        i, j = b.pair_index
+        c = np.flatnonzero(j >= 1)          # pair columns θ_ij, j >= 1
+        rows = np.zeros((c.size, q))
+        at = np.arange(c.size)
+        rows[at, b.offset + i[c] - 1] = 1.0
+        rows[at, b.offset + j[c] - 1] = -1.0
+        rows[at, b.offset + c] = -1.0
+        blocks.append(rows)
+    return np.vstack(blocks)
 
 
 def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
@@ -224,9 +230,11 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
 # ---------------------------------------------------------------------------
 
 def induced_theta(layout: ThetaLayout, beta: Dict[str, np.ndarray]) -> np.ndarray:
-    """θ implied by per-level coefficients: θ_ij = β_i − β_j, ordinal δ = Uβ.
+    """θ implied by per-level coefficients: θ_ij = β_i − β_j on either scale.
 
     `beta[name]` is the full per-level vector (length k+1, reference entry 0).
+    β_0 enters the ordinal δ_1 = β_1 − β_0 the same way it enters the nominal
+    θ_i0.
     """
     theta = np.zeros(layout.q)
     for b in layout.blocks:
@@ -235,9 +243,6 @@ def induced_theta(layout: ThetaLayout, beta: Dict[str, np.ndarray]) -> np.ndarra
             raise ValueError(
                 f"factor {b.name!r}: expected {b.k + 1} per-level coefficients"
             )
-        if b.kind == "nominal":
-            for c, (i, j) in enumerate(b.pairs):
-                theta[b.offset + c] = bl[i] - bl[j]
-        else:
-            theta[b.slice] = u_transform(bl[1:])
+        i, j = b.pair_index
+        theta[b.slice] = bl[i] - bl[j]
     return theta

@@ -112,6 +112,8 @@ class Dataset:
             raise ValueError("codes column count must match number of schemas")
         counts = []
         for l, sch in enumerate(self.schemas):
+            if any(s.name == sch.name for s in self.schemas[:l]):
+                raise ValueError(f"factor name {sch.name!r} appears more than once")
             col = codes[:, l]
             if col.min() < 0 or col.max() > sch.k:
                 raise ValueError(f"factor {sch.name!r}: level index out of range")
@@ -151,6 +153,10 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
         for name in [response_column] + [s.name for s in schema]:
             if name not in header:
                 raise MissingColumn(name)
+            if name in col_of:
+                raise ValueError(f"response column {name!r} is also a factor name"
+                                 if name == response_column else
+                                 f"factor name {name!r} appears more than once")
             col_of[name] = header.index(name)
         width = max(col_of.values()) + 1
         level_maps = [{lab: i for i, lab in enumerate(s.levels)} for s in schema]

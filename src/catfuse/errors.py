@@ -69,9 +69,10 @@ class OlsUnavailable(CatfuseError):
 
 
 class MissingCoordinates(CatfuseError):
-    def __init__(self, factor: str):
-        self.factor = factor
-        super().__init__(f"factor {factor!r} has no spatial coordinates")
+    def __init__(self, factor: str | None = None):
+        self.factor = factor            # None: no factor of the schema has any
+        super().__init__("no factor of the schema has spatial coordinates" if factor is None
+                         else f"factor {factor!r} has no spatial coordinates")
 
 
 class NonPositiveWeight(CatfuseError):

@@ -200,23 +200,19 @@ def evaluate(
 
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
-    for sch, fe, ft in zip(schemas, est.factors, true.factors):
+    for b, fe, ft in zip(theta_layout(schemas).blocks, est.factors, true.factors):
         selected = len(fe.clusters) > 1
         if len(ft.clusters) > 1:
             n_rel += 1
             if not selected:
                 sel_fn += 1
-            for (i, j) in theta_layout([sch]).blocks[0].pairs:
-                true_zero = ft.cluster_of(i) == ft.cluster_of(j)
-                est_zero = fe.cluster_of(i) == fe.cluster_of(j)
-                if true_zero:
-                    n_zero_diff += 1
-                    if not est_zero:
-                        clu_fp += 1
-                else:
-                    n_nonzero_diff += 1
-                    if est_zero:
-                        clu_fn += 1
+            i, j = b.pair_index
+            tl, el = (np.array([p.cluster_of(v) for v in range(b.k + 1)]) for p in (ft, fe))
+            true_zero, est_zero = tl[i] == tl[j], el[i] == el[j]
+            n_zero_diff += int(true_zero.sum())
+            n_nonzero_diff += int((~true_zero).sum())
+            clu_fp += int((true_zero & ~est_zero).sum())
+            clu_fn += int((~true_zero & est_zero).sum())
         else:
             n_noise += 1
             if selected:

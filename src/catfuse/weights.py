@@ -59,16 +59,12 @@ def standard_weights(ds: Dataset, use_frequency: bool = False) -> WeightSet:
     values = np.empty(layout.q)
     for l, (sch, b) in enumerate(zip(ds.schemas, layout.blocks)):
         counts = ds.n_counts[l]
+        values[b.slice] = 2.0 / (b.k + 1) if b.kind == "nominal" else 1.0
         if use_frequency:
-            for i, c in enumerate(counts):
-                if c == 0:
-                    raise UnobservedLevel(sch.name, sch.levels[i])
-        base = 2.0 / (b.k + 1) if b.kind == "nominal" else 1.0
-        for c, (i, j) in enumerate(b.pairs):
-            w = base
-            if use_frequency:
-                w *= np.sqrt((counts[i] + counts[j]) / ds.n)
-            values[b.offset + c] = w
+            if not counts.all():
+                raise UnobservedLevel(sch.name, sch.levels[int(np.argmin(counts))])
+            i, j = b.pair_index
+            values[b.slice] *= np.sqrt((counts[i] + counts[j]) / ds.n)
     return WeightSet(values, layout)
 
 
@@ -107,15 +103,16 @@ def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:
             raise ValueError(
                 f"factor {b.name!r}: expected {b.k + 1} per-level OLS coefficients"
             )
-        for c, (i, j) in enumerate(b.pairs):
-            d = abs(bl[i] - bl[j])
-            mult = ADAPTIVE_CAP if d == 0 else min(1.0 / d, ADAPTIVE_CAP)
-            values[b.offset + c] *= mult
+        i, j = b.pair_index
+        with np.errstate(divide="ignore"):
+            values[b.slice] *= np.minimum(1.0 / np.abs(bl[i] - bl[j]), ADAPTIVE_CAP)
     return WeightSet(values, base.layout)
 
 
-def epanechnikov(u: float) -> float:
-    return 0.75 * (1.0 - u * u) if abs(u) <= 1.0 else 0.0
+def epanechnikov(u):
+    """Kernel 0.75(1 − u²) on |u| <= 1 and 0 outside, elementwise."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)[()]
 
 
 def spatial_factors(
@@ -132,13 +129,9 @@ def spatial_factors(
         raise MissingCoordinates(schema.name)
     if not h > 0:
         raise ValueError("bandwidth h must be > 0")
-    coords = schema.spatial_coords
-    layout = theta_layout([schema])
-    b = layout.blocks[0]
-    out = np.empty(b.length)
-    for c, (i, j) in enumerate(b.pairs):
-        out[c] = max(epanechnikov((coords[i] - coords[j]) / h), DEFAULT_SPATIAL_FLOOR)
-    return out
+    coords = np.asarray(schema.spatial_coords)
+    i, j = theta_layout([schema]).blocks[0].pair_index
+    return np.maximum(epanechnikov((coords[i] - coords[j]) / h), DEFAULT_SPATIAL_FLOOR)
 
 
 def with_spatial(
@@ -147,14 +140,10 @@ def with_spatial(
     h: float = DEFAULT_BANDWIDTH_KM,
 ) -> WeightSet:
     """Apply spatial multipliers to every factor that has coordinates."""
+    located = [sch for sch in schemas if sch.spatial_coords is not None]
+    if not located:
+        raise MissingCoordinates()
     values = np.array(ws.values)
-    touched = False
-    for sch in schemas:
-        if sch.spatial_coords is None:
-            continue
-        b = ws.layout.block(sch.name)
-        values[b.slice] *= spatial_factors(sch, h=h)
-        touched = True
-    if not touched:
-        raise MissingCoordinates("(no factor has spatial coordinates)")
+    for sch in located:
+        values[ws.layout.block(sch.name).slice] *= spatial_factors(sch, h=h)
     return replace(ws, values=values)

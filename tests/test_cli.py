@@ -227,6 +227,36 @@ def test_short_csv_row_errors_as_json(tmp_path, capsys):
     assert err["message"].startswith("row 181:")
 
 
+@pytest.mark.parametrize("extra, response, message", [
+    ({"name": "g", "scale": "nominal", "levels": ["0", "1", "2"]}, "y",
+     "factor name 'g' appears more than once"),
+    ({"name": "y", "scale": "nominal", "levels": ["0", "1"]}, "y",
+     "response column 'y' is also a factor name"),
+])
+def test_fit_rejects_clashing_column_names(tmp_path, capsys, extra, response, message):
+    data, schema, _ = write_inputs(tmp_path, seed=17)
+    doc = json.loads(open(schema, encoding="utf-8").read()) + [extra]
+    with open(schema, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", data, "--schema", schema, "--response", response,
+               "--out", str(out), "--s-ratio", "0.5"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_spatial_bandwidth_without_coordinates_errors_as_json(tmp_path, capsys):
+    data, schema, _ = write_inputs(tmp_path, seed=18)
+    rc = main(["fit", "--data", data, "--schema", schema, "--spatial-h", "10",
+               "--out", str(tmp_path / "o"), "--s-ratio", "0.5"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "MissingCoordinates",
+                   "message": "no factor of the schema has spatial coordinates"}
+
+
 @pytest.mark.parametrize("entry, where", [
     ({"scale": "nominal", "levels": ["a", "b"]}, "schema entry 1 has no 'name' key"),
     ({"name": "h", "levels": ["a", "b"]}, "schema entry 1 has no 'scale' key"),

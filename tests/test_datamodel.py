@@ -125,6 +125,29 @@ def test_ingest_empty(tmp_path):
         ingest_csv(p, SCHEMAS, response_column="y")
 
 
+def test_dataset_rejects_a_repeated_factor_name():
+    # two 3-level factors both named "g": before, the second silently
+    # overwrote the first in every per-factor dict
+    rng = np.random.default_rng(0)
+    g = FactorSchema("g", "nominal", ("a", "b", "c"))
+    codes = rng.integers(0, 3, (30, 2))
+    with pytest.raises(ValueError, match="factor name 'g' appears more than once"):
+        Dataset(rng.normal(size=30) + 2.0 * codes[:, 0], codes, (g, g))
+
+
+def test_ingest_rejects_a_repeated_factor_name(tmp_path):
+    p = _write(tmp_path, "y,color,size\n1,red,s\n2,blue,l\n")
+    schema = _write(tmp_path, json.dumps(schema_to_json(SCHEMAS + SCHEMAS[:1])), "s.json")
+    with pytest.raises(ValueError, match="'color'"):
+        ingest_csv(p, load_schema(schema), response_column="y")
+
+
+def test_ingest_rejects_a_response_column_that_is_a_factor(tmp_path):
+    p = _write(tmp_path, "y,color,size\n1,red,s\n2,blue,l\n")
+    with pytest.raises(ValueError, match="response column 'color' is also a factor name"):
+        ingest_csv(p, SCHEMAS, response_column="color")
+
+
 def test_schema_json_round_trip(tmp_path):
     schemas = (
         FactorSchema("g", "nominal", ("x", "y"), spatial_coords=(1.0, 2.0)),
