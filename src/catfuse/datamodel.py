@@ -3,7 +3,8 @@
 A factor is a categorical predictor described by a `FactorSchema`; a
 `Dataset` holds the response and the per-observation level indices for every
 factor. This module is the single source of truth for level counts and class
-frequencies.
+frequencies, and for the `LevelTable` every unpenalized least-squares fit on a
+dataset reads.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -129,20 +131,70 @@ class Dataset:
     def n(self) -> int:
         return self.y.shape[0]
 
+    @cached_property
+    def level_table(self) -> "LevelTable":
+        """The dataset's LevelTable, built on first use and kept."""
+        sizes = [sch.k + 1 for sch in self.schemas]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        L = int(offsets[-1])
+        index = self.codes + offsets[:-1]
+        # DᵀD from bincounts of (level of factor l, stacked level of a factor
+        # from l on), so no n × L indicator is built; the blocks below the
+        # diagonal are the transposes of those above it
+        upper = np.zeros((L, L))
+        for l, size in enumerate(sizes):
+            keys = (self.codes[:, l, None] * L + index[:, l:]).ravel()
+            upper[offsets[l]:offsets[l + 1]] = np.bincount(
+                keys, minlength=size * L).reshape(size, L)
+        counts = upper + upper.T - np.diag(upper.diagonal())
+        y_mean = float(self.y.mean())
+        # per-level sums of y − ȳ in two passes: the second adds each level's
+        # rows' residuals about its first-pass mean and so recovers what the
+        # first pass's running sum lost, which a reference level with one row
+        # amplified into a 1e-10 error of β̂ at n = 50 000
+        flat = index.ravel()
+        yc = np.repeat(self.y - y_mean, len(sizes))
+        sums = np.bincount(flat, weights=yc, minlength=L)
+        sums += np.bincount(flat, weights=yc - (sums / np.maximum(counts.diagonal(), 1.0))[flat],
+                            minlength=L)
+        for a in (offsets, index, counts, sums):
+            a.setflags(write=False)
+        return LevelTable(offsets, index, counts, sums, y_mean)
+
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""
         return Dataset(self.y[rows], self.codes[rows], self.schemas)
 
 
+@dataclass(frozen=True)
+class LevelTable:
+    """What every unpenalized least-squares fit on a dataset depends on.
+
+    All predictors are categorical, so with D the n × L 0/1 matrix of every
+    factor's levels, stacked (factor l's level i at offsets[l] + i,
+    L = Σ(k+1)), such a fit reads the data only through DᵀD, Dᵀ(y − ȳ), ȳ
+    and n. `index` keeps each row's stacked levels for row-level residuals.
+    """
+
+    offsets: np.ndarray     # (F + 1,) first stacked level of each factor; offsets[-1] = L
+    index: np.ndarray       # (n × F) stacked level of each row and factor
+    counts: np.ndarray      # (L × L) co-occurrence counts DᵀD
+    sums: np.ndarray        # (L,) per-level sums of y − ȳ
+    y_mean: float
+
+
 def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Dataset:
     """Read a CSV file (comma separator, UTF-8, header row, '.' decimal).
+
+    A UTF-8 byte-order mark before the header, as spreadsheet programs
+    write, is skipped.
 
     Level tokens are mapped to indices by schema order. Any unparseable cell
     rejects the whole file; rows are never silently skipped. Data rows are
     numbered from 1.
     """
     schema = tuple(schema)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

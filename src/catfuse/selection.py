@@ -23,9 +23,11 @@ from .errors import (
 )
 from .solver import DEFAULT_GRID_SIZE, PathResult, path
 from .structure import (
-    extract_clusters_path,
-    refit,
+    cluster_labels_path,
     degrees_of_freedom,
+    extract_clusters_path,
+    partition_from_labels,
+    refit,
 )
 from .weights import (
     adaptive_weights,
@@ -144,19 +146,19 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
 def _refit_betas(
     train: Dataset, betas: Sequence[Dict[str, np.ndarray]], fold: int
 ) -> List[Dict[str, np.ndarray]]:
-    """refit(train, ·).beta at the partition of each β, read in one path
-    pass; each distinct partition is refitted once."""
-    memo: Dict[tuple, Dict[str, np.ndarray]] = {}
-    out = []
-    for part in extract_clusters_path(betas, train.schemas):
-        key = tuple(fp.clusters for fp in part.factors)
-        if key not in memo:
-            try:
-                memo[key] = refit(train, part).beta
-            except RankDeficient as e:
-                raise FoldRankDeficient(fold, detail=str(e))
-        out.append(memo[key])
-    return out
+    """refit(train, ·).beta at the partition of each β: the cluster labels
+    of all β are read in one pass, and each distinct labelling is refitted
+    once."""
+    labels = cluster_labels_path(betas, train.schemas)
+    distinct, which = np.unique(labels, axis=0, return_inverse=True)
+    fitted = []
+    for row in distinct:
+        try:
+            fitted.append(refit(train, partition_from_labels(row, train.schemas)).beta)
+        except RankDeficient as e:
+            raise FoldRankDeficient(fold, detail=str(e))
+    # the shape of the inverse differs across numpy versions
+    return [fitted[i] for i in which.ravel()]
 
 
 def score_folds(
@@ -167,10 +169,10 @@ def score_folds(
     """Map each fold's curve onto the common s grid; returns (s_grid, scores).
 
     A fold's test MSEP is computed at all its grid points at once. With
-    `refit_inside`, the fold path's partitions are read in one
-    extract_clusters_path pass and each distinct partition is refitted
-    once on the training part (refit reads only the clusters), so points
-    that share a partition share its refit.
+    `refit_inside`, the fold path's cluster labels are read in one
+    cluster_labels_path pass and each distinct labelling is refitted once
+    on the training part (refit reads only the clusters), so points that
+    share a partition share its refit.
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))

@@ -45,6 +45,7 @@ import numpy as np
 
 from .coding import AugmentedProblem, ThetaLayout, induced_theta, u_back_transform
 from .errors import LayoutMismatch, NotConverged, RankDeficient
+from .structure import solve_normal_equations
 
 KKT_TOL = 1e-6
 PRECISION_SLACK = 1e-12
@@ -421,37 +422,45 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     its value at the unpenalized fit. A PrecisionReport accompanies every
     point; its bound λ(‖θ̃_LS‖₁ − ‖θ̃‖₁)/γ is read off that point's fit and
     the λ = 0 fit θ̃_LS (module docstring), so each λ > 0 takes one solve.
+    θ̃_LS solves the normal equations of the data columns, read off the
+    core's Gram matrix, under the rank rule of every unpenalized fit
+    (structure.solve_normal_equations). A schema without factors raises
+    ValueError.
     """
     w = problem.weight_values
     layout = problem.layout
-    y = problem.y_centered
+    if not layout.q:
+        raise ValueError("the schema has no factors: there are no coefficients to fit")
+    core = _Core.from_design(problem.Z_data, problem.A_scaled, problem.y_centered, problem.gamma)
 
     # The λ = 0 point is the least-squares fit of the data columns (θ_i0 and
     # δ), solved in unit weights: it does not depend on the weights, and
     # capped adaptive weights would wreck the conditioning of a weighted
-    # fit. The nominal pair columns carry no data; they follow from
+    # fit. Its normal equations are read off the core's data block. The
+    # nominal pair columns carry no data; they follow from
     # θ_ij = β_i − β_j, which makes Aθ = 0. A column with neither data nor a
     # restriction is unidentified and stays 0.
     data_cols = np.array([b.offset + i for b in layout.blocks for i in range(b.k)], dtype=int)
-    X_ls = problem.Z_data[:, data_cols] * w[data_cols]
-    has_data = np.any(X_ls != 0.0, axis=0)
+    w_d = w[data_cols]
+    G = core.XtX[np.ix_(data_cols, data_cols)] * np.outer(w_d, w_d)
+    has_data = np.diagonal(G) > 0.0
     used = has_data | np.any(problem.A_raw[:, data_cols] != 0.0, axis=0)
-    coef, _, rank, _ = np.linalg.lstsq(X_ls[:, used], y, rcond=None)
-    if rank < coef.size:
+    try:
+        coef = solve_normal_equations(G[np.ix_(used, used)],
+                                      (core.Xty[data_cols] * w_d / core.y_scale)[used],
+                                      "unpenalized fit")
+    except RankDeficient as exc:
         # a nominal level no row uses keeps its restriction rows but has an
         # all-zero data column: name each such level by its schema index
         levels = [(b.name, i) for b in layout.blocks for i in range(1, b.k + 1)]
         named = "".join(f"; factor {levels[c][0]!r} level index {levels[c][1]} has no rows"
                         for c in np.flatnonzero(used & ~has_data))
-        raise RankDeficient(
-            f"unpenalized fit is rank deficient (rank {rank} < {coef.size}){named}")
+        raise RankDeficient(f"{exc}{named}") from None
     theta_ls = np.zeros(problem.q)
     theta_ls[data_cols[used]] = coef
     theta_ls = induced_theta(layout, back_transform(theta_ls, layout, np.ones(problem.q)))
     theta_ls_scaled = theta_ls * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
-
-    core = _Core.from_design(problem.Z_data, problem.A_scaled, y, problem.gamma)
 
     lam_max = core.lambda_max
     lams = _grid_lambdas(lam_max, grid_size)

@@ -5,7 +5,7 @@ levels (levels whose coefficients coincide within tolerance form one
 cluster); the partition drives refitting on the collapsed design and the
 model's degree-of-freedom count.
 
-One sort-and-split rule reads every factor's partition: order the levels
+One sort-and-cut rule reads every factor's partition: order the levels
 (by β̂ for a nominal factor, by level for an ordinal one) and cut wherever
 the step to the next level exceeds the threshold. Any two nominal levels
 may fuse, and for values on a line the all-pairs "within threshold"
@@ -13,9 +13,15 @@ closure is exactly the sorted runs without a large step. Only
 neighbouring ordinal levels may fuse, and their steps are the differences
 δ the penalty acts on.
 
-A path is read in one pass: `extract_clusters_path` stacks each factor's
-β̂ over the grid, sorts and cuts all rows at once, and builds each distinct
-partition once; `extract_clusters` is its one-row case.
+A path is read in one pass: the rule gives every level's cluster label at
+every grid point at once (`cluster_labels_path`), `extract_clusters_path`
+builds each distinct partition from those labels once, and
+`extract_clusters` is its one-row case.
+
+Every unpenalized least-squares fit (the refit, the OLS behind adaptive
+weights and the λ = 0 end of a path) solves normal equations: `refit`
+collapses the dataset's LevelTable by cluster, so no n-row design is built,
+and `solve_normal_equations` holds the one rank rule.
 """
 from __future__ import annotations
 
@@ -31,6 +37,13 @@ from .coding import u_transform
 # matched to γ = coding.DEFAULT_SQRT_GAMMA²: absorbs the O(λ/γ) gap left
 # between fused levels
 DEFAULT_CLUSTER_TOL = 1e-8
+
+# Rank rule of every unpenalized least-squares fit: its Gram G has full rank
+# when the Cholesky factor exists and every pivot has L_ii² > RANK_TOL·max G_ii.
+# Exactly collinear columns leave no factor or a pivot at rounding level
+# (1.6e-16·max G_ii for two equal columns at n = 50 000), while a reference
+# level with a single row of n = 50 000 keeps every pivot above 9e-5·max G_ii.
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,26 +94,25 @@ class ClusterPartition:
         }
 
 
-def extract_clusters_path(
+def _read_out(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
-    tol: float = DEFAULT_CLUSTER_TOL,
-) -> List[ClusterPartition]:
-    """One ClusterPartition per β dict: levels grouped whose coefficients
-    agree within that β's threshold tol·max(1, max|β̂|).
+    tol: float,
+) -> Tuple[List[np.ndarray], np.ndarray, List[np.ndarray]]:
+    """Per factor, the (grid × levels) stack of β̂ and the cluster label of
+    every level at every row; and each row's threshold tol·max(1, max|β̂|).
 
-    `betas[g][name]` is a full per-level vector (reference entry 0). Each
-    factor's vectors are stacked into a (grid × levels) array and read by
-    one rule: take the levels in fusion order, step from each to the next,
-    and start a new cluster wherever a step is not within the row's
-    threshold (a NaN step always cuts). A nominal factor's fusion order
-    sorts β̂ and steps between sorted neighbours; this is the all-pairs
-    closure (any two levels within threshold fuse, transitively), because
-    in sorted order a pair that spans a cut differs by at least that cut's
-    step, also after rounding. An ordinal factor keeps level order and
-    steps δ = u_transform(β̂[1:]), so its clusters are contiguous runs.
-    A factor holding a NaN does not count towards max|β̂|. A cluster's
-    coefficient is its members' mean.
+    The sort-and-cut rule (module docstring): take the levels in fusion
+    order, step from each to the next, and start a new cluster wherever a
+    step is not within the row's threshold (a NaN step always cuts). A
+    nominal factor's fusion order sorts β̂ and steps between sorted
+    neighbours; this is the all-pairs closure (any two levels within
+    threshold fuse, transitively), because in sorted order a pair that
+    spans a cut differs by at least that cut's step, also after rounding.
+    An ordinal factor keeps level order and steps δ = u_transform(β̂[1:]),
+    so its clusters are contiguous runs. A factor holding a NaN does not
+    count towards max|β̂|. Clusters are numbered by smallest member, so
+    level 0 is in cluster 0.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -116,7 +128,78 @@ def extract_clusters_path(
     for B in stacks:
         scale = np.fmax(scale, np.abs(B).max(axis=1))
     thresholds = tol * np.maximum(1.0, scale)
-    per_factor = [_factor_partitions(sch, B, thresholds) for sch, B in zip(schemas, stacks)]
+    labels = []
+    for sch, B in zip(schemas, stacks):
+        if sch.penalty_scale == "nominal":
+            order = np.argsort(B, axis=1, kind="stable")
+            steps = np.diff(np.take_along_axis(B, order, axis=1), axis=1)
+        else:
+            order = np.broadcast_to(np.arange(B.shape[1]), B.shape)
+            steps = u_transform(B[:, 1:])
+        runs = np.zeros(B.shape, dtype=np.intp)    # run index in fusion order
+        runs[:, 1:] = np.cumsum(~(np.abs(steps) <= thresholds[:, None]), axis=1)
+        # each run's smallest level (unused run slots sort last), then runs
+        # renumbered in that order and read back per level
+        first = np.full(B.shape, B.shape[1])
+        np.minimum.at(first, (np.arange(B.shape[0])[:, None], runs), order)
+        number = np.argsort(np.argsort(first, axis=1, kind="stable"), axis=1)
+        lab = np.empty_like(runs)
+        np.put_along_axis(lab, order, np.take_along_axis(number, runs, axis=1), axis=1)
+        labels.append(lab)
+    return stacks, thresholds, labels
+
+
+def _clusters(labels: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Levels grouped by cluster label, ascending within a cluster; labels
+    numbered by smallest member come out in label order."""
+    members: Dict[int, List[int]] = {}
+    for lev, c in enumerate(labels):
+        members.setdefault(c, []).append(lev)
+    return tuple(tuple(m) for m in members.values())
+
+
+def cluster_labels_path(
+    betas: Sequence[Dict[str, np.ndarray]],
+    schemas: Sequence[FactorSchema],
+    tol: float = DEFAULT_CLUSTER_TOL,
+) -> np.ndarray:
+    """(len(betas) × L) cluster labels of every level, the factors' levels
+    stacked as in `Dataset.level_table`: row g holds the partition
+    extract_clusters_path reads off betas[g], each factor's clusters
+    numbered by smallest member."""
+    _, _, labels = _read_out(betas, schemas, tol)
+    return np.hstack(labels)
+
+
+def partition_from_labels(
+    labels: np.ndarray, schemas: Sequence[FactorSchema]
+) -> ClusterPartition:
+    """The clusters one row of cluster_labels_path names, for `refit`,
+    which reads only the clusters: coefficients and threshold are 0."""
+    labels, parts, at = labels.tolist(), [], 0
+    for sch in schemas:
+        clusters = _clusters(labels[at:at + sch.k + 1])
+        parts.append(FactorPartition(sch.name, clusters, 0, (0.0,) * len(clusters)))
+        at += sch.k + 1
+    return ClusterPartition(tuple(parts), threshold=0.0)
+
+
+def extract_clusters_path(
+    betas: Sequence[Dict[str, np.ndarray]],
+    schemas: Sequence[FactorSchema],
+    tol: float = DEFAULT_CLUSTER_TOL,
+) -> List[ClusterPartition]:
+    """One ClusterPartition per β dict: levels grouped whose coefficients
+    agree within that β's threshold tol·max(1, max|β̂|), by the
+    sort-and-cut rule (module docstring), whose labels cluster_labels_path
+    returns.
+
+    `betas[g][name]` is a full per-level vector (reference entry 0). A
+    cluster's coefficient is its members' mean.
+    """
+    stacks, thresholds, labels = _read_out(betas, schemas, tol)
+    per_factor = [_factor_partitions(sch, B, lab)
+                  for sch, B, lab in zip(schemas, stacks, labels)]
     return [
         ClusterPartition(tuple(parts[g] for parts in per_factor), threshold=float(t))
         for g, t in enumerate(thresholds)
@@ -124,30 +207,17 @@ def extract_clusters_path(
 
 
 def _factor_partitions(
-    sch: FactorSchema, B: np.ndarray, thresholds: np.ndarray
+    sch: FactorSchema, B: np.ndarray, labels: np.ndarray
 ) -> List[FactorPartition]:
-    """One factor's partition at every row of B (grid × levels)."""
-    if sch.penalty_scale == "nominal":
-        order = np.argsort(B, axis=1, kind="stable")
-        steps = np.diff(np.take_along_axis(B, order, axis=1), axis=1)
-    else:
-        order = np.broadcast_to(np.arange(B.shape[1]), B.shape)
-        steps = u_transform(B[:, 1:])
-    runs = np.zeros(B.shape, dtype=int)          # run index in fusion order
-    runs[:, 1:] = np.cumsum(~(np.abs(steps) <= thresholds[:, None]), axis=1)
-    labels = np.empty_like(runs)                 # run index of each level
-    np.put_along_axis(labels, order, runs, axis=1)
-    # each distinct labelling is turned into clusters once: levels ascending
-    # within a cluster, clusters by smallest member
+    """One factor's partition at every row of B (grid × levels), whose
+    levels carry the cluster labels `labels`."""
+    # each distinct labelling is turned into clusters once
     rows_of: Dict[bytes, List[int]] = {}
     for g, row in enumerate(labels):
         rows_of.setdefault(row.tobytes(), []).append(g)
     parts = [None] * B.shape[0]
     for rows in rows_of.values():
-        members: Dict[int, List[int]] = {}
-        for lev, run in enumerate(labels[rows[0]].tolist()):
-            members.setdefault(run, []).append(lev)
-        clusters = tuple(tuple(m) for m in members.values())
+        clusters = _clusters(labels[rows[0]].tolist())
         # a C-contiguous (rows × members) block reduces each row in the
         # order b[list(c)].mean() does, so the means are bit-identical
         block = B[rows]
@@ -179,53 +249,72 @@ class RefitResult:
     rss: float
 
 
+def solve_normal_equations(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """The solution of G·x = b for a Gram matrix G of full rank by RANK_TOL.
+
+    Raises RankDeficient("{what} is rank deficient (rank r < m)"), with r
+    the number of eigenvalues of G above RANK_TOL times the largest.
+    """
+    try:
+        pivots = np.linalg.cholesky(G).diagonal() ** 2
+        full = pivots.min(initial=np.inf) > RANK_TOL * G.diagonal().max(initial=0.0)
+    except np.linalg.LinAlgError:
+        full = False
+    if not full:
+        ev = np.linalg.eigvalsh(G)
+        rank = int(np.sum(ev > RANK_TOL * ev[-1]))
+        raise RankDeficient(f"{what} is rank deficient (rank {rank} < {b.size})")
+    return np.linalg.solve(G, b)
+
+
 def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     """Ordinary least squares with each factor's dummies collapsed by cluster.
 
     Zero-cluster columns are dropped (their coefficient stays 0); every
     other cluster contributes one indicator column for membership. The
     collapsed design must have full column rank; it may have no columns.
+
+    The fit solves the normal equations of the centered collapsed design
+    from ds.level_table: with C the L × m membership of levels in columns,
+    column counts c = Cᵀ·diag(DᵀD) and b = Cᵀ·sums, G = CᵀDᵀDC − ccᵀ/n and
+    the intercept is ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
     """
     fps = {fp.name: fp for fp in partition.factors}
-    # per factor: its partition, the design column of each cluster and of
-    # each level (column -1 for the zero cluster)
-    columns = []
+    table = ds.level_table
+    starts = table.offsets.tolist()
+    # the design column of every stacked level: the clusters outside each
+    # factor's zero cluster in order, and -1 (reading 0) for the zero cluster
+    col = [-1] * starts[-1]
     m = 0
-    for sch in ds.schemas:
+    for sch, start in zip(ds.schemas, starts):
         fp = fps[sch.name]
-        cols = []
-        for c in range(len(fp.clusters)):
-            cols.append(-1 if c == fp.zero_cluster else m)
-            m += c != fp.zero_cluster
-        of_level = [-1] * (sch.k + 1)
-        for col, members in zip(cols, fp.clusters):
-            for lev in members:
-                of_level[lev] = col
-        columns.append((fp, cols, np.array(of_level)))
-    X = np.zeros((ds.n, m + 1))      # column -1 collects the zero clusters
-    rows = np.arange(ds.n)
-    for l, (_, _, of_level) in enumerate(columns):
-        X[rows, of_level[ds.codes[:, l]]] = 1.0
-    X = X[:, :m]
-    y_mean = float(ds.y.mean())
-    yc = ds.y - y_mean
-    means = X.mean(axis=0)
-    Xc = X - means
-    coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
-    if rank < m:
-        raise RankDeficient(f"collapsed design is rank deficient (rank {rank} < {m})")
-    intercept = y_mean - float(means @ coef)
-    rss = float(np.sum((yc - Xc @ coef) ** 2))
+        for c, members in enumerate(fp.clusters):
+            if c != fp.zero_cluster:
+                for lev in members:
+                    col[start + lev] = m
+                m += 1
+    col = np.array(col, dtype=np.intp)
+    C = (col[:, None] == np.arange(m)).astype(float)
+    counts = C.T @ table.counts.diagonal()
+    G = C.T @ table.counts @ C - np.outer(counts, counts) / ds.n
+    coef = solve_normal_equations(G, C.T @ table.sums, "collapsed design")
+    shift = float(counts @ coef) / ds.n      # the centering of the columns
+    level_coef = np.append(coef, 0.0)[col]
+    fitted = level_coef[table.index].sum(axis=1) - shift
+    rss = float(np.sum((ds.y - table.y_mean - fitted) ** 2))
 
-    coef = np.append(coef, 0.0)      # column -1 reads the zero cluster's 0
-    new_parts = tuple(
-        FactorPartition(fp.name, fp.clusters, fp.zero_cluster, tuple(coef[cols].tolist()))
-        for fp, cols, _ in columns
-    )
+    values = level_coef.tolist()
+    beta, new_parts = {}, []
+    for sch, start in zip(ds.schemas, starts):
+        fp = fps[sch.name]
+        beta[sch.name] = level_coef[start:start + sch.k + 1].copy()
+        new_parts.append(FactorPartition(
+            fp.name, fp.clusters, fp.zero_cluster,
+            tuple(values[start + members[0]] for members in fp.clusters)))
     return RefitResult(
-        beta={fp.name: coef[of_level] for fp, _, of_level in columns},
-        partition=ClusterPartition(new_parts, threshold=partition.threshold),
-        intercept=intercept,
+        beta=beta,
+        partition=ClusterPartition(tuple(new_parts), threshold=partition.threshold),
+        intercept=table.y_mean - shift,
         rss=rss,
     )
 

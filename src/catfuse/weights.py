@@ -19,7 +19,7 @@ from .errors import (
     RankDeficient,
     UnobservedLevel,
 )
-from .structure import ClusterPartition, FactorPartition, refit
+from .structure import partition_from_labels, refit
 
 ADAPTIVE_CAP = 1e12
 DEFAULT_BANDWIDTH_KM = 15.0
@@ -77,13 +77,9 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
     """
     if not ds.schemas:
         raise OlsUnavailable("no coefficients to estimate")
-    singletons = ClusterPartition(tuple(
-        FactorPartition(sch.name, tuple((i,) for i in range(sch.k + 1)), 0,
-                        (0.0,) * (sch.k + 1))
-        for sch in ds.schemas
-    ), threshold=0.0)
+    singletons = np.concatenate([np.arange(sch.k + 1) for sch in ds.schemas])
     try:
-        return refit(ds, singletons).beta
+        return refit(ds, partition_from_labels(singletons, ds.schemas)).beta
     except RankDeficient as e:
         raise OlsUnavailable(f"dummy design: {e}") from None
 

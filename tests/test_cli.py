@@ -155,6 +155,32 @@ def test_simulate_single_replicate(tmp_path, capsys):
     assert "stdrd" in summary["summary"]
 
 
+def test_path_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    data, schema, _ = write_inputs(tmp_path, seed=15)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(data).read_bytes())
+    assert main(["path", "--data", str(bom), "--schema", schema, "--grid", "5",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "path.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["path"], ["fit", "--s-ratio", "0.5"]])
+def test_empty_schema_errors_as_json(tmp_path, capsys, command):
+    data = tmp_path / "d.csv"
+    data.write_text("y\n1.0\n2.0\n3.0\n4.0\n", encoding="utf-8")
+    schema = tmp_path / "schema.json"
+    schema.write_text("[]", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(data), "--schema", str(schema), "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "the schema has no factors" in err["message"]
+    assert not out.exists()
+
+
 def test_unknown_scenario_errors_as_json(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "S99", "--out", str(tmp_path / "x")])
     assert rc == 1

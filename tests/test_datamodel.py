@@ -89,6 +89,16 @@ def test_ingest_happy_path(tmp_path):
     assert ds.codes.tolist() == [[0, 0], [2, 2], [1, 1]]
 
 
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
+    text = "y,color,size\n1.5,red,s\n2.5,blue,l\n-1,green,m\n"
+    plain = ingest_csv(_write(tmp_path, text), SCHEMAS, response_column="y")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    marked = ingest_csv(str(bom), SCHEMAS, response_column="y")
+    assert np.array_equal(marked.y, plain.y)
+    assert np.array_equal(marked.codes, plain.codes)
+
+
 def test_ingest_skips_blank_rows(tmp_path):
     p = _write(tmp_path, "y,color,size\n1,red,s\n\n2,blue,l\n")
     assert ingest_csv(p, SCHEMAS, response_column="y").n == 2
@@ -174,3 +184,16 @@ def test_class_frequencies():
     assert counts.sum() == ds.n
     assert len(counts) == 4
     assert np.array_equal(counts, np.bincount(ds.codes[:, 0], minlength=4))
+
+
+def test_level_table_is_the_indicator_cross_product():
+    ds = toy_mixed_ds(seed=4, n=50)
+    table = ds.level_table
+    assert table is ds.level_table
+    D = np.hstack([(ds.codes[:, l, None] == np.arange(sch.k + 1)).astype(float)
+                   for l, sch in enumerate(ds.schemas)])
+    assert table.offsets.tolist() == [0, 4, 7, 9]
+    assert np.array_equal(table.counts, D.T @ D)
+    assert np.allclose(table.sums, D.T @ (ds.y - ds.y.mean()), rtol=0.0, atol=1e-12)
+    assert table.y_mean == float(ds.y.mean())
+    assert np.array_equal(D[np.arange(ds.n)[:, None], table.index], np.ones((ds.n, 3)))

@@ -144,6 +144,39 @@ def test_path_zero_lambda_is_induced_ols():
     assert np.max(np.abs(prob.A_raw @ sol.theta)) <= 1e-12
 
 
+def _data_columns(layout):
+    return np.array([b.offset + i for b in layout.blocks for i in range(b.k)])
+
+
+@pytest.mark.parametrize("make", [lambda: toy_mixed_ds(seed=12),
+                                  lambda: generate(make_scenario("S2", 3)).train])
+def test_path_zero_lambda_matches_lstsq_on_the_unit_weight_data_block(make):
+    ds = make()
+    base = standard_weights(ds, use_frequency=True)
+    ols = ols_coefficients(ds)
+    b = theta_layout(ds.schemas).blocks[0]
+    # level 1 tied with the reference caps a data column's weight, levels 3
+    # and 2 tied cap a pair column's
+    ols[b.name][1] = ols[b.name][0]
+    ols[b.name][3] = ols[b.name][2]
+    adapt = adaptive_weights(base, ols)
+    assert adapt.values[b.offset] == base.values[b.offset] * ADAPTIVE_CAP
+    for ws in (base, adapt):
+        prob = build_augmented(ds, ws)
+        d = _data_columns(prob.layout)
+        unit = prob.Z_data[:, d] * prob.weight_values[d]
+        expect = np.linalg.lstsq(unit, prob.y_centered, rcond=None)[0]
+        sol = path(prob, grid_size=10).solutions[-1]
+        assert sol.lam == 0.0
+        assert np.all(np.abs(sol.theta[d] - expect) <= 1e-10 * np.maximum(1.0, np.abs(expect)))
+
+
+def test_path_rejects_a_schema_without_factors():
+    ds = Dataset(np.arange(4.0), np.zeros((4, 0), dtype=int), ())
+    with pytest.raises(ValueError, match="the schema has no factors"):
+        path(build_augmented(ds, standard_weights(ds)), grid_size=10)
+
+
 def test_path_precision_reports():
     ds = make_s1(seed=5)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))

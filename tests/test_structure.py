@@ -3,17 +3,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from catfuse.coding import u_transform
+from catfuse.coding import build_augmented, u_transform
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import RankDeficient
+from catfuse.errors import OlsUnavailable, RankDeficient
+from catfuse.selection import CvConfig, build_weights, compute_fold_paths
+from catfuse.simlab import generate, make_scenario
+from catfuse.solver import path
 from catfuse.structure import (
     ClusterPartition,
     FactorPartition,
+    cluster_labels_path,
     degrees_of_freedom,
     extract_clusters,
     extract_clusters_path,
+    partition_from_labels,
     refit,
 )
+from catfuse.weights import ols_coefficients
 
 from conftest import rent_schema
 
@@ -166,8 +172,78 @@ def test_refit_rank_deficient():
         ),
         threshold=1e-8,
     )
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient, match=r"^collapsed design is rank deficient \(rank 1 < 2\)$"):
         refit(ds, part)
+    with pytest.raises(OlsUnavailable, match="rank 1 < 2"):
+        ols_coefficients(ds)
+
+
+def _refit_by_rows(ds: Dataset, partition: ClusterPartition):
+    """Reference refit: SVD least squares on the n × m centered 0/1 design
+    of the clusters outside each zero cluster, as (β dict, intercept, rss)."""
+    fps = {fp.name: fp for fp in partition.factors}
+    blocks, of_levels = [], []
+    for l, sch in enumerate(ds.schemas):
+        fp = fps[sch.name]
+        kept = [c for c in range(len(fp.clusters)) if c != fp.zero_cluster]
+        of_level = np.full(sch.k + 1, -1)
+        for j, c in enumerate(kept):
+            of_level[list(fp.clusters[c])] = sum(b.shape[1] for b in blocks) + j
+        of_levels.append(of_level)
+        blocks.append(np.column_stack(
+            [np.isin(ds.codes[:, l], fp.clusters[c]) for c in kept] or [np.zeros((ds.n, 0))]
+        ).astype(float))
+    X = np.hstack([np.zeros((ds.n, 0))] + blocks)
+    yc = ds.y - ds.y.mean()
+    Xc = X - X.mean(axis=0)
+    coef, _, rank, _ = np.linalg.lstsq(Xc, yc, rcond=None)
+    assert rank == X.shape[1]
+    coef0 = np.append(coef, 0.0)
+    beta = {sch.name: coef0[of] for sch, of in zip(ds.schemas, of_levels)}
+    intercept = ds.y.mean() - X.mean(axis=0) @ coef
+    return beta, intercept, float(np.sum((yc - Xc @ coef) ** 2))
+
+
+def _assert_refit_matches_rows(ds, partition):
+    got = refit(ds, partition)
+    beta, intercept, rss = _refit_by_rows(ds, partition)
+    for name, ref in beta.items():
+        assert np.all(np.abs(got.beta[name] - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    assert abs(got.intercept - intercept) <= 1e-10 * max(1.0, abs(intercept))
+    assert abs(got.rss - rss) <= 1e-9 * rss
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+def test_refit_matches_the_row_level_reference_on_every_path_partition(name):
+    train = generate(make_scenario(name, seed=6)).train
+    config = CvConfig(k_folds=5, grid_size=30, seed=6, adaptive=True, use_frequency=True)
+    fits = [(train, path(build_augmented(train, build_weights(train, True, True)), 30))]
+    fits += [(f.train, f.path) for f in compute_fold_paths(train, config)]
+    for ds, pr in fits:
+        betas = [sol.beta for sol in pr.solutions]
+        labels = cluster_labels_path(betas, ds.schemas)
+        parts = extract_clusters_path(betas, ds.schemas)
+        for row, part in zip(labels, parts):
+            read = partition_from_labels(row, ds.schemas)
+            assert [fp.clusters for fp in read.factors] == [fp.clusters for fp in part.factors]
+        distinct = np.unique(labels, axis=0)
+        assert 1 < len(distinct) < len(betas)
+        for row in distinct:
+            _assert_refit_matches_rows(ds, partition_from_labels(row, ds.schemas))
+
+
+def test_refit_with_a_single_row_reference_level_at_large_n():
+    rng = np.random.default_rng(8)
+    n = 50_000
+    schemas = (FactorSchema("g", "nominal", ("a", "b", "c", "d")),
+               FactorSchema("h", "ordinal", ("0", "1", "2")))
+    codes = np.column_stack([rng.integers(1, 4, n), rng.integers(0, 3, n)])
+    codes[17, 0] = 0                  # the reference level of g has one row
+    y = np.array([0.0, 1.0, 1.0, 3.0])[codes[:, 0]] + codes[:, 1] + rng.normal(0, 1, n)
+    ds = Dataset(y, codes, schemas)
+    singletons = partition_from_labels(np.array([0, 1, 2, 3, 0, 1, 2]), schemas)
+    _assert_refit_matches_rows(ds, singletons)
+    _assert_refit_matches_rows(ds, partition_from_labels(np.array([0, 1, 1, 2, 0, 0, 1]), schemas))
 
 
 def test_partition_json_shape():
