@@ -51,6 +51,7 @@ from .selection import (
     CvConfig,
     CvCurve,
     build_weights,
+    fit_at,
     fold_assignment,
     information_criterion,
     kfold_cv,
@@ -104,6 +105,7 @@ __all__ = [
     "CvConfig",
     "CvCurve",
     "build_weights",
+    "fit_at",
     "fold_assignment",
     "information_criterion",
     "kfold_cv",

@@ -2,8 +2,12 @@
 
 All outputs are self-describing (resolved config, schema_version, package
 version embedded) and byte-identical across reruns with the same inputs.
-Files are written atomically: temp file in the target directory, then
-os.replace. Errors print one JSON object to stderr and exit 1.
+Each command computes its files' text, and only then does `_write` put
+them in the output directory, each atomically: temp file in the target
+directory, then os.replace. A JSON document is built by `_json_doc` and a
+CSV table by `_csv`, both embedding the config. `fit` and `cv` make the
+same tuned fit as a study variant (selection.fit_at, CvCurve.from_scores).
+Errors print one JSON object to stderr and exit 1.
 """
 from __future__ import annotations
 
@@ -23,12 +27,12 @@ from .selection import (
     DEFAULT_K_FOLDS,
     CvConfig,
     build_weights,
-    intercept_for,
+    fit_at,
     kfold_cv,
 )
 from .simlab import SimReport, run_study
 from .solver import DEFAULT_GRID_SIZE, PathResult, path
-from .structure import degrees_of_freedom, extract_clusters, extract_clusters_path, refit
+from .structure import degrees_of_freedom, extract_clusters_path
 
 SCHEMA_VERSION = 1
 
@@ -37,15 +41,26 @@ SCHEMA_VERSION = 1
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path_out: str, text: str) -> None:
-    tmp = path_out + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path_out)
+def _write(out_dir: str, files: Dict[str, str]) -> None:
+    """Write each named text into out_dir (made if missing), atomically."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        tmp = os.path.join(out_dir, name + ".tmp")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(out_dir, name))
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json_doc(cfg: Dict, fields: Dict) -> str:
+    """A JSON document of fields plus schema_version, version and config."""
+    doc = dict(fields, schema_version=SCHEMA_VERSION, version=__version__, config=cfg)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(cfg: Dict, header: List[str], rows: List[List[str]]) -> str:
+    """A "# config:" line, the header and the rows, comma separated."""
+    lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
+    return "\n".join(lines + [",".join(cells) for cells in rows]) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -85,49 +100,16 @@ def _full_path(ds: Dataset, args: argparse.Namespace) -> PathResult:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its output files' names and texts
 # ---------------------------------------------------------------------------
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
     s_req = _resolve_s_ratio(args.s_ratio)
     pr = _full_path(ds, args)
-    sol = pr.solution_at(s_req)
-    part = extract_clusters(sol.beta, ds.schemas)
-    beta = sol.beta
-    if args.refit:
-        rr = refit(ds, part)
-        beta, part = rr.beta, rr.partition
-        intercept = rr.intercept
-    else:
-        intercept = intercept_for(beta, ds)
+    sol, beta, part, intercept = fit_at(pr, ds, s_req, args.refit)
     df = degrees_of_freedom(part)
-
-    os.makedirs(args.out, exist_ok=True)
-    coeff = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "config": cfg,
-        "intercept": float(intercept),
-        "coefficients": {n: [float(v) for v in beta[n]] for n in (s.name for s in ds.schemas)},
-        "levels": {s.name: list(s.levels) for s in ds.schemas},
-        "s_ratio_requested": s_req,
-        "s_ratio_used": float(sol.s_ratio),
-        "lambda": float(sol.lam),
-        "df": df,
-        "delta": float(sol.precision.delta),
-        "bound": float(sol.precision.bound),
-    }
-    _atomic_write(os.path.join(args.out, "coefficients.json"), _json_text(coeff))
-    part_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "config": cfg,
-        "df": df,
-        "partition": part.to_json(),
-    }
-    _atomic_write(os.path.join(args.out, "partition.json"), _json_text(part_doc))
 
     lines = [
         f"catfuse fit v{__version__}",
@@ -139,104 +121,77 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"satisfied={sol.precision.satisfied}",
         f"df={df}",
     ]
-    for fp in part.factors:
-        lines.append(
-            f"{fp.name}: clusters={[list(c) for c in fp.clusters]} "
-            f"coefficients={[float(c) for c in fp.coefficients]}"
-        )
-    _atomic_write(os.path.join(args.out, "fit.log"), "\n".join(lines) + "\n")
-    return 0
+    lines += [f"{fp.name}: clusters={[list(c) for c in fp.clusters]} "
+              f"coefficients={[float(c) for c in fp.coefficients]}" for fp in part.factors]
+    return {
+        "coefficients.json": _json_doc(cfg, {
+            "intercept": float(intercept),
+            "coefficients": {s.name: [float(v) for v in beta[s.name]] for s in ds.schemas},
+            "levels": {s.name: list(s.levels) for s in ds.schemas},
+            "s_ratio_requested": s_req,
+            "s_ratio_used": float(sol.s_ratio),
+            "lambda": float(sol.lam),
+            "df": df,
+            "delta": float(sol.precision.delta),
+            "bound": float(sol.precision.bound),
+        }),
+        "partition.json": _json_doc(cfg, {"df": df, "partition": part.to_json()}),
+        "fit.log": "\n".join(lines) + "\n",
+    }
 
 
-def cmd_path(args: argparse.Namespace) -> int:
+def cmd_path(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
     pr = _full_path(ds, args)
 
-    cols = []
-    for sch in ds.schemas:
-        cols.extend(f"{sch.name}:{lvl}" for lvl in sch.levels[1:])
+    cols = [f"{sch.name}:{lvl}" for sch in ds.schemas for lvl in sch.levels[1:]]
     header = ["s_ratio", "lambda"] + cols + ["df", "delta", "bound"]
-    rows = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
     parts = extract_clusters_path([sol.beta for sol in pr.solutions], ds.schemas)
     # rows run from the unpenalized end (s_ratio 1, the OLS fit) down to 0
-    for sol, part in zip(reversed(pr.solutions), reversed(parts)):
-        df = degrees_of_freedom(part)
-        cells = [_fmt(sol.s_ratio), _fmt(sol.lam)]
-        for sch in ds.schemas:
-            cells.extend(_fmt(v) for v in sol.beta[sch.name][1:])
-        cells.append(str(df))
-        cells.append(_fmt(sol.precision.delta))
-        cells.append(_fmt(sol.precision.bound))
-        rows.append(",".join(cells))
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "path.csv"), "\n".join(rows) + "\n")
-    return 0
+    rows = [[_fmt(sol.s_ratio), _fmt(sol.lam)]
+            + [_fmt(v) for sch in ds.schemas for v in sol.beta[sch.name][1:]]
+            + [str(degrees_of_freedom(part)), _fmt(sol.precision.delta), _fmt(sol.precision.bound)]
+            for sol, part in zip(reversed(pr.solutions), reversed(parts))]
+    return {"path.csv": _csv(cfg, header, rows)}
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
     curve = kfold_cv(ds, CvConfig(
-        k_folds=args.k_folds,
-        grid_size=args.grid,
-        seed=args.seed,
-        adaptive=args.adaptive,
-        use_frequency=args.frequency,
-        refit_inside=args.refit,
-        spatial_h=args.spatial_h,
-    ))
+        k_folds=args.k_folds, grid_size=args.grid, seed=args.seed, adaptive=args.adaptive,
+        use_frequency=args.frequency, refit_inside=args.refit, spatial_h=args.spatial_h))
     header = ["s_ratio", "mean_score"] + [f"fold_{k + 1}" for k in range(args.k_folds)]
-    rows = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
-    for g, s in enumerate(curve.s_grid):
-        cells = [_fmt(s), _fmt(curve.mean_score[g])]
-        cells.extend(_fmt(v) for v in curve.fold_scores[g])
-        rows.append(",".join(cells))
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "cv.csv"), "\n".join(rows) + "\n")
-    chosen = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "config": cfg,
-        "chosen_s_ratio": float(curve.chosen_s_ratio),
-        "mean_score_at_chosen": float(np.min(curve.mean_score)),
-        "k_folds": args.k_folds,
-        "seed": args.seed,
+    rows = [[_fmt(s), _fmt(curve.mean_score[g])] + [_fmt(v) for v in curve.fold_scores[g]]
+            for g, s in enumerate(curve.s_grid)]
+    return {
+        "cv.csv": _csv(cfg, header, rows),
+        "chosen.json": _json_doc(cfg, {
+            "chosen_s_ratio": float(curve.chosen_s_ratio),
+            "mean_score_at_chosen": float(np.min(curve.mean_score)),
+            "k_folds": args.k_folds,
+            "seed": args.seed,
+        }),
     }
-    _atomic_write(os.path.join(args.out, "chosen.json"), _json_text(chosen))
-    return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
-    report = run_study(
-        args.scenario,
-        args.variants,
-        replicates=args.replicates,
-        seed=args.seed,
-        k_folds=args.k_folds,
-        grid_size=args.grid,
-    )
-    header = ["replicate", "variant"] + list(SimReport.METRICS)
-    rows = [f"# config: {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
-    for rec in report.records:
-        cells = [str(rec.replicate), rec.variant]
-        for m in SimReport.METRICS:
-            v = getattr(rec, m)
-            cells.append(str(v) if isinstance(v, int) else _fmt(v))
-        rows.append(",".join(cells))
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "simreport.csv"), "\n".join(rows) + "\n")
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "config": cfg,
-        "scenario": report.scenario,
-        "replicates": args.replicates,
-        "summary": report.summary(),
+    report = run_study(args.scenario, args.variants, replicates=args.replicates,
+                       seed=args.seed, k_folds=args.k_folds, grid_size=args.grid)
+    rows = [[str(rec.replicate), rec.variant]
+            + [str(v) if isinstance(v, int) else _fmt(v)
+               for v in (getattr(rec, m) for m in SimReport.METRICS)]
+            for rec in report.records]
+    return {
+        "simreport.csv": _csv(cfg, ["replicate", "variant"] + list(SimReport.METRICS), rows),
+        "summary.json": _json_doc(cfg, {
+            "scenario": report.scenario,
+            "replicates": args.replicates,
+            "summary": report.summary(),
+        }),
     }
-    _atomic_write(os.path.join(args.out, "summary.json"), _json_text(summary))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.out, args.func(args))
+        return 0
     except CatfuseError as e:
         print(json.dumps(e.as_dict(), sort_keys=True), file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .datamodel import Dataset, FactorSchema
+from .datamodel import Dataset, FactorSchema, level_values
 from .errors import NonPositiveWeight
 
 # √γ for the restriction rows: γ = 1e10 is a constant of the method. A fused
@@ -238,11 +238,7 @@ def induced_theta(layout: ThetaLayout, beta: Dict[str, np.ndarray]) -> np.ndarra
     """
     theta = np.zeros(layout.q)
     for b in layout.blocks:
-        bl = np.asarray(beta[b.name], dtype=float)
-        if bl.shape != (b.k + 1,):
-            raise ValueError(
-                f"factor {b.name!r}: expected {b.k + 1} per-level coefficients"
-            )
+        bl = level_values([beta], b)[0]
         i, j = b.pair_index
         theta[b.slice] = bl[i] - bl[j]
     return theta

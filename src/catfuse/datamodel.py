@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,10 +23,12 @@ from .errors import (
     EmptyDataset,
     MissingColumn,
     NonNumericResponse,
+    ShapeMismatch,
     UnknownLevel,
 )
 
 SCALES = ("nominal", "ordinal", "binary")
+NO_FACTORS = "the schema has no factors: there are no coefficients to fit"
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class Dataset:
     y: np.ndarray
     codes: np.ndarray
     schemas: Tuple[FactorSchema, ...]
-    n_counts: Tuple[np.ndarray, ...] = field(default=None)  # filled in __post_init__
+    n_counts: Tuple[np.ndarray, ...] = field(init=False)   # per-level counts, per factor
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -164,6 +166,15 @@ class Dataset:
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""
         return Dataset(self.y[rows], self.codes[rows], self.schemas)
+
+
+def level_values(betas: Sequence[Mapping[str, np.ndarray]], factor) -> np.ndarray:
+    """(len(betas) × (k + 1)) stack of each β's vector for `factor` (with a
+    name and k): the one per-level length check, raising ShapeMismatch."""
+    rows = [np.asarray(b[factor.name], dtype=float) for b in betas]
+    if any(row.shape != (factor.k + 1,) for row in rows):
+        raise ShapeMismatch(f"factor {factor.name!r}: expected {factor.k + 1} per-level values")
+    return np.array(rows).reshape(len(betas), factor.k + 1)
 
 
 @dataclass(frozen=True)

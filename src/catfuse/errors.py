@@ -108,5 +108,5 @@ class FoldRankDeficient(CatfuseError):
         super().__init__(msg)
 
 
-class ShapeMismatch(CatfuseError):
-    pass
+class ShapeMismatch(CatfuseError, ValueError):
+    """A per-level coefficient vector of the wrong length."""

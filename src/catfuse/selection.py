@@ -1,19 +1,21 @@
 """Tuning-parameter selection: K-fold cross-validation and AIC/BIC.
 
-Fold λ scales differ, so fold curves are merged on a common s/s_max grid;
-each fold contributes the grid point whose own s_ratio lies nearest (ties
-toward the sparser, larger-λ point). Adaptive weights are recomputed on
-every training part so no test information leaks into the weights.
+The tuned fit is three steps, each stated once: fold scores on a common
+s/s_max grid (`score_folds`), s at their first minimum mean
+(`CvCurve.from_scores`), and the fit at that s (`fit_at`). Fold λ scales
+differ, so each fold contributes its path's point nearest each grid value
+(`PathResult.nearest`). Adaptive weights are recomputed on every training
+part so no test information leaks into the weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .coding import build_augmented
-from .datamodel import Dataset
+from .datamodel import Dataset, level_values
 from .errors import (
     FoldRankDeficient,
     NotConverged,
@@ -21,10 +23,12 @@ from .errors import (
     RankDeficient,
     UnobservedLevel,
 )
-from .solver import DEFAULT_GRID_SIZE, PathResult, path
+from .solver import DEFAULT_GRID_SIZE, PathResult, PathSolution, path
 from .structure import (
+    ClusterPartition,
     cluster_labels_path,
     degrees_of_freedom,
+    extract_clusters,
     extract_clusters_path,
     partition_from_labels,
     refit,
@@ -58,6 +62,21 @@ class CvCurve:
     fold_scores: np.ndarray           # (grid_size, K)
     chosen_s_ratio: float
 
+    @classmethod
+    def from_scores(cls, s_grid: np.ndarray, fold_scores: np.ndarray) -> "CvCurve":
+        """The curve of score_folds' output; the one CV choice: s at the
+        first minimum of the mean fold score."""
+        mean_score = fold_scores.mean(axis=1)
+        return cls(s_grid, mean_score, fold_scores, float(s_grid[int(np.argmin(mean_score))]))
+
+
+class PointFit(NamedTuple):
+    """The fit at one point of a path (fit_at)."""
+    solution: PathSolution            # the path point nearest the requested s
+    beta: Dict[str, np.ndarray]       # full per-level vectors
+    partition: ClusterPartition
+    intercept: float
+
 
 def fold_assignment(n: int, k_folds: int, seed: int) -> List[np.ndarray]:
     """Deterministic unstratified folds; sizes differ by at most one."""
@@ -73,7 +92,7 @@ def _effects(betas: Sequence[Dict[str, np.ndarray]], ds: Dataset) -> np.ndarray:
     """(len(betas) × n) sums of per-level effects, one row per β dict."""
     out = np.zeros((len(betas), ds.n))
     for l, sch in enumerate(ds.schemas):
-        out += np.array([b[sch.name] for b in betas])[:, ds.codes[:, l]]
+        out += level_values(betas, sch)[:, ds.codes[:, l]]
     return out
 
 
@@ -87,13 +106,26 @@ def _residuals(
 
 
 def predicted_effects(beta: Dict[str, np.ndarray], ds: Dataset) -> np.ndarray:
-    """Sum of per-level effects for each observation of ds."""
+    """Sum of per-level effects for each observation of ds; raises
+    ShapeMismatch unless each factor has one value per level."""
     return _effects([beta], ds)[0]
 
 
 def intercept_for(beta: Dict[str, np.ndarray], train: Dataset) -> float:
     """Least-squares intercept given fixed effects: centers the fit on train."""
     return float(train.y.mean() - predicted_effects(beta, train).mean())
+
+
+def fit_at(pr: PathResult, ds: Dataset, s_ratio: float, refit_after: bool = False) -> PointFit:
+    """The fit at the point of pr (a path on ds) nearest s_ratio: its β,
+    extract_clusters partition and intercept_for intercept, or with
+    `refit_after` the β, partition and own intercept of their OLS refit."""
+    sol = pr.solution_at(s_ratio)
+    part = extract_clusters(sol.beta, ds.schemas)
+    if refit_after:
+        rf = refit(ds, part)
+        return PointFit(sol, rf.beta, rf.partition, rf.intercept)
+    return PointFit(sol, sol.beta, part, intercept_for(sol.beta, ds))
 
 
 def build_weights(
@@ -145,10 +177,10 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
 
 def _refit_betas(
     train: Dataset, betas: Sequence[Dict[str, np.ndarray]], fold: int
-) -> List[Dict[str, np.ndarray]]:
-    """refit(train, ·).beta at the partition of each β: the cluster labels
-    of all β are read in one pass, and each distinct labelling is refitted
-    once."""
+) -> Tuple[List[Dict[str, np.ndarray]], np.ndarray]:
+    """refit(train, ·).beta at each distinct partition of the β, and the
+    index of each β's partition in that list: the cluster labels of all β
+    are read in one pass, and each distinct labelling is refitted once."""
     labels = cluster_labels_path(betas, train.schemas)
     distinct, which = np.unique(labels, axis=0, return_inverse=True)
     fitted = []
@@ -158,7 +190,7 @@ def _refit_betas(
         except RankDeficient as e:
             raise FoldRankDeficient(fold, detail=str(e))
     # the shape of the inverse differs across numpy versions
-    return [fitted[i] for i in which.ravel()]
+    return fitted, which.ravel()
 
 
 def score_folds(
@@ -168,44 +200,34 @@ def score_folds(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Map each fold's curve onto the common s grid; returns (s_grid, scores).
 
-    A fold's test MSEP is computed at all its grid points at once. With
-    `refit_inside`, the fold path's cluster labels are read in one
-    cluster_labels_path pass and each distinct labelling is refitted once
-    on the training part (refit reads only the clusters), so points that
-    share a partition share its refit.
+    scores[g, f] is fold f's test MSEP at the point of its path nearest
+    s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
+    With `refit_inside`, the fold path's cluster labels are read in one
+    cluster_labels_path pass, and each distinct labelling is refitted on
+    the training part and scored once (refit reads only the clusters).
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))
     for f, fit in enumerate(fits):
-        fold_s = np.array([s for _, s in fit.path.grid])
         betas = [sol.beta for sol in fit.path.solutions]
+        which = np.arange(len(betas))
         if refit_inside:
-            betas = _refit_betas(fit.train, betas, f)
+            betas, which = _refit_betas(fit.train, betas, f)
         msep = (_residuals(betas, fit.train, fit.test) ** 2).mean(axis=1)
-        # nearest fold point per common-grid point; argmin takes the first
-        # (larger-λ, sparser) index on ties
-        idx = np.argmin(np.abs(fold_s[None, :] - s_grid[:, None]), axis=1)
-        scores[:, f] = msep[idx]
+        scores[:, f] = msep[which[fit.path.nearest(s_grid)]]
     return s_grid, scores
 
 
 def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
-    """Cross-validated prediction error over the s/s_max grid.
+    """Cross-validated prediction error over the s/s_max grid: score_folds
+    on compute_fold_paths, with s chosen by CvCurve.from_scores.
 
     Weights (including adaptive OLS references) are recomputed on each
     training part. A singular training part raises FoldRankDeficient with
     the fold index; a fold path's NotConverged names the fold too.
     """
     fits = compute_fold_paths(ds, config)
-    s_grid, scores = score_folds(fits, config.grid_size, config.refit_inside)
-    mean_score = scores.mean(axis=1)
-    chosen = float(s_grid[int(np.argmin(mean_score))])
-    return CvCurve(
-        s_grid=s_grid,
-        mean_score=mean_score,
-        fold_scores=scores,
-        chosen_s_ratio=chosen,
-    )
+    return CvCurve.from_scores(*score_folds(fits, config.grid_size, config.refit_inside))
 
 
 def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np.ndarray:

@@ -22,14 +22,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datamodel import Dataset, FactorSchema
-from .errors import ShapeMismatch
+from .datamodel import Dataset, FactorSchema, level_values
 from .coding import build_augmented, theta_layout
 from .selection import (
     DEFAULT_K_FOLDS,
     CvConfig,
+    CvCurve,
     build_weights,
     compute_fold_paths,
+    fit_at,
     intercept_for,
     predicted_effects,
     score_folds,
@@ -39,7 +40,6 @@ from .structure import (
     ClusterPartition,
     degrees_of_freedom,
     extract_clusters,
-    refit,
 )
 from .weights import ols_coefficients
 
@@ -188,12 +188,7 @@ def evaluate(
     """
     sq_err = []
     for sch in schemas:
-        bh = np.asarray(beta_hat[sch.name], dtype=float)
-        bt = np.asarray(truth[sch.name], dtype=float)
-        if bh.shape != bt.shape or bh.shape != (len(sch.levels),):
-            raise ShapeMismatch(
-                f"factor {sch.name!r}: estimate {bh.shape} vs truth {bt.shape}"
-            )
+        bh, bt = level_values([beta_hat, truth], sch)
         sq_err.extend(((bh - bt)[1:] ** 2).tolist())
     est = extract_clusters(beta_hat, schemas)
     true = extract_clusters(truth, schemas, tol=0.0)
@@ -325,12 +320,15 @@ def run_study(
     """CV-tuned fits of every variant on shared per-replicate data.
 
     Replicate r uses scenario seed (seed + r); variants within a replicate
-    see identical train/test draws, enabling paired comparisons. Variants
-    sharing a weight configuration share its fold paths and its full-data
-    path (refit changes only the scoring and the read-out at the chosen
-    point), which roughly halves the cost of refit/no-refit contrasts.
-    A "+rf" variant's CV scoring reads each fold path's partitions in one
-    pass and refits each distinct partition of a fold once (score_folds).
+    see identical train/test draws, enabling paired comparisons. A penalized
+    variant is the tuned fit `catfuse cv` and `catfuse fit` make: s chosen
+    by CvCurve.from_scores on score_folds, then fit_at that s on the
+    full-data path, refitted for "+rf" (with the refit's own intercept).
+    Variants sharing a weight configuration share its fold paths and its
+    full-data path (refit changes only the scoring and the read-out at the
+    chosen point), which roughly halves the cost of refit/no-refit
+    contrasts. A "+rf" variant's CV scoring refits each distinct partition
+    of a fold once (score_folds).
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -345,7 +343,7 @@ def run_study(
             if vc.ols_only:
                 beta = ols_coefficients(train)
                 part = extract_clusters(beta, train.schemas)
-                chosen_s = 1.0
+                alpha, chosen_s = intercept_for(beta, train), 1.0
             else:
                 key = (vc.adaptive, vc.use_frequency)
                 if key not in paths:
@@ -355,16 +353,11 @@ def run_study(
                     ws = build_weights(train, *key)
                     paths[key] = (folds, path(build_augmented(train, ws), grid_size))
                 fold_paths, full = paths[key]
-                s_grid, scores = score_folds(fold_paths, grid_size, vc.refit_after)
-                chosen_s = float(s_grid[int(np.argmin(scores.mean(axis=1)))])
-                beta = full.solution_at(chosen_s).beta
-                part = extract_clusters(beta, train.schemas)
-                if vc.refit_after:
-                    rf = refit(train, part)
-                    beta, part = rf.beta, rf.partition
+                scored = score_folds(fold_paths, grid_size, vc.refit_after)
+                chosen_s = CvCurve.from_scores(*scored).chosen_s_ratio
+                _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_after)
             df = degrees_of_freedom(part)
             m = evaluate(beta, data.beta_star, train.schemas)
-            alpha = intercept_for(beta, train)
             pred = alpha + predicted_effects(beta, test)
             msep = float(np.mean((test.y - pred) ** 2))
             records.append(

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .coding import AugmentedProblem, ThetaLayout, induced_theta, u_back_transform
+from .datamodel import NO_FACTORS
 from .errors import LayoutMismatch, NotConverged, RankDeficient
 from .structure import solve_normal_equations
 
@@ -346,14 +347,29 @@ class PathSolution:
 
 @dataclass(frozen=True)
 class PathResult:
-    grid: Tuple[Tuple[float, float], ...]     # (lambda, s_ratio) pairs
+    """The points of a path, from λ_max down to λ = 0; the rest is read off
+    them, so a copy with other points (dataclasses.replace) stays whole."""
+
     solutions: Tuple[PathSolution, ...]
-    lambda_max: float
+
+    @property
+    def grid(self) -> Tuple[Tuple[float, float], ...]:      # (λ, s_ratio) pairs
+        return tuple((sol.lam, sol.s_ratio) for sol in self.solutions)
+
+    @property
+    def lambda_max(self) -> float:
+        return self.solutions[0].lam
+
+    def nearest(self, s_values) -> np.ndarray:
+        """Index of the point whose s_ratio is nearest each of s_values (the
+        path's one nearest-point rule); ties take the first point, the
+        sparser, larger-λ one."""
+        ratios = np.array([sol.s_ratio for sol in self.solutions])
+        return np.argmin(np.abs(ratios - np.asarray(s_values, dtype=float)[..., None]), axis=-1)
 
     def solution_at(self, s_ratio: float) -> PathSolution:
-        """Grid point with nearest s_ratio; ties take the sparser point."""
-        ratios = np.array([s for _, s in self.grid])
-        return self.solutions[int(np.argmin(np.abs(ratios - s_ratio)))]
+        """The point nearest s_ratio: nearest's one-value case."""
+        return self.solutions[int(self.nearest(s_ratio))]
 
 
 def _lambda_max(Xty: np.ndarray) -> float:
@@ -430,7 +446,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     w = problem.weight_values
     layout = problem.layout
     if not layout.q:
-        raise ValueError("the schema has no factors: there are no coefficients to fit")
+        raise ValueError(NO_FACTORS)
     core = _Core.from_design(problem.Z_data, problem.A_scaled, problem.y_centered, problem.gamma)
 
     # The λ = 0 point is the least-squares fit of the data columns (θ_i0 and
@@ -462,11 +478,9 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     theta_ls_scaled = theta_ls * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
 
-    lam_max = core.lambda_max
-    lams = _grid_lambdas(lam_max, grid_size)
+    lams = _grid_lambdas(core.lambda_max, grid_size)
 
     solutions: List[PathSolution] = []
-    grid: List[Tuple[float, float]] = []
     theta = np.zeros(problem.q)
     for i, lam in enumerate(lams):
         if lam == 0.0:
@@ -492,9 +506,4 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
                 sweeps=0,
             )
         )
-        grid.append((float(lam), s_ratio))
-    return PathResult(
-        grid=tuple(grid),
-        solutions=tuple(solutions),
-        lambda_max=lam_max,
-    )
+    return PathResult(tuple(solutions))

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .datamodel import Dataset, FactorSchema
+from .datamodel import Dataset, FactorSchema, level_values
 from .errors import RankDeficient
 from .coding import u_transform
 
@@ -116,14 +116,7 @@ def _read_out(
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    stacks = []
-    for sch in schemas:
-        rows = [np.asarray(b[sch.name], dtype=float) for b in betas]
-        if any(row.shape != (sch.k + 1,) for row in rows):
-            raise ValueError(
-                f"factor {sch.name!r}: expected {sch.k + 1} per-level values"
-            )
-        stacks.append(np.array(rows).reshape(len(betas), sch.k + 1))
+    stacks = [level_values(betas, sch) for sch in schemas]
     scale = np.zeros(len(betas))
     for B in stacks:
         scale = np.fmax(scale, np.abs(B).max(axis=1))

@@ -12,7 +12,7 @@ from typing import Dict
 import numpy as np
 
 from .coding import ThetaLayout, theta_layout
-from .datamodel import Dataset, FactorSchema
+from .datamodel import NO_FACTORS, Dataset, FactorSchema, level_values
 from .errors import (
     MissingCoordinates,
     OlsUnavailable,
@@ -73,10 +73,11 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
     partition that keeps every level in its own cluster.
 
     Returns full per-level vectors (reference entry 0). Raises OlsUnavailable
-    when the dummy design is rank deficient.
+    when the dummy design is rank deficient, and ValueError (as `path` does)
+    when the schema has no factors.
     """
     if not ds.schemas:
-        raise OlsUnavailable("no coefficients to estimate")
+        raise ValueError(NO_FACTORS)
     singletons = np.concatenate([np.arange(sch.k + 1) for sch in ds.schemas])
     try:
         return refit(ds, partition_from_labels(singletons, ds.schemas)).beta
@@ -94,11 +95,7 @@ def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:
     """
     values = np.array(base.values)
     for b in base.layout.blocks:
-        bl = np.asarray(ols[b.name], dtype=float)
-        if bl.shape != (b.k + 1,):
-            raise ValueError(
-                f"factor {b.name!r}: expected {b.k + 1} per-level OLS coefficients"
-            )
+        bl = level_values([ols], b)[0]
         i, j = b.pair_index
         with np.errstate(divide="ignore"):
             values[b.slice] *= np.minimum(1.0 / np.abs(bl[i] - bl[j]), ADAPTIVE_CAP)

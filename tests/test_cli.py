@@ -11,23 +11,32 @@ import numpy as np
 import pytest
 
 from catfuse.cli import SCHEMA_VERSION, main
+from catfuse.coding import build_augmented
 from catfuse.datamodel import schema_to_json
-from catfuse.simlab import generate, make_scenario
+from catfuse.selection import build_weights, predicted_effects
+from catfuse.simlab import generate, make_scenario, run_study
+from catfuse.solver import path
+from catfuse.structure import extract_clusters, refit
 from catfuse.weights import ols_coefficients
 
 
-def write_inputs(tmp_path, seed=7):
-    d = generate(make_scenario("S1", seed=seed))
-    ds = d.train
-    data = tmp_path / "s1.csv"
+def write_dataset(tmp_path, ds, name):
+    """ds as a CSV (response y, exact floats) plus its schema file."""
+    data = tmp_path / name
     with open(data, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["y", "g"])
+        w.writerow(["y"] + [sch.name for sch in ds.schemas])
         for i in range(ds.n):
-            w.writerow([repr(float(ds.y[i])), ds.schemas[0].levels[ds.codes[i, 0]]])
+            w.writerow([repr(float(ds.y[i]))]
+                       + [sch.levels[c] for sch, c in zip(ds.schemas, ds.codes[i])])
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(schema_to_json(ds.schemas)), encoding="utf-8")
-    return str(data), str(schema), ds
+    return str(data), str(schema)
+
+
+def write_inputs(tmp_path, seed=7):
+    ds = generate(make_scenario("S1", seed=seed)).train
+    return (*write_dataset(tmp_path, ds, "s1.csv"), ds)
 
 
 def read_csv_rows(path):
@@ -100,6 +109,25 @@ def test_cv_outputs_and_fit_chain(tmp_path):
     assert (out / "fit.log").read_text(encoding="utf-8").startswith("catfuse fit")
 
 
+def test_fit_refit_and_the_study_take_the_intercept_by_one_rule(tmp_path):
+    # the study's "+rf" variant is scored with the intercept `fit --refit`
+    # writes: the refit's own OLS intercept at the CV-chosen s
+    d = generate(make_scenario("S2", seed=0))
+    (rec,) = run_study("S2", ["stdrd+rf"], replicates=1, seed=0, grid_size=30).records
+    data, schema = write_dataset(tmp_path, d.train, "s2.csv")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", data, "--schema", schema, "--out", str(out), "--frequency",
+                 "--refit", "--grid", "30", "--s-ratio", repr(rec.chosen_s_ratio)]) == 0
+    coeff = json.loads((out / "coefficients.json").read_text(encoding="utf-8"))
+    beta = {name: np.array(v) for name, v in coeff["coefficients"].items()}
+
+    pr = path(build_augmented(d.train, build_weights(d.train, False, True)), 30)
+    part = extract_clusters(pr.solution_at(rec.chosen_s_ratio).beta, d.train.schemas)
+    assert coeff["intercept"] == refit(d.train, part).intercept
+    pred = coeff["intercept"] + predicted_effects(beta, d.test)
+    assert rec.msep == float(np.mean((d.test.y - pred) ** 2))
+
+
 def test_fit_s_ratio_one_matches_ols(tmp_path):
     data, schema, ds = write_inputs(tmp_path, seed=10)
     out = tmp_path / "out"
@@ -164,7 +192,13 @@ def test_path_reads_a_csv_with_a_byte_order_mark(tmp_path):
     assert (tmp_path / "o" / "path.csv").exists()
 
 
-@pytest.mark.parametrize("command", [["path"], ["fit", "--s-ratio", "0.5"]])
+@pytest.mark.parametrize("command", [
+    ["path"],
+    ["fit", "--s-ratio", "0.5"],
+    ["fit", "--adaptive", "--s-ratio", "0.5"],
+    ["cv", "--k-folds", "2"],
+    ["cv", "--adaptive", "--k-folds", "2"],
+])
 def test_empty_schema_errors_as_json(tmp_path, capsys, command):
     data = tmp_path / "d.csv"
     data.write_text("y\n1.0\n2.0\n3.0\n4.0\n", encoding="utf-8")

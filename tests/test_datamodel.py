@@ -61,6 +61,12 @@ def test_dataset_counts_and_subset():
     assert np.array_equal(sub.codes, ds.codes[:10])
 
 
+def test_dataset_counts_are_not_an_argument():
+    ds = toy_mixed_ds(seed=1)
+    with pytest.raises(TypeError):
+        Dataset(ds.y, ds.codes, ds.schemas, n_counts="ignored")
+
+
 def test_dataset_arrays_immutable():
     ds = toy_mixed_ds(seed=2)
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ from __future__ import annotations
 import ast
 import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 import catfuse
 
@@ -35,3 +38,26 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
                 if top not in ("numpy", "catfuse") and top not in sys.stdlib_module_names:
                     foreign.append(f"{name}: {module}")
     assert foreign == []
+
+
+def _readme_library_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(0)
+    regions, grades = ("north", "south", "east", "west"), ("low", "mid", "high")
+    r, g = rng.integers(0, 4, 200), rng.integers(0, 3, 200)
+    y = np.array([0.0, 0.0, 1.5, 1.5])[r] + np.array([0.0, 1.0, 1.0])[g] + rng.normal(0, 1, 200)
+    rows = [f"{float(v)!r},{regions[i]},{grades[j]}" for v, i, j in zip(y, r, g)]
+    (tmp_path / "data.csv").write_text("y,region,grade\n" + "\n".join(rows) + "\n",
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(_readme_library_block(), scope)
+    fit, pr = scope["fit"], scope["pr"]
+    assert fit.solution is scope["sol"]
+    assert fit.solution is pr.solution_at(scope["cv"].chosen_s_ratio)
+    assert int(capsys.readouterr().out.splitlines()[1]) == catfuse.degrees_of_freedom(fit.partition)

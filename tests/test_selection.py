@@ -64,6 +64,16 @@ def test_predicted_effects_and_intercept():
     assert alpha == pytest.approx(float(ds.y.mean() - eff.mean()))
 
 
+@pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, 99.0, 99.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0]])
+def test_predicted_effects_and_intercept_check_the_level_count(values):
+    schemas = (FactorSchema("g", "nominal", ("a", "b", "c")),)
+    ds = Dataset(np.arange(6.0), np.array([0, 1, 2, 0, 1, 2])[:, None], schemas)
+    beta = {"g": np.array(values)}
+    for consumer in (predicted_effects, intercept_for):
+        with pytest.raises(ValueError, match="factor 'g': expected 3 per-level values"):
+            consumer(beta, ds)
+
+
 def test_kfold_cv_shapes_and_chosen_rule():
     ds = toy_mixed_ds(seed=21, n=150)
     cfg = CvConfig(k_folds=5, grid_size=40, seed=2, adaptive=True,

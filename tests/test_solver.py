@@ -206,6 +206,32 @@ def test_solution_at_picks_nearest():
         assert abs(sol.s_ratio - target) == np.min(np.abs(s - target))
 
 
+def test_nearest_equals_the_per_point_argmin():
+    ds = make_s1(seed=10)
+    pr = path(build_augmented(ds, standard_weights(ds, use_frequency=True)), grid_size=30)
+    s = np.array([sol.s_ratio for sol in pr.solutions])
+    # a sweep past both ends, every point itself and the exact midpoints
+    # between neighbours, where the tie goes to the first (sparser) point
+    mids = (s[:-1] + s[1:]) / 2.0
+    sweep = np.concatenate([np.linspace(-0.1, 1.1, 241), s, mids])
+    expect = [int(np.argmin(np.abs(s - v))) for v in sweep]
+    assert pr.nearest(sweep).tolist() == expect
+    assert [pr.solutions.index(pr.solution_at(v)) for v in mids] == expect[-mids.size:]
+    assert pr.nearest(mids[3]) == expect[-mids.size + 3]
+
+
+def test_path_result_reads_grid_and_lambda_max_off_its_points():
+    ds = make_s1(seed=10)
+    pr = path(build_augmented(ds, standard_weights(ds, use_frequency=True)), grid_size=12)
+    assert [f.name for f in dataclasses.fields(pr)] == ["solutions"]
+    assert pr.grid == tuple((sol.lam, sol.s_ratio) for sol in pr.solutions)
+    assert pr.lambda_max == pr.solutions[0].lam
+    tail = dataclasses.replace(pr, solutions=pr.solutions[4:])
+    assert tail.grid == pr.grid[4:]
+    assert tail.lambda_max == pr.solutions[4].lam < pr.lambda_max
+    assert tail.solution_at(1.0) is pr.solutions[-1]
+
+
 def test_back_transform_layout_mismatch():
     ds = make_s1()
     layout = theta_layout(ds.schemas)
