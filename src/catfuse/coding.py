@@ -13,12 +13,13 @@ the evaluation all read it through `FactorBlock.pair_index`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema, level_values
-from .errors import NonPositiveWeight
+from .errors import LayoutMismatch
 
 # √γ for the restriction rows: γ = 1e10 is a constant of the method. A fused
 # pair's β̂ still differ by the O(λ/γ) restriction violation, which
@@ -48,10 +49,12 @@ class FactorBlock:
     def slice(self) -> slice:
         return slice(self.offset, self.offset + self.length)
 
-    @property
+    @cached_property
     def pair_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """`pairs` as two integer arrays (i, j), in column order."""
-        return tuple(np.array(self.pairs, dtype=np.intp).T)
+        """`pairs` as two read-only integer arrays (i, j), in column order."""
+        index = np.array(self.pairs, dtype=np.intp).T
+        index.setflags(write=False)
+        return tuple(index)
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,11 @@ class ThetaLayout:
 
     blocks: Tuple[FactorBlock, ...]
 
-    @property
+    @cached_property
     def q(self) -> int:
         return sum(b.length for b in self.blocks)
 
-    @property
+    @cached_property
     def r(self) -> int:
         """Restriction row count: (k-1)k/2 per nominal factor with k >= 2."""
         return sum((b.k - 1) * b.k // 2 for b in self.blocks
@@ -192,16 +195,15 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
 
     Nominal blocks contribute Z = (X | 0) plus restriction rows; ordinal
     blocks contribute centered split-coded columns and no restrictions.
-    `weights` is a WeightSet aligned with theta_layout(ds.schemas).
+    `weights` is a WeightSet (whose values are checked finite and > 0)
+    laid out for ds.schemas; one laid out for other factors raises
+    LayoutMismatch naming both factor lists.
     """
-    w = np.asarray(weights.values, dtype=float)
-    layout = theta_layout(ds.schemas)
-    if w.shape != (layout.q,):
-        raise NonPositiveWeight(
-            f"weight vector has shape {w.shape}, layout expects ({layout.q},)"
-        )
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise NonPositiveWeight("all penalty weights must be finite and > 0")
+    w, layout = weights.values, weights.layout
+    if layout != theta_layout(ds.schemas):
+        have, want = (", ".join(f"{b.name} ({b.kind}, {b.k + 1} levels)" for b in lay.blocks)
+                      for lay in (layout, theta_layout(ds.schemas)))
+        raise LayoutMismatch(f"weights are laid out for factors {have}; the dataset has {want}")
 
     n = ds.n
     Z = np.zeros((n, layout.q))
@@ -220,7 +222,7 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
         y_centered=ds.y - ds.y.mean(),
         gamma=DEFAULT_SQRT_GAMMA ** 2,
         layout=layout,
-        weight_values=w.copy(),
+        weight_values=w,
         column_means=means,
     )
 

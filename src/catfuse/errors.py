@@ -75,10 +75,6 @@ class MissingCoordinates(CatfuseError):
                          else f"factor {factor!r} has no spatial coordinates")
 
 
-class NonPositiveWeight(CatfuseError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def score_folds(
     s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
     With `refit_inside`, the fold path's cluster labels are read in one
     cluster_labels_path pass, and each distinct labelling is refitted on
-    the training part and scored once (refit reads only the clusters).
+    the training part and scored once (refit reads only the labels).
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))

@@ -16,6 +16,7 @@ clustering FPR/FNR over coefficient differences within relevant factors.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,11 +37,7 @@ from .selection import (
     score_folds,
 )
 from .solver import DEFAULT_GRID_SIZE, PathResult, path
-from .structure import (
-    ClusterPartition,
-    degrees_of_freedom,
-    extract_clusters,
-)
+from .structure import degrees_of_freedom, extract_clusters
 from .weights import ols_coefficients
 
 PROBS_8 = (0.1, 0.1, 0.2, 0.05, 0.2, 0.1, 0.2, 0.05)
@@ -123,7 +120,6 @@ class GeneratedData:
     train: Dataset
     test: Dataset
     beta_star: Dict[str, np.ndarray]
-    true_partition: ClusterPartition
 
 
 def _draw_codes(rng, scenario: Scenario, n: int) -> np.ndarray:
@@ -152,10 +148,7 @@ def generate(scenario: Scenario) -> GeneratedData:
         )
         y = mean + rng.normal(0.0, scenario.noise_sd, n)
         out.append(Dataset(y, codes, scenario.schemas))
-    true_partition = extract_clusters(scenario.beta_star, scenario.schemas, tol=0.0)
-    return GeneratedData(
-        train=out[0], test=out[1], beta_star=scenario.beta_star, true_partition=true_partition
-    )
+    return GeneratedData(train=out[0], test=out[1], beta_star=scenario.beta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +171,12 @@ def evaluate(
 ) -> EvalMetrics:
     """Score an estimate against the truth.
 
-    Selection and fusion are read off partitions (structure.extract_clusters):
-    the estimate's at the default tolerance, so penalized and refitted
-    estimates are judged by the same rule, the truth's at tolerance 0. A
-    factor is selected when it has more than one cluster; a pair of levels is
-    fused when both share a cluster. Selection rates are over whole factors;
+    Selection and fusion are read off the cluster labels of partitions
+    (structure.extract_clusters): the estimate's at the default tolerance, so
+    penalized and refitted estimates are judged by the same rule, the truth's
+    at tolerance 0. A factor is selected when some level has a label above 0
+    (more than one cluster); a pair (i, j) of the factor's block is fused
+    when labels[i] == labels[j]. Selection rates are over whole factors;
     clustering rates over differences within relevant (non-noise) factors —
     all pairs for nominal factors, adjacent pairs for ordinal ones.
     """
@@ -196,13 +190,13 @@ def evaluate(
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
     for b, fe, ft in zip(theta_layout(schemas).blocks, est.factors, true.factors):
-        selected = len(fe.clusters) > 1
-        if len(ft.clusters) > 1:
+        selected = max(fe.labels) > 0
+        if max(ft.labels) > 0:
             n_rel += 1
             if not selected:
                 sel_fn += 1
             i, j = b.pair_index
-            tl, el = (np.array([p.cluster_of(v) for v in range(b.k + 1)]) for p in (ft, fe))
+            tl, el = np.array(ft.labels), np.array(fe.labels)
             true_zero, est_zero = tl[i] == tl[j], el[i] == el[j]
             n_zero_diff += int(true_zero.sum())
             n_nonzero_diff += int((~true_zero).sum())
@@ -278,16 +272,8 @@ class SimReport:
     records: Tuple[ReplicateRecord, ...]
     seed: int
 
-    METRICS = (
-        "coef_mse",
-        "msep",
-        "selection_fpr",
-        "selection_fnr",
-        "clustering_fpr",
-        "clustering_fnr",
-        "chosen_s_ratio",
-        "df",
-    )
+    # every field of a record after its replicate and variant
+    METRICS = tuple(f.name for f in dataclasses.fields(ReplicateRecord))[2:]
 
     def summary(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per variant: median and mean of every metric, replicate-ordered."""
@@ -360,18 +346,7 @@ def run_study(
             m = evaluate(beta, data.beta_star, train.schemas)
             pred = alpha + predicted_effects(beta, test)
             msep = float(np.mean((test.y - pred) ** 2))
-            records.append(
-                ReplicateRecord(
-                    replicate=rep,
-                    variant=vc.label,
-                    coef_mse=m.coef_mse,
-                    msep=msep,
-                    selection_fpr=m.selection_fpr,
-                    selection_fnr=m.selection_fnr,
-                    clustering_fpr=m.clustering_fpr,
-                    clustering_fnr=m.clustering_fnr,
-                    chosen_s_ratio=chosen_s,
-                    df=df,
-                )
-            )
+            records.append(ReplicateRecord(
+                replicate=rep, variant=vc.label, msep=msep, chosen_s_ratio=chosen_s,
+                df=df, **dataclasses.asdict(m)))
     return SimReport(scenario=scenario_name, records=tuple(records), seed=seed)

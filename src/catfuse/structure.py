@@ -16,7 +16,8 @@ neighbouring ordinal levels may fuse, and their steps are the differences
 A path is read in one pass: the rule gives every level's cluster label at
 every grid point at once (`cluster_labels_path`), `extract_clusters_path`
 builds each distinct partition from those labels once, and
-`extract_clusters` is its one-row case.
+`extract_clusters` is its one-row case. A partition stores only the labels;
+its member tuples (`FactorPartition.clusters`) are derived for output.
 
 Every unpenalized least-squares fit (the refit, the OLS behind adaptive
 weights and the λ = 0 end of a path) solves normal equations: `refit`
@@ -50,21 +51,40 @@ RANK_TOL = 1e-10
 class FactorPartition:
     """Partition of one factor's levels {0..k} into coefficient clusters.
 
-    Clusters are tuples of level indices, each sorted ascending, ordered by
-    smallest member; zero_cluster indexes the cluster containing the
-    reference level 0. coefficients[c] is the shared value of cluster c.
+    labels[i] is level i's cluster, clusters numbered by smallest member, so
+    the reference level 0 is always in cluster 0 (zero_cluster).
+    coefficients[c] is the shared value of cluster c. The member tuples
+    (`clusters`) are derived from the labels for output.
     """
 
     name: str
-    clusters: Tuple[Tuple[int, ...], ...]
-    zero_cluster: int
+    labels: Tuple[int, ...]
     coefficients: Tuple[float, ...]
 
+    zero_cluster = 0
+
+    def __post_init__(self):
+        # the distinct labels in order of first occurrence must be 0, 1, ...
+        order = tuple(dict.fromkeys(self.labels))
+        if order != tuple(range(len(order))):
+            raise ValueError(f"factor {self.name!r}: cluster labels {self.labels} are "
+                             "not numbered by first occurrence from 0")
+        if len(self.coefficients) != len(order):
+            raise ValueError(f"factor {self.name!r}: {len(self.coefficients)} "
+                             f"coefficients for {len(order)} clusters")
+
+    @property
+    def clusters(self) -> Tuple[Tuple[int, ...], ...]:
+        """Levels grouped by cluster, ascending within a cluster, in label order."""
+        members: List[List[int]] = [[] for _ in self.coefficients]
+        for lev, c in enumerate(self.labels):
+            members[c].append(lev)
+        return tuple(map(tuple, members))
+
     def cluster_of(self, level: int) -> int:
-        for c, members in enumerate(self.clusters):
-            if level in members:
-                return c
-        raise ValueError(f"level {level} not in partition of {self.name!r}")
+        if not 0 <= level < len(self.labels):
+            raise ValueError(f"level {level} not in partition of {self.name!r}")
+        return self.labels[level]
 
 
 @dataclass(frozen=True)
@@ -142,15 +162,6 @@ def _read_out(
     return stacks, thresholds, labels
 
 
-def _clusters(labels: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Levels grouped by cluster label, ascending within a cluster; labels
-    numbered by smallest member come out in label order."""
-    members: Dict[int, List[int]] = {}
-    for lev, c in enumerate(labels):
-        members.setdefault(c, []).append(lev)
-    return tuple(tuple(m) for m in members.values())
-
-
 def cluster_labels_path(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
@@ -167,12 +178,12 @@ def cluster_labels_path(
 def partition_from_labels(
     labels: np.ndarray, schemas: Sequence[FactorSchema]
 ) -> ClusterPartition:
-    """The clusters one row of cluster_labels_path names, for `refit`,
-    which reads only the clusters: coefficients and threshold are 0."""
-    labels, parts, at = labels.tolist(), [], 0
+    """The partition one row of cluster_labels_path names, for `refit`,
+    which reads only the labels: coefficients and threshold are 0."""
+    labels, parts, at = tuple(labels.tolist()), [], 0
     for sch in schemas:
-        clusters = _clusters(labels[at:at + sch.k + 1])
-        parts.append(FactorPartition(sch.name, clusters, 0, (0.0,) * len(clusters)))
+        lab = labels[at:at + sch.k + 1]
+        parts.append(FactorPartition(sch.name, lab, (0.0,) * (max(lab) + 1)))
         at += sch.k + 1
     return ClusterPartition(tuple(parts), threshold=0.0)
 
@@ -204,22 +215,23 @@ def _factor_partitions(
 ) -> List[FactorPartition]:
     """One factor's partition at every row of B (grid × levels), whose
     levels carry the cluster labels `labels`."""
-    # each distinct labelling is turned into clusters once
+    # each distinct labelling is read once
     rows_of: Dict[bytes, List[int]] = {}
     for g, row in enumerate(labels):
         rows_of.setdefault(row.tobytes(), []).append(g)
     parts = [None] * B.shape[0]
     for rows in rows_of.values():
-        clusters = _clusters(labels[rows[0]].tolist())
+        row = labels[rows[0]]
+        lab = tuple(row.tolist())
         # a C-contiguous (rows × members) block reduces each row in the
-        # order b[list(c)].mean() does, so the means are bit-identical
+        # order b[members].mean() does, so the means are bit-identical
         block = B[rows]
         means = np.column_stack(
-            [np.ascontiguousarray(block[:, c]).mean(axis=1) for c in clusters]
+            [np.ascontiguousarray(block[:, row == c]).mean(axis=1)
+             for c in range(max(lab) + 1)]
         )
         for g, coefficients in zip(rows, means.tolist()):
-            # ordered by smallest member, level 0's cluster comes first
-            parts[g] = FactorPartition(sch.name, clusters, 0, tuple(coefficients))
+            parts[g] = FactorPartition(sch.name, lab, tuple(coefficients))
     return parts
 
 
@@ -263,30 +275,27 @@ def solve_normal_equations(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarra
 def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     """Ordinary least squares with each factor's dummies collapsed by cluster.
 
-    Zero-cluster columns are dropped (their coefficient stays 0); every
-    other cluster contributes one indicator column for membership. The
+    Zero-cluster levels get no column (their coefficient stays 0); every
+    other cluster contributes one indicator column for membership, so level
+    i of a factor reads column labels[i] − 1 of that factor's columns. The
     collapsed design must have full column rank; it may have no columns.
+    The refitted partition keeps the input labels.
 
     The fit solves the normal equations of the centered collapsed design
     from ds.level_table: with C the L × m membership of levels in columns,
     column counts c = Cᵀ·diag(DᵀD) and b = Cᵀ·sums, G = CᵀDᵀDC − ccᵀ/n and
     the intercept is ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
     """
-    fps = {fp.name: fp for fp in partition.factors}
+    by_name = {fp.name: fp for fp in partition.factors}
+    fps = [by_name[sch.name] for sch in ds.schemas]
     table = ds.level_table
-    starts = table.offsets.tolist()
-    # the design column of every stacked level: the clusters outside each
-    # factor's zero cluster in order, and -1 (reading 0) for the zero cluster
-    col = [-1] * starts[-1]
-    m = 0
-    for sch, start in zip(ds.schemas, starts):
-        fp = fps[sch.name]
-        for c, members in enumerate(fp.clusters):
-            if c != fp.zero_cluster:
-                for lev in members:
-                    col[start + lev] = m
-                m += 1
-    col = np.array(col, dtype=np.intp)
+    # the design column of every stacked level: factor f's cluster c >= 1 is
+    # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)
+    firsts = np.cumsum([0] + [len(fp.coefficients) - 1 for fp in fps])
+    labels = np.concatenate([np.zeros(0, dtype=np.intp)] + [fp.labels for fp in fps])
+    base = np.repeat(firsts[:-1], [len(fp.labels) for fp in fps])
+    col = np.where(labels > 0, labels + base - 1, -1)
+    m = int(firsts[-1])
     C = (col[:, None] == np.arange(m)).astype(float)
     counts = C.T @ table.counts.diagonal()
     G = C.T @ table.counts @ C - np.outer(counts, counts) / ds.n
@@ -296,17 +305,14 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     fitted = level_coef[table.index].sum(axis=1) - shift
     rss = float(np.sum((ds.y - table.y_mean - fitted) ** 2))
 
-    values = level_coef.tolist()
-    beta, new_parts = {}, []
-    for sch, start in zip(ds.schemas, starts):
-        fp = fps[sch.name]
-        beta[sch.name] = level_coef[start:start + sch.k + 1].copy()
-        new_parts.append(FactorPartition(
-            fp.name, fp.clusters, fp.zero_cluster,
-            tuple(values[start + members[0]] for members in fp.clusters)))
+    values, starts, firsts = coef.tolist(), table.offsets.tolist(), firsts.tolist()
     return RefitResult(
-        beta=beta,
-        partition=ClusterPartition(tuple(new_parts), threshold=partition.threshold),
+        beta={sch.name: level_coef[start:start + sch.k + 1].copy()
+              for sch, start in zip(ds.schemas, starts)},
+        partition=ClusterPartition(tuple(
+            FactorPartition(fp.name, fp.labels, (0.0, *values[first:end]))
+            for fp, first, end in zip(fps, firsts, firsts[1:])),
+            threshold=partition.threshold),
         intercept=table.y_mean - shift,
         rss=rss,
     )
@@ -315,15 +321,9 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
 def degrees_of_freedom(partition: ClusterPartition) -> int:
     """1 + number of distinct nonzero cluster coefficients per factor.
 
-    Clusters other than the reference cluster count unless their fitted
+    Clusters other than the reference cluster 0 count unless their fitted
     coefficient is itself 0 within the partition's threshold (an ordinal
     run can return to 0 without touching the reference cluster).
     """
-    df = 1
-    for fp in partition.factors:
-        for c, members in enumerate(fp.clusters):
-            if c == fp.zero_cluster:
-                continue
-            if abs(fp.coefficients[c]) > partition.threshold:
-                df += 1
-    return df
+    return 1 + int(sum(abs(c) > partition.threshold
+                       for fp in partition.factors for c in fp.coefficients[1:]))

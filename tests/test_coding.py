@@ -3,6 +3,7 @@ rows, and the augmented least-squares problem."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from catfuse.coding import (
     build_augmented,
@@ -15,6 +16,7 @@ from catfuse.coding import (
     u_transform,
 )
 from catfuse.datamodel import Dataset, FactorSchema
+from catfuse.errors import LayoutMismatch
 from catfuse.weights import standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
@@ -177,6 +179,21 @@ def test_build_augmented_shapes_and_scaling():
     w = np.asarray(ws.values)
     w_unit = np.asarray(ws_unit.values)
     assert np.allclose(prob.Z_data * w, prob_unit.Z_data * w_unit)
+
+
+def test_build_augmented_rejects_weights_laid_out_for_other_factors():
+    # same q = 6 either way: g has 3 pairs, o has 3 adjacent differences
+    g = FactorSchema("g", "nominal", ("a", "b", "c"))
+    o = FactorSchema("o", "ordinal", ("0", "1", "2", "3"))
+    rng = np.random.default_rng(4)
+    codes = np.column_stack([rng.integers(0, 3, 40), rng.integers(0, 4, 40)])
+    y = rng.normal(size=40)
+    ds = Dataset(y, codes, (g, o))
+    swapped = standard_weights(Dataset(y, codes[:, ::-1], (o, g)), use_frequency=True)
+    assert swapped.layout.q == theta_layout(ds.schemas).q
+    with pytest.raises(LayoutMismatch, match=r"for factors o \(ordinal, 4 levels\), "
+                       r"g \(nominal, 3 levels\); the dataset has g .*, o "):
+        build_augmented(ds, swapped)
 
 
 def test_build_augmented_ordinal_block_is_split_coding():

@@ -53,6 +53,13 @@ def test_pair_index_is_pairs_in_column_order():
         assert list(zip(i.tolist(), j.tolist())) == list(b.pairs)
 
 
+def test_pair_index_is_built_once_and_read_only():
+    for b in LAYOUT.blocks:
+        i, j = b.pair_index
+        assert b.pair_index is b.pair_index
+        assert not (i.flags.writeable or j.flags.writeable)
+
+
 def test_induced_theta_matches_per_pair_loop():
     rng = np.random.default_rng(0)
     for ref0 in (0.0, 0.75):

@@ -13,6 +13,7 @@ from catfuse.simlab import (
     parse_variant,
     run_study,
 )
+from catfuse.structure import extract_clusters
 
 
 def test_s1_layout():
@@ -23,7 +24,8 @@ def test_s1_layout():
     d = generate(sc)
     assert d.train.n == 180
     assert np.all(d.train.n_counts[0] == 20)
-    assert d.true_partition.factor("g").clusters == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    truth = extract_clusters(d.beta_star, sc.schemas, tol=0.0)
+    assert truth.factor("g").clusters == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
 def test_s1_zero_noise_hits_class_means():
@@ -52,8 +54,9 @@ def test_s2_truth_and_sizes():
     # 40 dummy coefficients across the eight factors
     assert sum(s.k for s in sc.schemas) == 40
     d = generate(sc)
-    assert d.true_partition.factor("nom8").clusters == ((0, 1), (2, 3, 4, 5), (6, 7))
-    assert d.true_partition.factor("ord4").clusters == ((0, 1), (2, 3))
+    truth = extract_clusters(d.beta_star, sc.schemas, tol=0.0)
+    assert truth.factor("nom8").clusters == ((0, 1), (2, 3, 4, 5), (6, 7))
+    assert truth.factor("ord4").clusters == ((0, 1), (2, 3))
 
 
 def test_s2_probabilities():

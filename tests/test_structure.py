@@ -86,6 +86,28 @@ def test_level_coefficients_and_cluster_of():
     assert fp.cluster_of(2) == 1
 
 
+@pytest.mark.parametrize("level", [-1, 3])
+def test_cluster_of_rejects_a_level_outside_the_partition(level):
+    # labels[-1] would wrap round to the last level
+    fp = FactorPartition("g", (0, 1, 1), (0.0, 2.0))
+    with pytest.raises(ValueError, match=f"level {level} not in partition of 'g'"):
+        fp.cluster_of(level)
+
+
+@pytest.mark.parametrize("labels", [(1, 0, 1), (0, 2, 1), (0, 0, 2), (0, -1, 1)])
+def test_partition_rejects_labels_not_numbered_by_first_occurrence(labels):
+    # (1, 0, 1) would put the reference level outside cluster 0, and refit
+    # would fit it a nonzero coefficient
+    with pytest.raises(ValueError, match="factor 'g': cluster labels .* first occurrence"):
+        FactorPartition("g", labels, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("coefficients", [(0.0,), (0.0, 1.0, 2.0)])
+def test_partition_rejects_a_coefficient_count_other_than_the_cluster_count(coefficients):
+    with pytest.raises(ValueError, match=f"factor 'g': {len(coefficients)} coefficients for 2"):
+        FactorPartition("g", (0, 1, 1), coefficients)
+
+
 def test_zero_tolerance_keeps_exact_groups():
     schemas = (FactorSchema("g", "nominal", tuple(str(i) for i in range(5))),)
     beta = {"g": np.array([0.0, 0.0, 2.0, 2.0, 3.0])}
@@ -134,7 +156,7 @@ def test_refit_exact_hand_case():
     y = np.array([0.0, 0.0, 3.0, 3.0, 3.0, 3.0])
     ds = Dataset(y, codes, schemas)
     part = ClusterPartition(
-        (FactorPartition("g", ((0,), (1, 2)), 0, (0.0, 1.0)),), threshold=1e-8
+        (FactorPartition("g", (0, 1, 1), (0.0, 1.0)),), threshold=1e-8
     )
     rr = refit(ds, part)
     assert rr.beta["g"] == pytest.approx([0.0, 3.0, 3.0], abs=1e-12)
@@ -149,7 +171,7 @@ def test_refit_fully_fused_gives_intercept_only():
     y = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
     ds = Dataset(y, codes, schemas)
     part = ClusterPartition(
-        (FactorPartition("g", ((0, 1, 2),), 0, (0.0,)),), threshold=1e-8
+        (FactorPartition("g", (0, 0, 0), (0.0,)),), threshold=1e-8
     )
     rr = refit(ds, part)
     assert rr.intercept == pytest.approx(2.0)
@@ -167,8 +189,8 @@ def test_refit_rank_deficient():
     ds = Dataset(np.arange(4.0), codes, schemas)
     part = ClusterPartition(
         (
-            FactorPartition("g", ((0,), (1,)), 0, (0.0, 1.0)),
-            FactorPartition("h", ((0,), (1,)), 0, (0.0, 1.0)),
+            FactorPartition("g", (0, 1), (0.0, 1.0)),
+            FactorPartition("h", (0, 1), (0.0, 1.0)),
         ),
         threshold=1e-8,
     )
@@ -393,8 +415,8 @@ def test_refit_reads_partition_by_factor_name():
     codes = np.column_stack([rng.integers(0, 3, 40), rng.integers(0, 3, 40)])
     y = np.array([0.0, 2.0, 2.0])[codes[:, 0]] + np.array([0.0, 0.0, 1.0])[codes[:, 1]]
     ds = Dataset(y + rng.normal(0.0, 0.1, 40), codes, schemas)
-    g = FactorPartition("g", ((0,), (1, 2)), 0, (0.0, 0.0))
-    h = FactorPartition("h", ((0, 1), (2,)), 0, (0.0, 0.0))
+    g = FactorPartition("g", (0, 1, 1), (0.0, 0.0))
+    h = FactorPartition("h", (0, 0, 1), (0.0, 0.0))
     in_order = refit(ds, ClusterPartition((g, h), threshold=1e-8))
     swapped = refit(ds, ClusterPartition((h, g), threshold=1e-8))
     assert [fp.name for fp in swapped.partition.factors] == ["g", "h"]
