@@ -123,8 +123,8 @@ def u_transform(beta: np.ndarray) -> np.ndarray:
 
 
 def u_back_transform(delta: np.ndarray) -> np.ndarray:
-    """Cumulative sums: β_i = Σ_{s<=i} δ_s."""
-    return np.cumsum(np.asarray(delta, dtype=float))
+    """Cumulative sums along the last axis: β_i = Σ_{s<=i} δ_s."""
+    return np.cumsum(np.asarray(delta, dtype=float), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,11 @@ class Dataset:
 def level_values(betas: Sequence[Mapping[str, np.ndarray]], factor) -> np.ndarray:
     """(len(betas) × (k + 1)) stack of each β's vector for `factor` (with a
     name and k): the one per-level length check, raising ShapeMismatch."""
-    rows = [np.asarray(b[factor.name], dtype=float) for b in betas]
-    if any(row.shape != (factor.k + 1,) for row in rows):
-        raise ShapeMismatch(f"factor {factor.name!r}: expected {factor.k + 1} per-level values")
-    return np.array(rows).reshape(len(betas), factor.k + 1)
+    name, width = factor.name, factor.k + 1
+    rows = [np.asarray(b[name], dtype=float) for b in betas]
+    if any(row.shape != (width,) for row in rows):
+        raise ShapeMismatch(f"factor {name!r}: expected {width} per-level values")
+    return np.array(rows).reshape(len(betas), width)
 
 
 @dataclass(frozen=True)

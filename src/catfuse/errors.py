@@ -105,4 +105,4 @@ class FoldRankDeficient(CatfuseError):
 
 
 class ShapeMismatch(CatfuseError, ValueError):
-    """A per-level coefficient vector of the wrong length."""
+    """A per-level vector (coefficients or cluster labels) of the wrong length."""

@@ -26,7 +26,10 @@ and at θ_LS gives γΔ ≤ λ(‖θ̃_LS‖₁ − ‖θ̃‖₁) at each point
 One loop drives a solve, and its one exit test is the KKT certificate: each
 round evaluates the gradient and its rounding floor once, then adds
 violators, returns a certified θ or re-solves the active set. A solve that
-cannot be certified raises NotConverged, never swallowed.
+cannot be certified raises NotConverged, never swallowed. θₛ is affine in λ
+while the active set and its signs are fixed, so a system that recurs with
+the same active set and signs is stepped along its λ-direction, not
+refactorised.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +86,9 @@ class _Core:
         alone = np.bincount(rows, minlength=self.r)[rows] == 1
         self.pair_row = np.full(self.q, -1)
         self.pair_row[lone[at[alone]]] = rows[alone]
+        # (S, σ_S) → (λ₀, θ_S(λ₀), dθ_S/dλ) of every subspace system solved
+        # so far (_solve_core): θ_S is affine in λ while S and σ_S are fixed
+        self.steps: Dict[Tuple[bytes, bytes], Tuple[float, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
@@ -117,7 +123,9 @@ class _Core:
     def subspace_solve(self, S: np.ndarray, rhs_head: np.ndarray) -> np.ndarray:
         """Solve the fixed-sign stationarity system on columns S.
 
-        rhs_head = 2Xₛ'y − λσ. An active pair column c (pair_row[c] = ρ) has
+        rhs_head = 2Xₛ'y − λσ, or an (|S| × k) stack of right-hand sides
+        solved on one assembly of the system, each column refined and
+        checked as a 1-D one is. An active pair column c (pair_row[c] = ρ) has
         no data, so its stationarity row A[ρ, c]·v_ρ = rhs_c gives v_ρ in
         closed form. The solve then runs on the other active columns D and
         the restriction rows K that touch D and map no active pair column:
@@ -135,7 +143,7 @@ class _Core:
         keep = ~elim
         D, E = S[keep], rho[elim]
         pivot = self.A[E, S[elim]]
-        v_E = rhs_head[elim] / pivot
+        v_E = (rhs_head[elim].T / pivot).T       # .T divides each row of a stack
         A_D = self.A[:, D]
         A_ED = A_D[E]
         touched = A_D.any(axis=1)
@@ -147,23 +155,39 @@ class _Core:
         M[:m, m:] = A_KD.T
         M[m:, :m] = A_KD
         M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma)
-        rhs = np.concatenate([rhs_head[keep] - A_ED.T @ v_E, np.zeros(ra)])
+        rhs = np.concatenate([rhs_head[keep] - A_ED.T @ v_E, np.zeros((ra,) + rhs_head.shape[1:])])
         try:
             sol = np.linalg.solve(M, rhs)
             sol += np.linalg.solve(M, rhs - M @ sol)
-            rel_res = np.linalg.norm(rhs - M @ sol) / max(np.linalg.norm(rhs), 1.0)
-            if not np.isfinite(rel_res) or rel_res > 1e-6:
+            rel_res = (np.linalg.norm(rhs - M @ sol, axis=0)
+                       / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
+            if not np.all(rel_res <= 1e-6):      # NaN fails too
                 raise np.linalg.LinAlgError("large residual")
         except np.linalg.LinAlgError:
             if self.r:
                 raise RankDeficient("augmented subspace system is singular")
             sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        out = np.empty(S.size)
+        out = np.empty(rhs_head.shape)
         out[keep] = sol[:m]
-        out[elim] = (v_E / (2.0 * self.gamma) - A_ED @ sol[:m]) / pivot
+        out[elim] = ((v_E / (2.0 * self.gamma) - A_ED @ sol[:m]).T / pivot).T
         if not np.all(np.isfinite(out)):
             raise RankDeficient("subspace solve produced non-finite values")
         return out
+
+    def solve_at(self, S: np.ndarray, sigma_S: np.ndarray,
+                 lam: float) -> Tuple[np.ndarray, Optional[Tuple[bytes, bytes]]]:
+        """θ_S solving the system of (S, σ_S) at λ (solver units), and the
+        key of the stored step it was read from, or None if it was solved
+        now. A first solve takes [2Xₛ'y − λσ_S, −σ_S] and stores
+        (λ, θ_S(λ), dθ_S/dλ) under the key."""
+        key = (S.tobytes(), sigma_S.tobytes())
+        if key in self.steps:
+            lam0, theta0, slope = self.steps[key]
+            return theta0 + (lam - lam0) * slope, key
+        theta0, slope = self.subspace_solve(
+            S, np.column_stack([2.0 * self.Xty[S] - lam * sigma_S, -sigma_S])).T.copy()
+        self.steps[key] = (lam, theta0, slope)
+        return theta0, None
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +204,8 @@ def _solve_core(
     lam: float,
     warm_start: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
-    """The minimizer at λ and the number of subspace solves it took.
+    """The minimizer at λ and the number of active-set steps it took, each
+    the solution of one subspace system, solved or stepped.
 
     λ, the warm start and the result are in the data's units; the rounds run
     on the response scaled by core.y_scale. Each round evaluates the gradient
@@ -197,6 +222,13 @@ def _solve_core(
     toward its solution, stopping at the first sign crossing and dropping the
     columns that reach 0, until a solution keeps every sign σ (at λ = 0 any
     solution is accepted). Each step decreases the objective.
+
+    A system that recurs with the same active set and signs is stepped along
+    its λ-direction, not refactorised: the first solve of a key (S, σ_S)
+    takes [2Xₛ'y − λσ_S, −σ_S] together and keeps θ_S(λ₀) and dθ_S/dλ in
+    core.steps, and a later one reads θ_S(λ₀) + (λ − λ₀)·dθ_S/dλ. If a
+    stepped θ leaves no violator yet fails the certificate, its key is
+    solved afresh at λ.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -207,6 +239,7 @@ def _solve_core(
     lam_s = lam * core.y_scale
     sigma = np.sign(theta)
     solves = 0
+    stepped = None              # the key whose stored step gave θ, if one did
     for _ in range(_MAX_ROUNDS):
         g = core.grad(theta)
         tol = KKT_TOL + core.kkt_floor(theta)
@@ -219,9 +252,11 @@ def _solve_core(
             sigma[add] = -np.sign(g[add])
         elif np.all(np.abs(g[active] + lam_s * np.sign(theta[active])) <= tol[active]):
             return theta / core.y_scale, solves
+        elif stepped is not None:
+            del core.steps[stepped]
         for _inner in range(_MAX_INNER):
             S = np.flatnonzero(active)
-            cand = core.subspace_solve(S, 2.0 * core.Xty[S] - lam_s * sigma[S])
+            cand, stepped = core.solve_at(S, sigma[S], lam_s)
             solves += 1
             if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
                 theta[:] = 0.0
@@ -243,6 +278,7 @@ def _solve_core(
             theta[dropped] = 0.0
             active[dropped] = False
             if not np.any(active):
+                stepped = None
                 break
         else:
             raise NotConverged("active-set inner loop exceeded iteration cap")
@@ -392,11 +428,12 @@ def back_transform(
     """Per-factor per-level coefficients from solver coordinates.
 
     Undoes the 1/w column rescaling, then reads nominal levels from the
-    θ_{i0} entries and accumulates ordinal differences.
+    θ_{i0} entries and accumulates ordinal differences. A (G × q) stack of
+    θ̃ gives a (G × (k + 1)) stack per factor, each row as its own θ̃ would.
     """
     theta_scaled = np.asarray(theta_scaled, dtype=float)
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
-    if theta_scaled.shape != (layout.q,) or w.shape != (layout.q,):
+    if theta_scaled.shape[-1:] != (layout.q,) or w.shape != (layout.q,):
         raise LayoutMismatch(
             f"theta has shape {theta_scaled.shape}, weights {w.shape}, "
             f"layout expects ({layout.q},)"
@@ -404,11 +441,11 @@ def back_transform(
     theta = theta_scaled / w
     out: Dict[str, np.ndarray] = {}
     for b in layout.blocks:
-        full = np.zeros(b.k + 1)
+        full = np.zeros(theta.shape[:-1] + (b.k + 1,))
         if b.kind == "nominal":
-            full[1:] = theta[b.offset:b.offset + b.k]
+            full[..., 1:] = theta[..., b.offset:b.offset + b.k]
         else:
-            full[1:] = u_back_transform(theta[b.slice])
+            full[..., 1:] = u_back_transform(theta[..., b.slice])
         out[b.name] = full
     return out
 
@@ -479,31 +516,33 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
 
     lams = _grid_lambdas(core.lambda_max, grid_size)
-
-    solutions: List[PathSolution] = []
+    # θ̃ at every grid point, one row each; the outputs are read off the stack
+    stack = np.empty((lams.size, problem.q))
+    solves = np.ones(lams.size, dtype=int)      # λ = 0: the normal equations
     theta = np.zeros(problem.q)
-    for i, lam in enumerate(lams):
-        if lam == 0.0:
-            theta = theta_ls_scaled.copy()
-            solves = 1
-        else:
-            theta, solves = _solve_grid_point(core, lam, theta, i)
-        l1 = float(np.abs(theta).sum())
-        bound = float(lam) * (ols_l1 - l1) / problem.gamma
-        theta_orig = theta / w
-        a_viol = problem.A_raw @ theta_orig
-        delta = float(a_viol @ a_viol)
-        s_ratio = l1 / ols_l1 if ols_l1 > 0 else 0.0
-        solutions.append(
-            PathSolution(
-                lam=float(lam),
-                s_ratio=s_ratio,
-                theta_scaled=theta.copy(),
-                theta=theta_orig,
-                beta=back_transform(theta, layout, w),
-                precision=PrecisionReport(delta=delta, bound=bound),
-                solves=solves,
-                sweeps=0,
-            )
+    for i, lam in enumerate(lams[:-1]):
+        theta, solves[i] = _solve_grid_point(core, lam, theta, i)
+        stack[i] = theta
+    stack[-1] = theta_ls_scaled
+
+    l1 = np.abs(stack).sum(axis=1)
+    bounds = lams * (ols_l1 - l1) / problem.gamma
+    thetas = stack / w
+    a_viol = thetas @ problem.A_raw.T
+    deltas = np.einsum("ij,ij->i", a_viol, a_viol)
+    s_ratios = l1 / ols_l1 if ols_l1 > 0 else np.zeros(lams.size)
+    betas = back_transform(stack, layout, w)
+    return PathResult(tuple(
+        PathSolution(
+            lam=lam,
+            s_ratio=s_ratio,
+            theta_scaled=stack[i],
+            theta=thetas[i],
+            beta={name: B[i] for name, B in betas.items()},
+            precision=PrecisionReport(delta=delta, bound=bound),
+            solves=n,
+            sweeps=0,
         )
-    return PathResult(tuple(solutions))
+        for i, (lam, s_ratio, delta, bound, n) in enumerate(zip(
+            lams.tolist(), s_ratios.tolist(), deltas.tolist(), bounds.tolist(), solves.tolist()))
+    ))

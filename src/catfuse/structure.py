@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema, level_values
-from .errors import RankDeficient
+from .errors import RankDeficient, ShapeMismatch
 from .coding import u_transform
 
 # matched to γ = coding.DEFAULT_SQRT_GAMMA²: absorbs the O(λ/γ) gap left
@@ -277,8 +277,10 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
 
     Zero-cluster levels get no column (their coefficient stays 0); every
     other cluster contributes one indicator column for membership, so level
-    i of a factor reads column labels[i] − 1 of that factor's columns. The
-    collapsed design must have full column rank; it may have no columns.
+    i of a factor reads column labels[i] − 1 of that factor's columns. A
+    factor whose partition has other than k + 1 labels raises ShapeMismatch
+    naming it. The collapsed design must have full column rank; it may have
+    no columns.
     The refitted partition keeps the input labels.
 
     The fit solves the normal equations of the centered collapsed design
@@ -288,6 +290,10 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     """
     by_name = {fp.name: fp for fp in partition.factors}
     fps = [by_name[sch.name] for sch in ds.schemas]
+    wrong = [f"factor {fp.name!r}: {len(fp.labels)} cluster labels for {sch.k + 1} levels"
+             for fp, sch in zip(fps, ds.schemas) if len(fp.labels) != sch.k + 1]
+    if wrong:
+        raise ShapeMismatch("; ".join(wrong))
     table = ds.level_table
     # the design column of every stacked level: factor f's cluster c >= 1 is
     # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)

@@ -558,3 +558,92 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
         res = 2.0 * plain.XtX[np.ix_(S, S)] @ sol - rhs
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
     assert len(lstsq_calls) == 2
+
+
+def test_two_column_subspace_solve_matches_two_one_column_solves():
+    rng = np.random.default_rng(18)
+    for ds in (make_s1(seed=1), generate(make_scenario("S2", 0)).train, _rent_shaped_ds(4)):
+        prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+        core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+        pairs = _pair_columns(prob.layout)
+        data = np.setdiff1d(np.arange(prob.q), pairs)
+        lam = 0.1 * core.lambda_max * core.y_scale
+        for S in (data, np.array(pairs), np.sort(rng.choice(prob.q, prob.q // 2, replace=False))):
+            sigma = rng.choice([-1.0, 1.0], S.size)
+            rhs = np.column_stack([2.0 * core.Xty[S] - lam * sigma, -sigma])
+            both = core.subspace_solve(S, rhs)
+            assert both.shape == (S.size, 2)
+            for j in range(2):
+                one = core.subspace_solve(S, rhs[:, j])
+                assert np.max(np.abs(both[:, j] - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+def _s2_problems():
+    train = generate(make_scenario("S2")).train
+    return train, [build_augmented(train, build_weights(train, adaptive, True))
+                   for adaptive in (False, True)]
+
+
+def test_path_solves_each_active_set_and_sign_pattern_once(monkeypatch):
+    # a system that recurs with the same (S, σ_S) is stepped along its
+    # λ-direction: every subspace solve of a path is of a new key, and it
+    # solves the right-hand sides at λ₀ and of dθ/dλ = −M⁻¹σ_S together
+    _, problems = _s2_problems()
+    subspace_solve, keys = _Core.subspace_solve, []
+
+    def counted(core, S, rhs):
+        assert rhs.shape == (S.size, 2)
+        keys.append((S.tobytes(), (-rhs[:, 1]).tobytes()))
+        return subspace_solve(core, S, rhs)
+
+    monkeypatch.setattr(_Core, "subspace_solve", counted)
+    for prob in problems:
+        keys.clear()
+        pr = path(prob, grid_size=100)
+        assert len(keys) == len(set(keys))
+        assert len(keys) < sum(sol.solves for sol in pr.solutions if sol.lam > 0)
+
+
+def test_stepped_path_matches_fresh_solves_point_by_point():
+    # each point agrees with a solve on a new core (no stored steps), warm
+    # started from the path's previous point
+    train, problems = _s2_problems()
+    for prob in problems:
+        pr = path(prob, grid_size=100)
+        w = prob.weight_values
+        for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
+            fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+            theta, _ = solver._solve_core(fresh, sol.lam, warm_start=prev.theta_scaled)
+            scale = max(1.0, float(np.max(np.abs(theta))))
+            assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
+            assert degrees_of_freedom(extract_clusters(sol.beta, train.schemas)) == \
+                degrees_of_freedom(extract_clusters(back_transform(theta, prob.layout, w),
+                                                    train.schemas)), sol.lam
+
+
+def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypatch):
+    # zero the stored λ-direction of a solved system: a step to a nearby λ
+    # then returns the old point, which the certificate rejects, so that key
+    # is solved again at the new λ and the result is the fresh-core one
+    ds = make_s1(seed=2)
+    prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    lam, near = 0.1 * core.lambda_max, 0.1 * (1.0 - 1e-4) * core.lambda_max
+    theta, _ = solver._solve_core(core, lam)
+    S = np.flatnonzero(theta)
+    key = (S.tobytes(), np.sign(theta[S]).tobytes())
+    lam0, theta0, slope = core.steps[key]
+    core.steps[key] = (lam0, theta0, np.zeros_like(slope))
+    subspace_solve, calls = _Core.subspace_solve, []
+
+    def counted(self, S, rhs):
+        calls.append(S.tobytes())
+        return subspace_solve(self, S, rhs)
+
+    monkeypatch.setattr(_Core, "subspace_solve", counted)
+    again, solves = solver._solve_core(core, near, warm_start=theta)
+    assert calls == [key[0]] and solves == 2
+    assert core.steps[key][0] == near * core.y_scale
+    fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    expect, _ = solver._solve_core(fresh, near, warm_start=theta)
+    assert np.max(np.abs(again - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))

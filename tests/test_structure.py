@@ -5,7 +5,7 @@ import pytest
 
 from catfuse.coding import build_augmented, u_transform
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse.errors import OlsUnavailable, RankDeficient
+from catfuse.errors import OlsUnavailable, RankDeficient, ShapeMismatch
 from catfuse.selection import CvConfig, build_weights, compute_fold_paths
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import path
@@ -396,6 +396,22 @@ def test_nan_factor_does_not_set_any_threshold():
     nan_last = extract_clusters_path([big_row, nan_row], flipped, tol=1e-3)
     assert [p.threshold for p in nan_last] == [1e-3 * 100.0, 1e-3 * 5.0]
     assert extract_clusters_path([], schemas) == []
+
+
+@pytest.mark.parametrize("g_labels, h_labels", [((0, 1), (0, 1)), ((0, 1), (0, 1, 1))])
+def test_refit_rejects_a_wrong_label_count_by_factor(g_labels, h_labels):
+    # g has 3 levels and h 2; a g short of a label, alone or with h taking
+    # the spare one, is named instead of failing inside the normal equations
+    schemas = (FactorSchema("g", "nominal", ("a", "b", "c")),
+               FactorSchema("h", "nominal", ("x", "y")))
+    rng = np.random.default_rng(4)
+    codes = np.column_stack([rng.integers(0, 3, 30), rng.integers(0, 2, 30)])
+    ds = Dataset(rng.normal(0.0, 1.0, 30), codes, schemas)
+    part = ClusterPartition((FactorPartition("g", g_labels, (0.0,) * (max(g_labels) + 1)),
+                             FactorPartition("h", h_labels, (0.0,) * (max(h_labels) + 1))),
+                            threshold=1e-8)
+    with pytest.raises(ShapeMismatch, match="^factor 'g': 2 cluster labels for 3 levels"):
+        refit(ds, part)
 
 
 def test_extract_clusters_path_checks_shapes():
