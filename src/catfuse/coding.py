@@ -4,7 +4,7 @@ One indicator-column routine for dummy and split coding, the
 first-difference transform U and its inverse, the pairwise-difference
 parameterization θ with its restriction matrix A, and assembly of the
 augmented least-squares problem whose plain L1 solution approximates the
-difference-penalized fit.
+difference-penalized fit, whose data block is read off the level table.
 
 Both penalties sum w_ij·|β_i − β_j| over one set of level pairs, and
 `theta_layout` is its one statement (see ThetaLayout): θ, A, the weights and
@@ -133,22 +133,27 @@ def u_back_transform(delta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AugmentedProblem:
-    """All pieces of the stacked L1 problem on (ỹ, Z̃).
+    """All pieces of the stacked L1 problem on (ỹ, Z̃), with no n-row array.
 
-    Z_data holds the centered data rows, already rescaled per-column by 1/w
-    so the solver applies a unit-weight penalty to θ̃ = Wθ. A_scaled holds
-    the restriction rows under the same column rescaling, without the √γ
-    factor; A_raw keeps the ±1 pattern for precision diagnostics.
+    Z_data, the centered data rows rescaled per-column by 1/w so the solver
+    applies a unit-weight penalty to θ̃ = Wθ, is built only when read; the
+    solver reads XtX = Z_dataᵀZ_data, Xty = Z_dataᵀy_centered and absXtX,
+    absXty, the same of the absolute values. A_scaled holds the restriction
+    rows under the same column rescaling, without the √γ factor; A_raw
+    keeps the ±1 pattern for precision diagnostics.
     """
 
-    Z_data: np.ndarray
+    XtX: np.ndarray
+    Xty: np.ndarray
+    absXtX: np.ndarray
+    absXty: np.ndarray
     A_scaled: np.ndarray
     A_raw: np.ndarray
-    y_centered: np.ndarray
     gamma: float
     layout: ThetaLayout
     weight_values: np.ndarray
     column_means: np.ndarray
+    dataset: Dataset
 
     @property
     def sqrt_gamma(self) -> float:
@@ -156,11 +161,23 @@ class AugmentedProblem:
 
     @property
     def q(self) -> int:
-        return self.Z_data.shape[1]
+        return self.layout.q
 
     @property
     def r(self) -> int:
         return self.A_raw.shape[0]
+
+    @cached_property
+    def Z_data(self) -> np.ndarray:
+        Z = np.zeros((self.dataset.n, self.q))
+        for l, b in enumerate(self.layout.blocks):
+            Z[:, b.offset:b.offset + b.k] = indicator_columns(
+                self.dataset.codes[:, l], np.arange(1, b.k + 1), split=b.kind == "ordinal")
+        return (Z - self.column_means) / self.weight_values
+
+    @property
+    def y_centered(self) -> np.ndarray:
+        return self.dataset.y - self.dataset.y.mean()
 
     @property
     def Z_tilde(self) -> np.ndarray:
@@ -195,6 +212,8 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
 
     Nominal blocks contribute Z = (X | 0) plus restriction rows; ordinal
     blocks contribute centered split-coded columns and no restrictions.
+    The Gram pieces are read off ds.level_table (LevelTable.gram with C the
+    L × q coding of the stacked levels), so no n × q array is built.
     `weights` is a WeightSet (whose values are checked finite and > 0)
     laid out for ds.schemas; one laid out for other factors raises
     LayoutMismatch naming both factor lists.
@@ -205,25 +224,34 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
                       for lay in (layout, theta_layout(ds.schemas)))
         raise LayoutMismatch(f"weights are laid out for factors {have}; the dataset has {want}")
 
-    n = ds.n
-    Z = np.zeros((n, layout.q))
-    for l, b in enumerate(layout.blocks):
-        # nominal: dummies in the θ_i0 columns, the pair columns stay zero
-        # (Z = (X | 0)); ordinal: split coding in the δ columns
-        Z[:, b.offset:b.offset + b.k] = indicator_columns(
-            ds.codes[:, l], np.arange(1, b.k + 1), split=b.kind == "ordinal")
-    means = Z.mean(axis=0)
-    Zc = Z - means
+    table = ds.level_table
+    F, L = len(layout.blocks), int(table.offsets[-1])
+    C = np.zeros((L, layout.q))
+    for b, start in zip(layout.blocks, table.offsets.tolist()):
+        C[start:start + b.k + 1, b.offset:b.offset + b.k] = indicator_columns(
+            np.arange(b.k + 1), np.arange(1, b.k + 1), split=b.kind == "ordinal")
+    XtX, Xty, counts = table.gram(C)
+    means = counts / ds.n
+    # |x_j| = m_j + d_j(1 − 2m_j) = 2m_j(1 − m_j) + (1 − 2m_j)x_j for the 0/1
+    # column d_j = x_j + m_j, and X's columns sum to 0
+    slope = 1.0 - 2.0 * means
+    base = 2.0 * means * (1.0 - means)
+    abs_y = np.abs(ds.y - table.y_mean)
+    abs_sums = np.bincount(table.index.ravel(), weights=np.repeat(abs_y, F), minlength=L)
+    ww = np.outer(w, w)
     A_raw = restriction_rows(layout)
     return AugmentedProblem(
-        Z_data=Zc / w,
+        XtX=XtX / ww,
+        Xty=Xty / w,
+        absXtX=(ds.n * np.outer(base, base) + slope[:, None] * XtX * slope) / ww,
+        absXty=(means * abs_y.sum() + slope * (C.T @ abs_sums)) / w,
         A_scaled=A_raw / w,
         A_raw=A_raw,
-        y_centered=ds.y - ds.y.mean(),
         gamma=DEFAULT_SQRT_GAMMA ** 2,
         layout=layout,
         weight_values=w,
         column_means=means,
+        dataset=ds,
     )
 
 

@@ -3,8 +3,8 @@
 A factor is a categorical predictor described by a `FactorSchema`; a
 `Dataset` holds the response and the per-observation level indices for every
 factor. This module is the single source of truth for level counts and class
-frequencies, and for the `LevelTable` every unpenalized least-squares fit on a
-dataset reads.
+frequencies, and for the `LevelTable` every least-squares fit and Gram matrix
+on a dataset is read off.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -105,7 +106,7 @@ class Dataset:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
         if y.ndim != 1 or codes.ndim != 2 or codes.shape[0] != y.shape[0]:
             raise ValueError("y must be 1-d and codes (n, n_factors)")
         if y.shape[0] == 0:
@@ -119,9 +120,12 @@ class Dataset:
             if any(s.name == sch.name for s in self.schemas[:l]):
                 raise ValueError(f"factor name {sch.name!r} appears more than once")
             col = codes[:, l]
-            if col.min() < 0 or col.max() > sch.k:
+            if np.any(col != np.floor(col)):
+                raise ValueError(f"factor {sch.name!r}: level index is not an integer")
+            if not np.all((col >= 0) & (col <= sch.k)):
                 raise ValueError(f"factor {sch.name!r}: level index out of range")
-            counts.append(np.bincount(col, minlength=sch.k + 1))
+            counts.append(np.bincount(col.astype(np.int64), minlength=sch.k + 1))
+        codes = codes.astype(np.int64, copy=False)
         y.setflags(write=False)
         codes.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -194,16 +198,26 @@ class LevelTable:
     sums: np.ndarray        # (L,) per-level sums of y − ȳ
     y_mean: float
 
+    def gram(self, C: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """XᵀX = CᵀDᵀDC − ccᵀ/n, Xᵀ(y − ȳ) = Cᵀ·sums and the column counts
+        c = Cᵀ·diag(DᵀD) of X = DC centered, for C an L × m level coding."""
+        counts = C.T @ self.counts.diagonal()
+        gram = C.T @ self.counts @ C - np.outer(counts, counts) / self.index.shape[0]
+        return gram, C.T @ self.sums, counts
+
 
 def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Dataset:
     """Read a CSV file (comma separator, UTF-8, header row, '.' decimal).
 
     A UTF-8 byte-order mark before the header, as spreadsheet programs
-    write, is skipped.
+    write, is skipped; a column needed twice in the header is rejected.
 
-    Level tokens are mapped to indices by schema order. Any unparseable cell
-    rejects the whole file; rows are never silently skipped. Data rows are
-    numbered from 1.
+    The rows before the first short one are read by column: the response
+    in one pass, each factor through a table of its distinct tokens. Any
+    unparseable cell rejects the whole file; rows are never silently
+    skipped. Data rows are numbered from 1, blank ones included, and the
+    earliest failing row is reported: within it the response, then the
+    factors in schema order; a short row only if no earlier row fails.
     """
     schema = tuple(schema)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -221,34 +235,50 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
                 raise ValueError(f"response column {name!r} is also a factor name"
                                  if name == response_column else
                                  f"factor name {name!r} appears more than once")
+            if header.count(name) > 1:
+                raise ValueError(f"column {name!r} appears more than once in the header")
             col_of[name] = header.index(name)
-        width = max(col_of.values()) + 1
-        level_maps = [{lab: i for i, lab in enumerate(s.levels)} for s in schema]
-        ys = []
-        code_rows = []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) < width:
-                raise ValueError(f"row {rownum}: {len(row)} cells, the header has {len(header)}")
-            tok = row[col_of[response_column]].strip()
-            try:
-                yval = float(tok)
-            except ValueError:
-                raise NonNumericResponse(rownum, tok)
-            if not math.isfinite(yval):
-                raise NonNumericResponse(rownum, tok)
-            codes = []
-            for s, lm in zip(schema, level_maps):
-                tok = row[col_of[s.name]].strip()
-                if tok not in lm:
-                    raise UnknownLevel(rownum, s.name, tok)
-                codes.append(lm[tok])
-            ys.append(yval)
-            code_rows.append(codes)
-    if not ys:
+        rows = list(reader)
+    # a row is blank when its cells, joined, are whitespace; one with cells
+    # left but fewer than the columns needed is short
+    filled = np.fromiter(map(len, map(str.strip, map("".join, rows))), np.intp, len(rows)) > 0
+    short = filled & (np.fromiter(map(len, rows), np.intp, len(rows)) <= max(col_of.values()))
+    stop = int(np.argmax(short)) if short.any() else len(rows)
+    numbers = np.flatnonzero(filled[:stop]) + 1
+    body = list(compress(rows, filled[:stop]))
+    columns = list(zip(*body)) or [()] * len(header)
+    tokens = list(map(str.strip, columns[col_of[response_column]]))
+    try:
+        y = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:                  # the error path reads token by token
+        y = np.array(list(map(_float_or_nan, tokens)))
+    codes = np.empty((len(body), len(schema)), dtype=np.int64)
+    for l, s in enumerate(schema):
+        cells = columns[col_of[s.name]]
+        level_of = {lab: i for i, lab in enumerate(s.levels)}
+        code_of = {cell: level_of.get(cell.strip(), -1) for cell in set(cells)}
+        codes[:, l] = np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells))
+    # (rows × checks), read in row-major order: the first True is the
+    # earliest row's first failing check
+    failed = np.column_stack([~np.isfinite(y), codes < 0])
+    if failed.any():
+        row, check = divmod(int(np.argmax(failed)), failed.shape[1])
+        if check == 0:
+            raise NonNumericResponse(int(numbers[row]), tokens[row])
+        name = schema[check - 1].name
+        raise UnknownLevel(int(numbers[row]), name, body[row][col_of[name]].strip())
+    if stop < len(rows):
+        raise ValueError(f"row {stop + 1}: {len(rows[stop])} cells, the header has {len(header)}")
+    if not body:
         raise EmptyDataset(f"{path}: no data rows")
-    return Dataset(np.array(ys), np.array(code_rows, dtype=np.int64), schema)
+    return Dataset(y, codes, schema)
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
 
 
 def load_schema(path) -> Tuple[FactorSchema, ...]:

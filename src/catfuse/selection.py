@@ -96,15 +96,6 @@ def _effects(betas: Sequence[Dict[str, np.ndarray]], ds: Dataset) -> np.ndarray:
     return out
 
 
-def _residuals(
-    betas: Sequence[Dict[str, np.ndarray]], train: Dataset, test: Dataset
-) -> np.ndarray:
-    """test.y minus each β's prediction, its intercept fitted on train
-    (intercept_for): a (len(betas) × test.n) array."""
-    alpha = train.y.mean() - _effects(betas, train).mean(axis=1)
-    return test.y - (alpha[:, None] + _effects(betas, test))
-
-
 def predicted_effects(beta: Dict[str, np.ndarray], ds: Dataset) -> np.ndarray:
     """Sum of per-level effects for each observation of ds; raises
     ShapeMismatch unless each factor has one value per level."""
@@ -213,7 +204,9 @@ def score_folds(
         which = np.arange(len(betas))
         if refit_inside:
             betas, which = _refit_betas(fit.train, betas, f)
-        msep = (_residuals(betas, fit.train, fit.test) ** 2).mean(axis=1)
+        # each β's intercept is fitted on the training part (intercept_for)
+        alpha = fit.train.y.mean() - _effects(betas, fit.train).mean(axis=1)
+        msep = ((fit.test.y - (alpha[:, None] + _effects(betas, fit.test))) ** 2).mean(axis=1)
         scores[:, f] = msep[which[fit.path.nearest(s_grid)]]
     return s_grid, scores
 
@@ -233,13 +226,16 @@ def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
 def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np.ndarray:
     """n·log(RSS/n) + penalty·df̂ per grid point; penalty 2 (AIC) or log n (BIC).
 
-    RSS comes from the penalized fit itself; df̂ from the partition the
-    structure module extracts at each point.
+    RSS comes from the penalized fit itself, each point's residuals read as
+    y − intercept_for − predicted_effects, in that order; df̂ from the
+    partition the structure module extracts at each point.
     """
     if kind not in ("AIC", "BIC"):
         raise ValueError(f"kind must be AIC or BIC, got {kind!r}")
     pen = 2.0 if kind == "AIC" else float(np.log(ds.n))
     betas = [sol.beta for sol in path_result.solutions]
-    rss = (_residuals(betas, ds, ds) ** 2).sum(axis=1)
+    effects = _effects(betas, ds)
+    alpha = ds.y.mean() - effects.mean(axis=1)
+    rss = (((ds.y - alpha[:, None]) - effects) ** 2).sum(axis=1)
     df = np.array([degrees_of_freedom(p) for p in extract_clusters_path(betas, ds.schemas)])
     return ds.n * np.log(np.maximum(rss, 1e-300) / ds.n) + pen * df

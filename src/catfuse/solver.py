@@ -2,7 +2,8 @@
 
 The augmented problem minimizes ||y − Xθ||² + γ||Aθ||² + λΣ|θ_j|, a plain
 L1 problem on the stacked (ỹ, Z̃). The solver works in Gram form (XᵀX, Xᵀy,
-A, γ) and never builds that (n + r) × q stack. At γ = 1e10 the quadratic is
+A, γ), read off the problem (coding.build_augmented), and never builds that
+(n + r) × q stack or any n-row array. At γ = 1e10 the quadratic is
 extremely stiff along restriction directions, where coordinate-wise methods
 move O(λ/γ) per step. Solutions are therefore found by an active-set method
 (the homotopy/active-set lasso of Osborne, Presnell & Turlach 2000) whose
@@ -91,15 +92,18 @@ class _Core:
         self.steps: Dict[Tuple[bytes, bytes], Tuple[float, np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
-        absX = np.abs(X)
-        Xty = X.T @ y
+    def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float) -> "_Core":
+        """The core of XᵀX, Xᵀy, |X|ᵀ|X| and |X|ᵀ|y| of the unscaled y."""
         # frexp splits off the exponent exactly, so scaling y by 2ᵏ shifts
         # y_scale by 2⁻ᵏ and leaves the scaled Xᵀy bit for bit unchanged
         m, e = math.frexp(float(np.max(np.abs(Xty), initial=0.0)))   # m in [½, 1)
         y_scale = math.ldexp(1.0, 1 - e if m < math.sqrt(0.5) else -e)
-        return cls(X.T @ X, Xty * y_scale, absX.T @ absX, (absX.T @ np.abs(y)) * y_scale,
-                   A, gamma, y_scale)
+        return cls(XtX, Xty * y_scale, absXtX, absXty * y_scale, A, gamma, y_scale)
+
+    @classmethod
+    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
+        absX = np.abs(X)
+        return cls.from_gram(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A, gamma)
 
     @property
     def lambda_max(self) -> float:
@@ -415,9 +419,10 @@ def _lambda_max(Xty: np.ndarray) -> float:
 
 
 def lambda_max(problem: AugmentedProblem) -> float:
-    """Smallest λ with all-zero solution: 2·max_j |Z̃_j·ỹ| (the restriction
-    rows contribute nothing because ỹ is zero there)."""
-    return _lambda_max(problem.Z_data.T @ problem.y_centered)
+    """Smallest λ with all-zero solution: 2·max_j |Z̃_j·ỹ|, read off the
+    problem's Xᵀy (the restriction rows contribute nothing because ỹ is
+    zero there)."""
+    return _lambda_max(problem.Xty)
 
 
 def back_transform(
@@ -484,7 +489,8 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     layout = problem.layout
     if not layout.q:
         raise ValueError(NO_FACTORS)
-    core = _Core.from_design(problem.Z_data, problem.A_scaled, problem.y_centered, problem.gamma)
+    core = _Core.from_gram(problem.XtX, problem.Xty, problem.absXtX, problem.absXty,
+                           problem.A_scaled, problem.gamma)
 
     # The λ = 0 point is the least-squares fit of the data columns (θ_i0 and
     # δ), solved in unit weights: it does not depend on the weights, and

@@ -283,10 +283,10 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     no columns.
     The refitted partition keeps the input labels.
 
-    The fit solves the normal equations of the centered collapsed design
-    from ds.level_table: with C the L × m membership of levels in columns,
-    column counts c = Cᵀ·diag(DᵀD) and b = Cᵀ·sums, G = CᵀDᵀDC − ccᵀ/n and
-    the intercept is ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
+    The fit solves the normal equations of the centered collapsed design,
+    read off ds.level_table by LevelTable.gram with C the L × m membership
+    of levels in columns; with c its column counts, the intercept is
+    ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
     """
     by_name = {fp.name: fp for fp in partition.factors}
     fps = [by_name[sch.name] for sch in ds.schemas]
@@ -302,10 +302,8 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     base = np.repeat(firsts[:-1], [len(fp.labels) for fp in fps])
     col = np.where(labels > 0, labels + base - 1, -1)
     m = int(firsts[-1])
-    C = (col[:, None] == np.arange(m)).astype(float)
-    counts = C.T @ table.counts.diagonal()
-    G = C.T @ table.counts @ C - np.outer(counts, counts) / ds.n
-    coef = solve_normal_equations(G, C.T @ table.sums, "collapsed design")
+    G, b, counts = table.gram((col[:, None] == np.arange(m)).astype(float))
+    coef = solve_normal_equations(G, b, "collapsed design")
     shift = float(counts @ coef) / ds.n      # the centering of the columns
     level_coef = np.append(coef, 0.0)[col]
     fitted = level_coef[table.index].sum(axis=1) - shift

@@ -17,6 +17,8 @@ from catfuse.coding import (
 )
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import LayoutMismatch
+from catfuse.selection import build_weights
+from catfuse.simlab import generate, make_scenario
 from catfuse.weights import standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
@@ -206,6 +208,37 @@ def test_build_augmented_ordinal_block_is_split_coding():
     assert raw.shape == (ds.n, 2)
     for i in (1, 2):
         assert np.allclose(raw[:, i - 1], codes >= i, rtol=0, atol=1e-12)
+
+
+def _gram_datasets():
+    rng = np.random.default_rng(11)
+    schemas = rent_schema()
+    codes = np.column_stack([
+        rng.permutation(np.concatenate([np.arange(s.k + 1), rng.integers(0, s.k + 1, 700 - s.k - 1)]))
+        for s in schemas])
+    rent = Dataset(sum(rng.normal(0, 1, s.k + 1)[codes[:, l]] for l, s in enumerate(schemas))
+                   + rng.normal(0, 1, 700), codes, schemas)
+    unobserved = Dataset(  # level c of g and level 3 of o never occur
+        rng.normal(size=40), np.column_stack([rng.integers(0, 2, 40), rng.integers(0, 2, 40)]),
+        (FactorSchema("g", "nominal", ("a", "b", "c")), FactorSchema("o", "ordinal", ("1", "2", "3"))))
+    scenarios = [generate(make_scenario(name, seed=3)).train for name in ("S1", "S2", "S3")]
+    return scenarios + [rent, unobserved]
+
+
+def test_build_augmented_gram_pieces_are_the_dense_products():
+    for ds in _gram_datasets():
+        observed = all(counts.all() for counts in ds.n_counts)
+        weight_sets = [standard_weights(ds, use_frequency=observed)]
+        if observed:
+            weight_sets.append(build_weights(ds, adaptive=True, use_frequency=True))
+        for ws in weight_sets:
+            prob = build_augmented(ds, ws)
+            Z, y = prob.Z_data, prob.y_centered
+            for got, dense in ((prob.XtX, Z.T @ Z), (prob.Xty, Z.T @ y),
+                               (prob.absXtX, np.abs(Z).T @ np.abs(Z)),
+                               (prob.absXty, np.abs(Z).T @ np.abs(y))):
+                assert got.shape == dense.shape
+                assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_split_design_indicators():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -162,6 +163,103 @@ def test_ingest_rejects_a_response_column_that_is_a_factor(tmp_path):
     p = _write(tmp_path, "y,color,size\n1,red,s\n2,blue,l\n")
     with pytest.raises(ValueError, match="response column 'color' is also a factor name"):
         ingest_csv(p, SCHEMAS, response_column="color")
+
+
+def test_dataset_rejects_non_integral_codes():
+    # before, the codes were cast to integers and 1.7, 2.2 read as levels 1, 2
+    g = FactorSchema("g", "nominal", ("a", "b", "c"))
+    with pytest.raises(ValueError, match="factor 'g': level index is not an integer"):
+        Dataset(np.arange(3.0), [[0.0], [1.7], [2.2]], (g,))
+    assert Dataset(np.arange(3.0), [[0.0], [1.0], [2.0]], (g,)).codes.tolist() == [[0], [1], [2]]
+
+
+def test_ingest_rejects_a_needed_column_named_twice_in_the_header(tmp_path):
+    # before, the second "color" column was silently ignored, "zzz" and all
+    p = _write(tmp_path, "y,color,color,size\n1,red,zzz,s\n2,blue,red,l\n")
+    with pytest.raises(ValueError, match="column 'color' appears more than once"):
+        ingest_csv(p, SCHEMAS, response_column="y")
+    p = _write(tmp_path, "y,color,y,size\n1,red,2,s\n", "d2.csv")
+    with pytest.raises(ValueError, match="column 'y' appears more than once"):
+        ingest_csv(p, SCHEMAS, response_column="y")
+    # columns the schema does not use may repeat
+    p = _write(tmp_path, "note,y,color,note,size\nx,1,red,zzz,s\n", "d3.csv")
+    assert ingest_csv(p, SCHEMAS, response_column="y").codes.tolist() == [[0, 0]]
+
+
+def _ingest_error(tmp_path, text):
+    with pytest.raises(Exception) as ei:
+        ingest_csv(_write(tmp_path, text), SCHEMAS, response_column="y")
+    return ei.value
+
+
+def test_ingest_reports_the_earliest_failing_row(tmp_path):
+    # an unknown level at row 2 comes before a bad response at row 4
+    err = _ingest_error(tmp_path, "y,color,size\n1,red,s\n2,purple,m\n3,blue,l\nabc,red,s\n")
+    assert isinstance(err, UnknownLevel) and (err.row, err.token) == (2, "purple")
+    # within a row the response comes first
+    err = _ingest_error(tmp_path, "y,color,size\n1,red,s\nabc,purple,m\n")
+    assert isinstance(err, NonNumericResponse) and (err.row, err.token) == (2, "abc")
+    # a short row is reported only if no earlier row fails
+    err = _ingest_error(tmp_path, "y,color,size\n1,red,s\n2,purple,m\n3,blue,l\n4,red\n")
+    assert isinstance(err, UnknownLevel) and err.row == 2
+    err = _ingest_error(tmp_path, "y,color,size\n1,red,s\n4,red\n3,blue,l\n2,purple,m\n")
+    assert type(err) is ValueError and str(err) == "row 2: 2 cells, the header has 3"
+
+
+def test_ingest_row_numbers_count_blank_rows(tmp_path):
+    err = _ingest_error(tmp_path, "y,color,size\n1,red,s\n\n , \n2,purple,m\n")
+    assert isinstance(err, UnknownLevel) and err.row == 4
+
+
+def test_ingest_reports_the_first_factor_in_schema_order(tmp_path):
+    # both factors of row 2 are unknown; the header lists size first
+    err = _ingest_error(tmp_path, "y,size,color\n1,s,red\n2,xl,purple\n")
+    assert isinstance(err, UnknownLevel)
+    assert (err.row, err.factor, err.token) == (2, "color", "purple")
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "-Infinity", " NaN "])
+def test_ingest_rejects_non_finite_responses(tmp_path, token):
+    err = _ingest_error(tmp_path, f"y,color,size\n1,red,s\n2,red,s\n{token},blue,l\n")
+    assert isinstance(err, NonNumericResponse) and (err.row, err.token) == (3, token.strip())
+
+
+def _read_row_by_row(path, schema, response):
+    """Reference reader: one row at a time, each cell stripped and looked up."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    at = [header.index(name) for name in [response] + [s.name for s in schema]]
+    ys, codes = [], []
+    for row in rows[1:]:
+        if all(c.strip() == "" for c in row):
+            continue
+        ys.append(float(row[at[0]].strip()))
+        codes.append([s.levels.index(row[c].strip()) for s, c in zip(schema, at[1:])])
+    return np.array(ys), np.array(codes, dtype=np.int64)
+
+
+def test_ingest_equals_a_row_by_row_reader(tmp_path):
+    rng = np.random.default_rng(16)
+    schema = SCHEMAS + (FactorSchema("zone", "nominal", tuple(f"z{i}" for i in range(12))),)
+    pad = ["", " ", "  ", "\t"]
+    lines = [" size ,note,y , zone,color"]
+    for _ in range(2000):
+        if rng.random() < 0.03:
+            lines.append(["", " ", ",,,,", " , ,\t, , "][rng.integers(4)])
+            continue
+        cells = [rng.choice(SCHEMAS[1].levels), f"n{rng.integers(99)}",
+                 repr(float(rng.normal(0, 10))), f"z{rng.integers(12)}",
+                 rng.choice(SCHEMAS[0].levels)]
+        cells = [pad[rng.integers(4)] + c + pad[rng.integers(4)] for c in cells]
+        lines.append(",".join(cells + ["extra"] * int(rng.integers(3))))
+    p = tmp_path / "bank.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8"))
+    ds = ingest_csv(str(p), schema, response_column="y")
+    y, codes = _read_row_by_row(str(p), schema, "y")
+    assert ds.n == y.size > 1900
+    assert ds.y.tobytes() == y.tobytes()
+    assert ds.codes.tobytes() == codes.tobytes()
 
 
 def test_schema_json_round_trip(tmp_path):

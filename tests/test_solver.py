@@ -11,7 +11,7 @@ from catfuse import solver
 from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
-from catfuse.selection import CvConfig, build_weights, compute_fold_paths
+from catfuse.selection import CvConfig, build_weights, compute_fold_paths, fit_at
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import (
     PRECISION_SLACK,
@@ -311,6 +311,19 @@ def test_core_keeps_no_row_sized_array():
         for name, value in vars(cache).items():
             if isinstance(value, np.ndarray):
                 assert n not in value.shape and n + r not in value.shape, name
+
+
+def test_path_and_fit_leave_no_row_sized_array_on_the_problem():
+    ds = toy_mixed_ds(seed=2, n=2000)
+    prob = build_augmented(ds, build_weights(ds, adaptive=True, use_frequency=True))
+    fit_at(path(prob, grid_size=20), ds, 0.5, refit_after=True)
+    assert "Z_data" not in vars(prob)
+    # the core path builds from the problem's Gram pieces
+    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled, prob.gamma)
+    for held in (prob, core):
+        for name, value in vars(held).items():
+            if isinstance(value, np.ndarray):
+                assert ds.n not in value.shape, name
 
 
 def test_scaled_response_with_adaptive_weights_fits_the_path():
