@@ -30,7 +30,11 @@ violators, returns a certified θ or re-solves the active set. A solve that
 cannot be certified raises NotConverged, never swallowed. θₛ is affine in λ
 while the active set and its signs are fixed, so a system that recurs with
 the same active set and signs is stepped along its λ-direction, not
-refactorised.
+refactorised. A grid point whose warm start is the solution of a stored
+system first steps that system to the new λ (the predicted step) and then
+certifies; the first certificate round after it admits any column whose
+violation exceeds its rounding floor, since the step is the exact
+continuation of the previous point between knots.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -212,12 +216,26 @@ def _solve_core(
     the solution of one subspace system, solved or stepped.
 
     λ, the warm start and the result are in the data's units; the rounds run
-    on the response scaled by core.y_scale. Each round evaluates the gradient
-    g and its rounding floor once, sets tol = KKT_TOL + floor, and reads the
-    KKT certificate off them:
+    on the response scaled by core.y_scale.
+
+    A system that recurs with the same active set and signs is stepped along
+    its λ-direction, not refactorised: the first solve of a key (S, σ_S)
+    takes [2Xₛ'y − λσ_S, −σ_S] together and keeps θ_S(λ₀) and dθ_S/dλ in
+    core.steps, and a later one reads θ_S(λ₀) + (λ − λ₀)·dθ_S/dλ.
+
+    Predicted step. When the warm start's own system (its nonzeros S and
+    their signs) is stored and stepping it to λ changes θ_S, the solve first
+    re-solves that active set, which reads the step (a certified θ at its
+    own λ, or a zero slope, is left as it is and goes straight to the
+    certificate). Then come the certificate rounds. Each evaluates the
+    gradient g and its rounding floor once, sets tol = KKT_TOL + floor, and
+    reads the KKT certificate off them:
 
     - inactive columns with |g_j| over λ by more than ¼·tol are violators; up
-      to _ADD_PER_ROUND of the worst join the active set with σ_j = −sign g_j;
+      to _ADD_PER_ROUND of the worst join the active set with σ_j = −sign g_j.
+      In the first round after a predicted step the bar is the floor itself:
+      the predicted θ continues the previous system exactly, so a violation
+      above rounding is a column that crossed λ inside the step;
     - with no violator, θ is returned once every active column is stationary,
       |g_j + λ·sign θ_j| ≤ tol_j;
     - otherwise the active set is re-solved.
@@ -225,31 +243,36 @@ def _solve_core(
     A re-solve solves the subspace system on the active set S and walks
     toward its solution, stopping at the first sign crossing and dropping the
     columns that reach 0, until a solution keeps every sign σ (at λ = 0 any
-    solution is accepted). Each step decreases the objective.
-
-    A system that recurs with the same active set and signs is stepped along
-    its λ-direction, not refactorised: the first solve of a key (S, σ_S)
-    takes [2Xₛ'y − λσ_S, −σ_S] together and keeps θ_S(λ₀) and dθ_S/dλ in
-    core.steps, and a later one reads θ_S(λ₀) + (λ − λ₀)·dθ_S/dλ. If a
-    stepped θ leaves no violator yet fails the certificate, its key is
-    solved afresh at λ.
+    solution is accepted). Each step decreases the objective. If a stepped θ
+    leaves no violator yet fails the certificate, its key is solved afresh
+    at λ.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam!r}")
     theta = np.zeros(core.q) if warm_start is None else np.array(warm_start, dtype=float)
     if theta.shape != (core.q,):
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
     theta *= core.y_scale
     lam_s = lam * core.y_scale
     sigma = np.sign(theta)
+    active = theta != 0.0
+    S = np.flatnonzero(active)
     solves = 0
     stepped = None              # the key whose stored step gave θ, if one did
+    # the predicted step: compared with θ_S itself, so a warm start already
+    # stepped to this λ (or on a zero slope) goes straight to the certificate
+    step = core.steps.get((S.tobytes(), sigma[S].tobytes()))
+    predicted = step is not None and bool(np.any(step[1] + (lam_s - step[0]) * step[2] != theta[S]))
+    if predicted:
+        solves, stepped = _resolve(core, theta, active, sigma, lam_s)
     for _ in range(_MAX_ROUNDS):
         g = core.grad(theta)
-        tol = KKT_TOL + core.kkt_floor(theta)
+        floor = core.kkt_floor(theta)
+        tol = KKT_TOL + floor
         active = theta != 0.0
         viol = np.where(active, -np.inf, np.abs(g) - lam_s)
-        add = np.flatnonzero(viol > 0.25 * tol)
+        add = np.flatnonzero(viol > (floor if predicted else 0.25 * tol))
+        predicted = False
         if add.size:
             add = add[np.argsort(viol[add])[::-1]][:_ADD_PER_ROUND]
             active[add] = True
@@ -258,35 +281,40 @@ def _solve_core(
             return theta / core.y_scale, solves
         elif stepped is not None:
             del core.steps[stepped]
-        for _inner in range(_MAX_INNER):
-            S = np.flatnonzero(active)
-            cand, stepped = core.solve_at(S, sigma[S], lam_s)
-            solves += 1
-            if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
-                theta[:] = 0.0
-                theta[S] = cand
-                break
-            # walk toward the candidate, stop at the first zero crossing: a
-            # θ_j ≠ 0 that would change sign, or a new θ_j = 0 moving against
-            # σ_j (finite: a flipped θ_j ≠ 0 has sign σ_j, so it crosses 0)
-            d = np.zeros(core.q)
-            d[S] = cand - theta[S]
-            t, dS = theta[S], d[S]
-            cross = np.full(S.size, np.inf)
-            hit = (t != 0.0) & (np.sign(t) != np.sign(t + dS)) & (dS != 0.0)
-            cross[hit] = -t[hit] / dS[hit]
-            cross[(t == 0.0) & (sigma[S] * dS < 0.0)] = 0.0
-            tmin = min(max(float(np.min(cross)), 0.0), 1.0)
-            theta += tmin * d
-            dropped = S[cross <= tmin + 1e-15]
-            theta[dropped] = 0.0
-            active[dropped] = False
-            if not np.any(active):
-                stepped = None
-                break
-        else:
-            raise NotConverged("active-set inner loop exceeded iteration cap")
+        steps, stepped = _resolve(core, theta, active, sigma, lam_s)
+        solves += steps
     raise NotConverged("active-set driver exceeded round cap")
+
+
+def _resolve(core: _Core, theta: np.ndarray, active: np.ndarray, sigma: np.ndarray,
+             lam_s: float) -> Tuple[int, Optional[Tuple[bytes, bytes]]]:
+    """Re-solve the active set in place (_solve_core): the number of steps
+    taken and the key whose stored step gave the final θ, if one did."""
+    for steps in range(1, _MAX_INNER + 1):
+        S = np.flatnonzero(active)
+        cand, stepped = core.solve_at(S, sigma[S], lam_s)
+        if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
+            theta[:] = 0.0
+            theta[S] = cand
+            return steps, stepped
+        # walk toward the candidate, stop at the first zero crossing: a
+        # θ_j ≠ 0 that would change sign, or a new θ_j = 0 moving against
+        # σ_j (finite: a flipped θ_j ≠ 0 has sign σ_j, so it crosses 0)
+        d = np.zeros(core.q)
+        d[S] = cand - theta[S]
+        t, dS = theta[S], d[S]
+        cross = np.full(S.size, np.inf)
+        hit = (t != 0.0) & (np.sign(t) != np.sign(t + dS)) & (dS != 0.0)
+        cross[hit] = -t[hit] / dS[hit]
+        cross[(t == 0.0) & (sigma[S] * dS < 0.0)] = 0.0
+        tmin = min(max(float(np.min(cross)), 0.0), 1.0)
+        theta += tmin * d
+        dropped = S[cross <= tmin + 1e-15]
+        theta[dropped] = 0.0
+        active[dropped] = False
+        if not np.any(active):
+            return steps, None
+    raise NotConverged("active-set inner loop exceeded iteration cap")
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +344,20 @@ def ista_oracle(design: np.ndarray, response: np.ndarray, lam: float) -> np.ndar
 
     Monotone ISTA with backtracking on the step size; stops when the
     objective decrease falls below 1e−14 (at most _ISTA_MAX_ITER
-    iterations). Deliberately shares no code with solve_lasso.
+    iterations). λ = +inf gives zeros; a NaN or negative λ raises
+    ValueError. Deliberately shares no code with solve_lasso.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     lam = float(lam)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam!r}")
     n, p = X.shape
+    theta = np.zeros(p)
+    if lam == math.inf:         # the objective at θ = 0 would read inf·0
+        return theta
     XtX = X.T @ X
     Xty = X.T @ y
-    theta = np.zeros(p)
 
     def f_smooth(t):
         r = y - X @ t
@@ -381,7 +412,7 @@ class PathSolution:
     theta: np.ndarray                 # original θ coordinates
     beta: Dict[str, np.ndarray]       # per factor, full per-level vector
     precision: PrecisionReport
-    solves: int
+    solves: int                       # active-set steps, solved or stepped, the predicted one too
     sweeps: int                       # always 0: perfbench/spans.py still sums it
 
 

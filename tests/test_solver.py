@@ -660,3 +660,100 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
     fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
     expect, _ = solver._solve_core(fresh, near, warm_start=theta)
     assert np.max(np.abs(again - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
+
+
+def test_a_nan_lambda_is_rejected_and_an_infinite_one_gives_zeros():
+    rng = np.random.default_rng(10)
+    X, y = random_instance(rng)
+    for solve in (solve_lasso, ista_oracle):
+        with pytest.raises(ValueError, match="nan"):
+            solve(X, y, float("nan"))
+        with pytest.raises(ValueError, match="-1.0"):
+            solve(X, y, -1.0)
+        assert np.all(solve(X, y, np.inf) == 0.0)
+
+
+def _fresh_core(prob):
+    return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled, prob.gamma)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("make", [lambda: make_s1(seed=1),
+                                  lambda: generate(make_scenario("S3")).train,
+                                  lambda: _rent_shaped_ds(5)], ids=["S1", "S3", "rent"])
+def test_predicted_path_matches_fresh_solves_point_by_point(make, adaptive):
+    # each point, reached by stepping the previous point's system to λ and
+    # then certifying, agrees with a solve on a new core (no stored steps)
+    # warm started from the path's previous point
+    ds = make()
+    prob = build_augmented(ds, build_weights(ds, adaptive, True))
+    pr = path(prob, grid_size=100)
+    w = prob.weight_values
+    for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
+        theta, _ = solver._solve_core(_fresh_core(prob), sol.lam, warm_start=prev.theta_scaled)
+        scale = max(1.0, float(np.max(np.abs(theta))))
+        assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
+        assert degrees_of_freedom(extract_clusters(sol.beta, ds.schemas)) == \
+            degrees_of_freedom(extract_clusters(back_transform(theta, prob.layout, w),
+                                                ds.schemas)), sol.lam
+
+
+def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
+    # a grid point starts from its predicted θ, not by certifying the
+    # previous point's θ at the new λ, so most points take one KKT round
+    _, problems = _s2_problems()
+    counts = {"grad": 0, "factorisations": 0}
+    grad, subspace_solve = _Core.grad, _Core.subspace_solve
+
+    def counted_grad(core, theta):
+        counts["grad"] += 1
+        return grad(core, theta)
+
+    def counted_solve(core, S, rhs):
+        counts["factorisations"] += 1
+        return subspace_solve(core, S, rhs)
+
+    monkeypatch.setattr(_Core, "grad", counted_grad)
+    monkeypatch.setattr(_Core, "subspace_solve", counted_solve)
+    points, factorisations = 0, []
+    for prob in problems:
+        before = counts["factorisations"]
+        pr = path(prob, grid_size=100)
+        points += sum(sol.lam > 0 for sol in pr.solutions)
+        factorisations.append(counts["factorisations"] - before)
+    assert counts["grad"] <= 1.6 * points
+    assert factorisations == [67, 53]
+
+
+def test_a_column_over_its_floor_after_a_predicted_step_enters_the_next_solve(monkeypatch):
+    # S2 seed 0, standard weights without frequency terms: the step from
+    # grid point 63 to 64 leaves column 54 violating the KKT conditions by
+    # more than its rounding floor but less than ¼·tol, so it joins the
+    # first solve after the step
+    train = generate(make_scenario("S2", 0)).train
+    prob = build_augmented(train, build_weights(train, False, False))
+    core = _fresh_core(prob)
+    lams = solver._grid_lambdas(core.lambda_max, 100)
+    theta = np.zeros(prob.q)
+    for lam in lams[:64]:
+        theta, _ = solver._solve_core(core, lam, warm_start=theta)
+    S = np.flatnonzero(theta)
+    sigma_S = np.sign(theta[S])
+    lam0, theta0, slope = core.steps[(S.tobytes(), sigma_S.tobytes())]
+    lam_s = lams[64] * core.y_scale
+    predicted = np.zeros(prob.q)
+    predicted[S] = theta0 + (lam_s - lam0) * slope
+    assert np.all(np.sign(predicted[S]) == sigma_S)      # no sign crossing
+    viol = np.abs(core.grad(predicted)) - lam_s
+    floor = core.kkt_floor(predicted)
+    between = (predicted == 0.0) & (viol > floor) & (viol <= 0.25 * (solver.KKT_TOL + floor))
+    assert np.flatnonzero(between).tolist() == [54]
+    subspace_solve, calls = _Core.subspace_solve, []
+
+    def counted(self, S, rhs):
+        calls.append(S.tolist())
+        return subspace_solve(self, S, rhs)
+
+    monkeypatch.setattr(_Core, "subspace_solve", counted)
+    solver._solve_core(core, lams[64], warm_start=theta)
+    assert calls and 54 in calls[0] and set(calls[0]) - {54} == set(S.tolist())
