@@ -1,14 +1,15 @@
 """Design matrices and parameter transforms.
 
-One indicator-column routine for dummy and split coding, the
-first-difference transform U and its inverse, the pairwise-difference
-parameterization θ with its restriction matrix A, and assembly of the
+The pairwise-difference parameterization θ with its restriction matrix A,
+the first-difference transform U and its inverse, and assembly of the
 augmented least-squares problem whose plain L1 solution approximates the
 difference-penalized fit, whose data block is read off the level table.
 
 Both penalties sum w_ij·|β_i − β_j| over one set of level pairs, and
 `theta_layout` is its one statement (see ThetaLayout): θ, A, the weights and
-the evaluation all read it through `FactorBlock.pair_index`.
+the evaluation all read it through `FactorBlock.pair_index`. The data sit
+on a spanning tree of each factor's pairs, coded by `FactorBlock.level_coding`,
+and every other pair gets one restriction row.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class FactorBlock:
     kind: str              # 'nominal' (includes binary) or 'ordinal'
     k: int                 # non-reference level count
     offset: int            # start column in θ
-    pairs: Tuple[Tuple[int, int], ...]  # (i, j) differences; ordinal: (i, i-1)
+    pairs: Tuple[Tuple[int, int], ...]  # (i, j) differences, tree edges first
 
     @property
     def length(self) -> int:
@@ -56,6 +57,17 @@ class FactorBlock:
         index.setflags(write=False)
         return tuple(index)
 
+    @cached_property
+    def level_coding(self) -> np.ndarray:
+        """Read-only (k + 1) × k 0/1 P, β = P·θ_tree: row i marks the tree
+        edges (pairs[:k], in level order) on level i's path to level 0."""
+        P = np.zeros((self.k + 1, self.k))
+        for c, (i, parent) in enumerate(self.pairs[:self.k]):
+            P[i] = P[parent]
+            P[i, c] = 1.0
+        P.setflags(write=False)
+        return P
+
 
 @dataclass(frozen=True)
 class ThetaLayout:
@@ -63,10 +75,11 @@ class ThetaLayout:
     of the level pairs it sums over, column c holding θ_c = β_i − β_j.
 
     Nominal blocks carry all pairs (i, j), i > j >= 0, in the order
-    (1,0),(2,0),...,(k,0),(2,1),...,(k,k-1); block length (k+1)k/2. So
-    θ_{i0} sits at column offset + i − 1, which `back_transform`, `path`'s
-    data columns and `restriction_rows` rely on. Ordinal blocks carry the
-    adjacent differences δ_i = β_i − β_{i−1}, length k.
+    (1,0),(2,0),...,(k,0),(2,1),...,(k,k-1); block length (k+1)k/2. Ordinal
+    blocks carry the adjacent differences δ_i = β_i − β_{i−1}, length k. The
+    first k pairs are the tree edges (i, parent(i)): the star (i, 0) or the
+    chain (i, i − 1), edge i at column offset + i − 1, which `level_coding`,
+    `restriction_rows`, `back_transform` and `path`'s data columns rely on.
     """
 
     blocks: Tuple[FactorBlock, ...]
@@ -77,9 +90,8 @@ class ThetaLayout:
 
     @cached_property
     def r(self) -> int:
-        """Restriction row count: (k-1)k/2 per nominal factor with k >= 2."""
-        return sum((b.k - 1) * b.k // 2 for b in self.blocks
-                   if b.kind == "nominal" and b.k >= 2)
+        """Restriction row count: one per non-tree pair."""
+        return sum(b.length - b.k for b in self.blocks)
 
     def block(self, name: str) -> FactorBlock:
         for b in self.blocks:
@@ -102,29 +114,6 @@ def theta_layout(schemas: Sequence[FactorSchema]) -> ThetaLayout:
         blocks.append(FactorBlock(sch.name, kind, sch.k, offset, pairs))
         offset += len(pairs)
     return ThetaLayout(tuple(blocks))
-
-
-# ---------------------------------------------------------------------------
-# indicator coding
-# ---------------------------------------------------------------------------
-
-def indicator_columns(codes: np.ndarray, labels, split: bool = False) -> np.ndarray:
-    """0/1 columns, one per label: `codes == label` (dummy coding) or, with
-    `split`, `codes >= label` (split coding of an ordinal factor)."""
-    codes = np.asarray(codes)[:, None]
-    labels = np.asarray(labels)[None, :]
-    return (codes >= labels if split else codes == labels).astype(float)
-
-
-def u_transform(beta: np.ndarray) -> np.ndarray:
-    """First differences δ_i = β_i − β_{i−1} with β_0 = 0."""
-    beta = np.asarray(beta, dtype=float)
-    return np.diff(beta, prepend=0.0)
-
-
-def u_back_transform(delta: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis: β_i = Σ_{s<=i} δ_s."""
-    return np.cumsum(np.asarray(delta, dtype=float), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +160,7 @@ class AugmentedProblem:
     def Z_data(self) -> np.ndarray:
         Z = np.zeros((self.dataset.n, self.q))
         for l, b in enumerate(self.layout.blocks):
-            Z[:, b.offset:b.offset + b.k] = indicator_columns(
-                self.dataset.codes[:, l], np.arange(1, b.k + 1), split=b.kind == "ordinal")
+            Z[:, b.offset:b.offset + b.k] = b.level_coding[self.dataset.codes[:, l]]
         return (Z - self.column_means) / self.weight_values
 
     @property
@@ -189,19 +177,14 @@ class AugmentedProblem:
 
 
 def restriction_rows(layout: ThetaLayout) -> np.ndarray:
-    """Rows encoding θ_{i0} − θ_{j0} − θ_{ij} = 0 for every nominal (i,j), j >= 1."""
+    """One row per non-tree pair (i, j): (P[i] − P[j])·θ_tree − θ_ij = 0."""
     q = layout.q
     blocks = [np.zeros((0, q))]
     for b in layout.blocks:
-        if b.kind != "nominal":
-            continue
-        i, j = b.pair_index
-        c = np.flatnonzero(j >= 1)          # pair columns θ_ij, j >= 1
-        rows = np.zeros((c.size, q))
-        at = np.arange(c.size)
-        rows[at, b.offset + i[c] - 1] = 1.0
-        rows[at, b.offset + j[c] - 1] = -1.0
-        rows[at, b.offset + c] = -1.0
+        i, j = (index[b.k:] for index in b.pair_index)
+        rows = np.zeros((i.size, q))
+        rows[:, b.offset:b.offset + b.k] = b.level_coding[i] - b.level_coding[j]
+        rows[np.arange(i.size), b.offset + b.k + np.arange(i.size)] = -1.0
         blocks.append(rows)
     return np.vstack(blocks)
 
@@ -210,10 +193,11 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
     """Assemble the augmented problem for the full factor set at
     γ = DEFAULT_SQRT_GAMMA².
 
-    Nominal blocks contribute Z = (X | 0) plus restriction rows; ordinal
-    blocks contribute centered split-coded columns and no restrictions.
-    The Gram pieces are read off ds.level_table (LevelTable.gram with C the
-    L × q coding of the stacked levels), so no n × q array is built.
+    Each block's centered data sit on its tree columns, coded by its
+    level_coding P (dummy coding on a star, split coding on a chain); each
+    other pair column has one restriction row. The Gram pieces are read off
+    ds.level_table (LevelTable.gram with C the L × q coding of the stacked
+    levels, P per block), so no n × q array is built.
     `weights` is a WeightSet (whose values are checked finite and > 0)
     laid out for ds.schemas; one laid out for other factors raises
     LayoutMismatch naming both factor lists.
@@ -228,8 +212,7 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
     F, L = len(layout.blocks), int(table.offsets[-1])
     C = np.zeros((L, layout.q))
     for b, start in zip(layout.blocks, table.offsets.tolist()):
-        C[start:start + b.k + 1, b.offset:b.offset + b.k] = indicator_columns(
-            np.arange(b.k + 1), np.arange(1, b.k + 1), split=b.kind == "ordinal")
+        C[start:start + b.k + 1, b.offset:b.offset + b.k] = b.level_coding
     XtX, Xty, counts = table.gram(C)
     means = counts / ds.n
     # |x_j| = m_j + d_j(1 − 2m_j) = 2m_j(1 − m_j) + (1 − 2m_j)x_j for the 0/1
@@ -272,3 +255,14 @@ def induced_theta(layout: ThetaLayout, beta: Dict[str, np.ndarray]) -> np.ndarra
         i, j = b.pair_index
         theta[b.slice] = bl[i] - bl[j]
     return theta
+
+
+def u_transform(beta: np.ndarray) -> np.ndarray:
+    """First differences δ_i = β_i − β_{i−1} with β_0 = 0."""
+    beta = np.asarray(beta, dtype=float)
+    return np.diff(beta, prepend=0.0)
+
+
+def u_back_transform(delta: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis: β_i = Σ_{s<=i} δ_s."""
+    return np.cumsum(np.asarray(delta, dtype=float), axis=-1)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np

@@ -17,7 +17,6 @@ clustering FPR/FNR over coefficient differences within relevant factors.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

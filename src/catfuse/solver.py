@@ -13,12 +13,12 @@ inner step solves the saddle-point system
     [   Aₛ   −I/(2γ)] [ v ] = [     0      ]
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
-style sign handling. A nominal pair column θ_ij (j ≥ 1) carries no data and
-sits in one restriction row ρ, so when it is active its stationarity row
-fixes v_ρ in closed form and row ρ gives θ_ij from the data columns. The
-solve therefore runs only on the active data columns (θ_i0 and ordinal δ)
-and the restriction rows whose pair column is inactive; the elimination is
-exact, with no approximation in γ.
+style sign handling. A non-tree pair column θ_ij carries no data and sits
+in one restriction row ρ, so when it is active its stationarity row fixes
+v_ρ in closed form and row ρ gives θ_ij from the data columns. The solve
+therefore runs only on the active data columns (each factor's tree edges,
+coding.ThetaLayout) and the restriction rows whose pair column is
+inactive; the elimination is exact, with no approximation in γ.
 
 γ is finite, so a fit violates the restrictions by Δ = ‖Aθ̂‖². The λ = 0
 fit θ_LS has Aθ_LS = 0 and the least RSS, so comparing the objective at θ̂
@@ -51,7 +51,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .coding import AugmentedProblem, ThetaLayout, induced_theta, u_back_transform
+from .coding import AugmentedProblem, ThetaLayout, induced_theta
 from .datamodel import NO_FACTORS
 from .errors import LayoutMismatch, NotConverged, RankDeficient
 from .structure import solve_normal_equations
@@ -82,9 +82,10 @@ class _Core:
         self.A, self._absA, self.gamma = A, np.abs(A), float(gamma)
         self.q, self.r = XtX.shape[0], A.shape[0]
         self.y_scale = y_scale
+        self.lam_max_s = _lambda_max(Xty)      # λ_max in solver units
         # pair_row[c] = ρ for a column with no data and one nonzero in A, at
-        # row ρ, when it is the only such column of ρ (the nominal θ_ij,
-        # j ≥ 1); -1 elsewhere. subspace_solve eliminates these columns.
+        # row ρ, when it is the only such column of ρ (a non-tree pair
+        # column); -1 elsewhere. subspace_solve eliminates these columns.
         lone = np.flatnonzero(~np.any(XtX != 0.0, axis=0)
                               & (np.count_nonzero(A, axis=0) == 1))
         rows, at = np.nonzero(A[:, lone])
@@ -111,7 +112,7 @@ class _Core:
 
     @property
     def lambda_max(self) -> float:
-        return _lambda_max(self.Xty) / self.y_scale
+        return self.lam_max_s / self.y_scale
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return (2.0 * (self.XtX @ theta - self.Xty)
@@ -216,7 +217,8 @@ def _solve_core(
     the solution of one subspace system, solved or stepped.
 
     λ, the warm start and the result are in the data's units; the rounds run
-    on the response scaled by core.y_scale.
+    on the response scaled by core.y_scale. At λ ≥ λ_max, where θ = 0 is
+    the solution, the warm start is dropped.
 
     A system that recurs with the same active set and signs is stepped along
     its λ-direction, not refactorised: the first solve of a key (S, σ_S)
@@ -254,6 +256,8 @@ def _solve_core(
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
     theta *= core.y_scale
     lam_s = lam * core.y_scale
+    if lam_s >= core.lam_max_s:
+        theta[:] = 0.0
     sigma = np.sign(theta)
     active = theta != 0.0
     S = np.flatnonzero(active)
@@ -463,9 +467,11 @@ def back_transform(
 ) -> Dict[str, np.ndarray]:
     """Per-factor per-level coefficients from solver coordinates.
 
-    Undoes the 1/w column rescaling, then reads nominal levels from the
-    θ_{i0} entries and accumulates ordinal differences. A (G × q) stack of
-    θ̃ gives a (G × (k + 1)) stack per factor, each row as its own θ̃ would.
+    Undoes the 1/w column rescaling, then walks each block's tree edges
+    (i, parent(i)) in level order: β_i = θ_tree(i) + β_parent(i), added only
+    where parent(i) ≠ 0, so a star copies its tree columns (±0.0 too) and a
+    chain sums in np.cumsum's order. A (G × q) stack of θ̃ gives a
+    (G × (k + 1)) stack per factor, each row as its own θ̃ would.
     """
     theta_scaled = np.asarray(theta_scaled, dtype=float)
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
@@ -478,10 +484,10 @@ def back_transform(
     out: Dict[str, np.ndarray] = {}
     for b in layout.blocks:
         full = np.zeros(theta.shape[:-1] + (b.k + 1,))
-        if b.kind == "nominal":
-            full[..., 1:] = theta[..., b.offset:b.offset + b.k]
-        else:
-            full[..., 1:] = u_back_transform(theta[..., b.slice])
+        full[..., 1:] = theta[..., b.offset:b.offset + b.k]
+        for i, parent in b.pairs[:b.k]:
+            if parent:
+                full[..., i] += full[..., parent]
         out[b.name] = full
     return out
 
@@ -523,13 +529,13 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     core = _Core.from_gram(problem.XtX, problem.Xty, problem.absXtX, problem.absXty,
                            problem.A_scaled, problem.gamma)
 
-    # The λ = 0 point is the least-squares fit of the data columns (θ_i0 and
-    # δ), solved in unit weights: it does not depend on the weights, and
-    # capped adaptive weights would wreck the conditioning of a weighted
-    # fit. Its normal equations are read off the core's data block. The
-    # nominal pair columns carry no data; they follow from
-    # θ_ij = β_i − β_j, which makes Aθ = 0. A column with neither data nor a
-    # restriction is unidentified and stays 0.
+    # The λ = 0 point is the least-squares fit of the data columns (each
+    # block's first k, the tree edges), solved in unit weights: it does not
+    # depend on the weights, and capped adaptive weights would wreck the
+    # conditioning of a weighted fit. Its normal equations are read off the
+    # core's data block. The non-tree pair columns carry no data; they
+    # follow from θ_ij = β_i − β_j, which makes Aθ = 0. A column with
+    # neither data nor a restriction is unidentified and stays 0.
     data_cols = np.array([b.offset + i for b in layout.blocks for i in range(b.k)], dtype=int)
     w_d = w[data_cols]
     G = core.XtX[np.ix_(data_cols, data_cols)] * np.outer(w_d, w_d)

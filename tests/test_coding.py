@@ -7,7 +7,6 @@ import pytest
 
 from catfuse.coding import (
     build_augmented,
-    indicator_columns,
     induced_theta,
     nominal_pairs,
     restriction_rows,
@@ -245,11 +244,13 @@ def test_split_design_indicators():
     # split coding of ordinal "b": column i - 1 is codes >= i, i = 1, 2
     ds = toy_mixed_ds(seed=4)
     codes = ds.codes[:, 1]
-    cols = indicator_columns(codes, [1, 2], split=True)
+    layout = theta_layout(ds.schemas)
+    cols = layout.block("b").level_coding[codes]
     assert cols.shape == (ds.n, 2)
     assert np.array_equal(cols[:, 0], (codes >= 1).astype(float))
     assert np.array_equal(cols[:, 1], (codes >= 2).astype(float))
-    # without split the same labels give dummy coding, codes == i
-    dummy = indicator_columns(codes, [1, 2])
+    # the same codes on a nominal star give dummy coding, codes == i
+    star = theta_layout((FactorSchema("n", "nominal", ("x", "y", "z")),)).block("n")
+    dummy = star.level_coding[codes]
     assert np.array_equal(dummy[:, 0], (codes == 1).astype(float))
     assert np.array_equal(dummy[:, 1], (codes == 2).astype(float))

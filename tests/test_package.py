@@ -40,6 +40,25 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
+def test_every_imported_name_is_used():
+    # __init__.py imports names to re-export them
+    unused = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {bound}" for bound in sorted(imported - used)]
+    assert unused == []
+
+
 def _readme_library_block() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1]

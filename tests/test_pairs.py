@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from catfuse.coding import induced_theta, restriction_rows, theta_layout
+from catfuse.coding import induced_theta, restriction_rows, theta_layout, u_back_transform
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.simlab import evaluate
+from catfuse.solver import back_transform
 from catfuse.structure import extract_clusters
 from catfuse.weights import (
     ADAPTIVE_CAP,
@@ -58,6 +59,38 @@ def test_pair_index_is_built_once_and_read_only():
         i, j = b.pair_index
         assert b.pair_index is b.pair_index
         assert not (i.flags.writeable or j.flags.writeable)
+
+
+def test_level_coding_matches_per_level_loop():
+    for b in LAYOUT.blocks:
+        P = b.level_coding
+        assert P.shape == (b.k + 1, b.k)
+        for l in range(b.k + 1):
+            for c in range(b.k):
+                want = l >= c + 1 if b.kind == "ordinal" else l == c + 1
+                assert P[l, c] == float(want)
+
+
+def test_level_coding_is_built_once_and_read_only():
+    for b in LAYOUT.blocks:
+        assert b.level_coding is b.level_coding
+        assert not b.level_coding.flags.writeable
+
+
+def test_back_transform_of_a_stack_matches_slice_and_cumsum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, LAYOUT.q))
+    stack[rng.random(stack.shape) < 0.4] = 0.0
+    stack[rng.random(stack.shape) < 0.3] = -0.0
+    stack[0], stack[1] = 0.0, -0.0
+    w = rng.uniform(0.5, 2.0, LAYOUT.q)
+    got = back_transform(stack, LAYOUT, w)
+    theta = stack / w
+    for b in LAYOUT.blocks:
+        tree = theta[:, b.offset:b.offset + b.k]
+        levels = tree if b.kind != "ordinal" else u_back_transform(tree)
+        want = np.concatenate([np.zeros((len(stack), 1)), levels], axis=1)
+        assert got[b.name].tobytes() == want.tobytes()
 
 
 def test_induced_theta_matches_per_pair_loop():

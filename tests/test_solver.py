@@ -673,6 +673,32 @@ def test_a_nan_lambda_is_rejected_and_an_infinite_one_gives_zeros():
         assert np.all(solve(X, y, np.inf) == 0.0)
 
 
+def _warm_started_lasso():
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(60, 10)), rng.normal(size=60)
+    theta = solve_lasso(X, y, 0.1 * 2.0 * np.max(np.abs(X.T @ y)))
+    assert np.any(theta != 0.0)
+    return X, y, theta
+
+
+@pytest.mark.parametrize("lam", [np.inf, 1e308])
+def test_a_warm_start_at_or_over_lambda_max_gives_zeros(lam):
+    X, y, theta = _warm_started_lasso()
+    got = solve_lasso(X, y, lam, warm_start=theta)
+    assert got.tobytes() == np.zeros(X.shape[1]).tobytes()
+
+
+def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros():
+    X, y, _ = _warm_started_lasso()
+    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    theta, _ = solver._solve_core(core, 0.1 * core.lambda_max)
+    assert core.steps and np.any(theta != 0.0)
+    for lam in (np.inf, core.lambda_max):
+        got, solves = solver._solve_core(core, lam, warm_start=theta)
+        assert solves == 0
+        assert got.tobytes() == np.zeros(X.shape[1]).tobytes()
+
+
 def _fresh_core(prob):
     return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled, prob.gamma)
 
