@@ -17,6 +17,7 @@ clustering FPR/FNR over coefficient differences within relevant factors.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -228,26 +229,20 @@ class VariantConfig:
 
 
 def parse_variant(label: str) -> VariantConfig:
-    """Labels: "ols", or "stdrd"/"adapt" with optional "+rf" (refit after
-    structure discovery) and "-nf" (drop class-frequency weight terms)."""
+    """Labels: "ols", or "stdrd"/"adapt" followed by nothing, "+rf" (refit
+    after structure discovery), "-nf" (drop class-frequency weight terms),
+    "+rf-nf" or "-nf+rf"; any other label raises ValueError."""
     if label == "ols":
         return VariantConfig(label=label, ols_only=True)
-    base = label
-    rf = "+rf" in base
-    base = base.replace("+rf", "")
-    nf = "-nf" in base
-    base = base.replace("-nf", "")
-    if base == "stdrd":
-        adaptive = False
-    elif base == "adapt":
-        adaptive = True
-    else:
+    match = re.fullmatch(r"(stdrd|adapt)(\+rf-nf|-nf\+rf|\+rf|-nf)?", label)
+    if match is None:
         raise ValueError(f"unknown variant label {label!r}")
+    suffix = match.group(2) or ""
     return VariantConfig(
         label=label,
-        adaptive=adaptive,
-        use_frequency=not nf,
-        refit_after=rf,
+        adaptive=match.group(1) == "adapt",
+        use_frequency="-nf" not in suffix,
+        refit_after="+rf" in suffix,
     )
 
 

@@ -28,13 +28,14 @@ One loop drives a solve, and its one exit test is the KKT certificate: each
 round evaluates the gradient and its rounding floor once, then adds
 violators, returns a certified θ or re-solves the active set. A solve that
 cannot be certified raises NotConverged, never swallowed. θₛ is affine in λ
-while the active set and its signs are fixed, so a system that recurs with
-the same active set and signs is stepped along its λ-direction, not
-refactorised. A grid point whose warm start is the solution of a stored
-system first steps that system to the new λ (the predicted step) and then
-certifies; the first certificate round after it admits any column whose
+while the active set and its signs are fixed, so one factorisation of a
+system (S, σ_S) gives θ_S(λ₀) and dθ_S/dλ together. Each grid point starts
+from the previous point's system stepped to its λ (the predicted step) and
+then certifies; the first certificate round after it admits any column whose
 violation exceeds its rounding floor, since the step is the exact
-continuation of the previous point between knots.
+continuation of the previous point between knots. Every other step
+factorises, a recurring system too, so a solve depends only on its λ, warm
+start and handed system, never on what ran on the core before.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -92,9 +93,6 @@ class _Core:
         alone = np.bincount(rows, minlength=self.r)[rows] == 1
         self.pair_row = np.full(self.q, -1)
         self.pair_row[lone[at[alone]]] = rows[alone]
-        # (S, σ_S) → (λ₀, θ_S(λ₀), dθ_S/dλ) of every subspace system solved
-        # so far (_solve_core): θ_S is affine in λ while S and σ_S are fixed
-        self.steps: Dict[Tuple[bytes, bytes], Tuple[float, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float) -> "_Core":
@@ -183,20 +181,27 @@ class _Core:
             raise RankDeficient("subspace solve produced non-finite values")
         return out
 
-    def solve_at(self, S: np.ndarray, sigma_S: np.ndarray,
-                 lam: float) -> Tuple[np.ndarray, Optional[Tuple[bytes, bytes]]]:
-        """θ_S solving the system of (S, σ_S) at λ (solver units), and the
-        key of the stored step it was read from, or None if it was solved
-        now. A first solve takes [2Xₛ'y − λσ_S, −σ_S] and stores
-        (λ, θ_S(λ), dθ_S/dλ) under the key."""
-        key = (S.tobytes(), sigma_S.tobytes())
-        if key in self.steps:
-            lam0, theta0, slope = self.steps[key]
-            return theta0 + (lam - lam0) * slope, key
+    def solve_at(self, S: np.ndarray, sigma_S: np.ndarray, lam: float) -> "_System":
+        """Factorise the system of (S, σ_S) at λ (solver units): one solve of
+        [2Xₛ'y − λσ_S, −σ_S] gives θ_S(λ) and dθ_S/dλ."""
         theta0, slope = self.subspace_solve(
             S, np.column_stack([2.0 * self.Xty[S] - lam * sigma_S, -sigma_S])).T.copy()
-        self.steps[key] = (lam, theta0, slope)
-        return theta0, None
+        return _System(S, sigma_S, lam, theta0, slope)
+
+
+class _System(NamedTuple):
+    """One factorised active set: θ_S(λ) = θ₀ + (λ − λ₀)·dθ_S/dλ while S
+    keeps the signs σ_S (solver units)."""
+
+    S: np.ndarray
+    sigma_S: np.ndarray
+    lam0: float
+    theta0: np.ndarray
+    slope: np.ndarray
+
+    def at(self, lam: float) -> np.ndarray:
+        # θ₀ itself at λ₀: θ₀ + 0·slope would turn −0.0 into +0.0
+        return self.theta0 if lam == self.lam0 else self.theta0 + (lam - self.lam0) * self.slope
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +217,20 @@ def _solve_core(
     core: _Core,
     lam: float,
     warm_start: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int]:
-    """The minimizer at λ and the number of active-set steps it took, each
-    the solution of one subspace system, solved or stepped.
+    system: Optional[_System] = None,
+) -> Tuple[np.ndarray, int, Optional[_System]]:
+    """The minimizer at λ, the number of active-set steps it took (each the
+    solution of one subspace system, factorised or stepped) and the system
+    it solves, handed in or factorised last (None if no such system is known).
 
     λ, the warm start and the result are in the data's units; the rounds run
-    on the response scaled by core.y_scale. At λ ≥ λ_max, where θ = 0 is
-    the solution, the warm start is dropped.
+    on the response scaled by core.y_scale, as does the system. At λ ≥ λ_max,
+    where θ = 0 is the solution, the warm start is dropped.
 
-    A system that recurs with the same active set and signs is stepped along
-    its λ-direction, not refactorised: the first solve of a key (S, σ_S)
-    takes [2Xₛ'y − λσ_S, −σ_S] together and keeps θ_S(λ₀) and dθ_S/dλ in
-    core.steps, and a later one reads θ_S(λ₀) + (λ − λ₀)·dθ_S/dλ.
-
-    Predicted step. When the warm start's own system (its nonzeros S and
-    their signs) is stored and stepping it to λ changes θ_S, the solve first
-    re-solves that active set, which reads the step (a certified θ at its
-    own λ, or a zero slope, is left as it is and goes straight to the
+    Predicted step. When `system` is the warm start's own (its S and σ_S are
+    the warm start's nonzeros and signs) and stepping it to λ changes θ_S,
+    the solve first re-solves that active set from the step (a certified θ
+    at its own λ, or a zero slope, is left as it is and goes straight to the
     certificate). Then come the certificate rounds. Each evaluates the
     gradient g and its rounding floor once, sets tol = KKT_TOL + floor, and
     reads the KKT certificate off them:
@@ -242,12 +244,11 @@ def _solve_core(
       |g_j + λ·sign θ_j| ≤ tol_j;
     - otherwise the active set is re-solved.
 
-    A re-solve solves the subspace system on the active set S and walks
+    A re-solve factorises the subspace system on the active set S and walks
     toward its solution, stopping at the first sign crossing and dropping the
     columns that reach 0, until a solution keeps every sign σ (at λ = 0 any
-    solution is accepted). Each step decreases the objective. If a stepped θ
-    leaves no violator yet fails the certificate, its key is solved afresh
-    at λ.
+    solution is accepted). Each step decreases the objective. So a stepped θ
+    that leaves no violator yet fails the certificate is solved afresh at λ.
     """
     if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam!r}")
@@ -262,13 +263,15 @@ def _solve_core(
     active = theta != 0.0
     S = np.flatnonzero(active)
     solves = 0
-    stepped = None              # the key whose stored step gave θ, if one did
+    # only the warm start's own system is stepped (bytes: 20× cheaper than array_equal)
+    if system is not None and (system.S.tobytes(), system.sigma_S.tobytes()) != (
+            S.tobytes(), sigma[S].tobytes()):
+        system = None
     # the predicted step: compared with θ_S itself, so a warm start already
     # stepped to this λ (or on a zero slope) goes straight to the certificate
-    step = core.steps.get((S.tobytes(), sigma[S].tobytes()))
-    predicted = step is not None and bool(np.any(step[1] + (lam_s - step[0]) * step[2] != theta[S]))
+    predicted = system is not None and bool(np.any(system.at(lam_s) != theta[S]))
     if predicted:
-        solves, stepped = _resolve(core, theta, active, sigma, lam_s)
+        solves, system = _resolve(core, theta, active, sigma, lam_s, system)
     for _ in range(_MAX_ROUNDS):
         g = core.grad(theta)
         floor = core.kkt_floor(theta)
@@ -282,25 +285,27 @@ def _solve_core(
             active[add] = True
             sigma[add] = -np.sign(g[add])
         elif np.all(np.abs(g[active] + lam_s * np.sign(theta[active])) <= tol[active]):
-            return theta / core.y_scale, solves
-        elif stepped is not None:
-            del core.steps[stepped]
-        steps, stepped = _resolve(core, theta, active, sigma, lam_s)
+            return theta / core.y_scale, solves, system
+        steps, system = _resolve(core, theta, active, sigma, lam_s)
         solves += steps
     raise NotConverged("active-set driver exceeded round cap")
 
 
 def _resolve(core: _Core, theta: np.ndarray, active: np.ndarray, sigma: np.ndarray,
-             lam_s: float) -> Tuple[int, Optional[Tuple[bytes, bytes]]]:
+             lam_s: float, system: Optional[_System] = None) -> Tuple[int, Optional[_System]]:
     """Re-solve the active set in place (_solve_core): the number of steps
-    taken and the key whose stored step gave the final θ, if one did."""
+    taken and the system θ now solves (None once every column dropped). The
+    first step reads a handed-in `system`; every other step factorises."""
     for steps in range(1, _MAX_INNER + 1):
         S = np.flatnonzero(active)
-        cand, stepped = core.solve_at(S, sigma[S], lam_s)
+        if system is None:
+            system = core.solve_at(S, sigma[S], lam_s)
+        cand = system.at(lam_s)
         if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
             theta[:] = 0.0
             theta[S] = cand
-            return steps, stepped
+            return steps, system
+        system = None
         # walk toward the candidate, stop at the first zero crossing: a
         # θ_j ≠ 0 that would change sign, or a new θ_j = 0 moving against
         # σ_j (finite: a flipped θ_j ≠ 0 has sign σ_j, so it crosses 0)
@@ -339,7 +344,7 @@ def solve_lasso(
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
-    theta, _ = _solve_core(core, float(lam), warm_start)
+    theta, _, _ = _solve_core(core, float(lam), warm_start)
     return theta
 
 
@@ -416,7 +421,7 @@ class PathSolution:
     theta: np.ndarray                 # original θ coordinates
     beta: Dict[str, np.ndarray]       # per factor, full per-level vector
     precision: PrecisionReport
-    solves: int                       # active-set steps, solved or stepped, the predicted one too
+    solves: int                       # active-set steps, factorised or the predicted one
     sweeps: int                       # always 0: perfbench/spans.py still sums it
 
 
@@ -438,9 +443,12 @@ class PathResult:
     def nearest(self, s_values) -> np.ndarray:
         """Index of the point whose s_ratio is nearest each of s_values (the
         path's one nearest-point rule); ties take the first point, the
-        sparser, larger-λ one."""
+        sparser, larger-λ one. A NaN s raises ValueError."""
+        s_values = np.asarray(s_values, dtype=float)
+        if np.isnan(s_values).any():
+            raise ValueError(f"s_ratio must be a number, got {s_values.tolist()!r}")
         ratios = np.array([sol.s_ratio for sol in self.solutions])
-        return np.argmin(np.abs(ratios - np.asarray(s_values, dtype=float)[..., None]), axis=-1)
+        return np.argmin(np.abs(ratios - s_values[..., None]), axis=-1)
 
     def solution_at(self, s_ratio: float) -> PathSolution:
         """The point nearest s_ratio: nearest's one-value case."""
@@ -490,16 +498,6 @@ def back_transform(
                 full[..., i] += full[..., parent]
         out[b.name] = full
     return out
-
-
-def _solve_grid_point(core: _Core, lam: float, warm_start: np.ndarray, index: int):
-    # a failure keeps its class and names the grid point and λ
-    try:
-        return _solve_core(core, lam, warm_start=warm_start)
-    except (NotConverged, RankDeficient) as exc:
-        raise type(exc)(
-            f"{exc} (grid point {index}, lambda = {float(lam)!r}, augmented solve)"
-        ) from exc
 
 
 def _grid_lambdas(lam_max: float, grid_size: int) -> np.ndarray:
@@ -562,9 +560,15 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     # θ̃ at every grid point, one row each; the outputs are read off the stack
     stack = np.empty((lams.size, problem.q))
     solves = np.ones(lams.size, dtype=int)      # λ = 0: the normal equations
-    theta = np.zeros(problem.q)
+    # each point hands its system to the next, which starts from its step
+    theta, system = np.zeros(problem.q), None
     for i, lam in enumerate(lams[:-1]):
-        theta, solves[i] = _solve_grid_point(core, lam, theta, i)
+        try:
+            theta, solves[i], system = _solve_core(core, lam, theta, system)
+        except (NotConverged, RankDeficient) as exc:
+            # a failure keeps its class and names the grid point and λ
+            raise type(exc)(f"{exc} (grid point {i}, lambda = {float(lam)!r}, "
+                            "augmented solve)") from exc
         stack[i] = theta
     stack[-1] = theta_ls_scaled
 

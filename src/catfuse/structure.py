@@ -134,8 +134,8 @@ def _read_out(
     count towards max|β̂|. Clusters are numbered by smallest member, so
     level 0 is in cluster 0.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:            # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     stacks = [level_values(betas, sch) for sch in schemas]
     scale = np.zeros(len(betas))
     for B in stacks:
@@ -278,10 +278,10 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     Zero-cluster levels get no column (their coefficient stays 0); every
     other cluster contributes one indicator column for membership, so level
     i of a factor reads column labels[i] − 1 of that factor's columns. A
-    factor whose partition has other than k + 1 labels raises ShapeMismatch
-    naming it. The collapsed design must have full column rank; it may have
-    no columns.
-    The refitted partition keeps the input labels.
+    factor the partition lacks, or whose partition has other than k + 1
+    labels, raises ShapeMismatch naming it. The collapsed design must have
+    full column rank; it may have no columns. The refitted partition keeps
+    the input labels.
 
     The fit solves the normal equations of the centered collapsed design,
     read off ds.level_table by LevelTable.gram with C the L × m membership
@@ -289,9 +289,10 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
     """
     by_name = {fp.name: fp for fp in partition.factors}
-    fps = [by_name[sch.name] for sch in ds.schemas]
-    wrong = [f"factor {fp.name!r}: {len(fp.labels)} cluster labels for {sch.k + 1} levels"
-             for fp, sch in zip(fps, ds.schemas) if len(fp.labels) != sch.k + 1]
+    fps = [by_name.get(sch.name) for sch in ds.schemas]
+    wrong = [f"factor {sch.name!r}: " + ("not in the partition" if fp is None else
+                                         f"{len(fp.labels)} cluster labels for {sch.k + 1} levels")
+             for fp, sch in zip(fps, ds.schemas) if fp is None or len(fp.labels) != sch.k + 1]
     if wrong:
         raise ShapeMismatch("; ".join(wrong))
     table = ds.level_table

@@ -145,8 +145,12 @@ def test_variant_labels():
     assert not v.adaptive and not v.use_frequency and not v.refit_after
     v = parse_variant("adapt+rf-nf")
     assert v.adaptive and v.refit_after and not v.use_frequency
-    with pytest.raises(ValueError):
-        parse_variant("magic")
+    v = parse_variant("stdrd-nf+rf")
+    assert not v.adaptive and v.refit_after and not v.use_frequency
+    for label in ("magic", "st-nfdrd", "+rfadapt", "stdrd+rf+rf", "adapt-nf-nf",
+                  "stdrd+rf-nf+rf", "adapt+", "ols+rf", "Stdrd", " stdrd"):
+        with pytest.raises(ValueError, match="unknown variant label"):
+            parse_variant(label)
 
 
 def test_run_study_single_replicate_shape():

@@ -2,6 +2,7 @@
 reference, limit cases, and full paths on augmented problems."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -84,7 +85,8 @@ def test_warm_start_is_consistent():
 
 def test_certified_warm_start_takes_no_solve():
     # a solve ends on the KKT certificate, so a solve started from its own
-    # certified result re-reads that certificate and returns θ untouched
+    # certified result (and handed its system, whose step to the same λ
+    # leaves θ as it is) re-reads that certificate and returns θ untouched
     rng = np.random.default_rng(9)
     X, y = random_instance(rng)
     generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
@@ -94,11 +96,12 @@ def test_certified_warm_start_takes_no_solve():
     for core in (generic, s1):
         for frac in (0.5, 0.1, 0.01):
             lam = frac * core.lambda_max
-            theta, solves = solver._solve_core(core, lam)
+            theta, solves, system = solver._solve_core(core, lam)
             assert solves > 0 and np.any(theta != 0.0)
-            again, solves = solver._solve_core(core, lam, warm_start=theta)
-            assert solves == 0
-            assert again.tobytes() == theta.tobytes()
+            for handed in (None, system):
+                again, solves, _ = solver._solve_core(core, lam, warm_start=theta, system=handed)
+                assert solves == 0
+                assert again.tobytes() == theta.tobytes()
 
 
 def test_lambda_max_formula():
@@ -218,6 +221,15 @@ def test_nearest_equals_the_per_point_argmin():
     assert pr.nearest(sweep).tolist() == expect
     assert [pr.solutions.index(pr.solution_at(v)) for v in mids] == expect[-mids.size:]
     assert pr.nearest(mids[3]) == expect[-mids.size + 3]
+
+
+def test_nearest_rejects_a_nan_s():
+    ds = make_s1(seed=10)
+    pr = path(build_augmented(ds, standard_weights(ds)), grid_size=10)
+    for read in (pr.solution_at, pr.nearest, lambda s: pr.nearest([0.5, s]),
+                 lambda s: fit_at(pr, ds, s)):
+        with pytest.raises(ValueError, match="nan"):
+            read(float("nan"))
 
 
 def test_path_result_reads_grid_and_lambda_max_off_its_points():
@@ -393,10 +405,10 @@ def test_path_makes_no_gamma_zero_solve(monkeypatch):
     prob = build_augmented(train, build_weights(train, True, True))
     solve_core, calls = solver._solve_core, []
 
-    def counted(core, lam, warm_start=None):
-        theta, solves = solve_core(core, lam, warm_start)
+    def counted(core, lam, warm_start=None, system=None):
+        theta, solves, system = solve_core(core, lam, warm_start, system)
         calls.append((core.r, solves))
-        return theta, solves
+        return theta, solves, system
 
     monkeypatch.setattr(solver, "_solve_core", counted)
     pr = path(prob, grid_size=100)
@@ -598,9 +610,10 @@ def _s2_problems():
 
 
 def test_path_solves_each_active_set_and_sign_pattern_once(monkeypatch):
-    # a system that recurs with the same (S, σ_S) is stepped along its
-    # λ-direction: every subspace solve of a path is of a new key, and it
-    # solves the right-hand sides at λ₀ and of dθ/dλ = −M⁻¹σ_S together
+    # each point steps the previous point's system along its λ-direction:
+    # no (S, σ_S) recurs on these two paths, so every subspace solve is of a
+    # new key (a recurring system would be factorised again), and it solves
+    # the right-hand sides at λ₀ and of dθ/dλ = −M⁻¹σ_S together
     _, problems = _s2_problems()
     subspace_solve, keys = _Core.subspace_solve, []
 
@@ -626,7 +639,7 @@ def test_stepped_path_matches_fresh_solves_point_by_point():
         w = prob.weight_values
         for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
             fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
-            theta, _ = solver._solve_core(fresh, sol.lam, warm_start=prev.theta_scaled)
+            theta, _, _ = solver._solve_core(fresh, sol.lam, warm_start=prev.theta_scaled)
             scale = max(1.0, float(np.max(np.abs(theta))))
             assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
             assert degrees_of_freedom(extract_clusters(sol.beta, train.schemas)) == \
@@ -635,18 +648,18 @@ def test_stepped_path_matches_fresh_solves_point_by_point():
 
 
 def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypatch):
-    # zero the stored λ-direction of a solved system: a step to a nearby λ
-    # then returns the old point, which the certificate rejects, so that key
-    # is solved again at the new λ and the result is the fresh-core one
+    # reverse the λ-direction of the handed system: its step to a nearby λ
+    # then moves away from the solution, which the certificate rejects, so
+    # that active set is factorised again at the new λ and the result is the
+    # fresh-core one (a zero slope would leave θ as it is: no step is taken)
     ds = make_s1(seed=2)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
     core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
     lam, near = 0.1 * core.lambda_max, 0.1 * (1.0 - 1e-4) * core.lambda_max
-    theta, _ = solver._solve_core(core, lam)
+    theta, _, system = solver._solve_core(core, lam)
     S = np.flatnonzero(theta)
-    key = (S.tobytes(), np.sign(theta[S]).tobytes())
-    lam0, theta0, slope = core.steps[key]
-    core.steps[key] = (lam0, theta0, np.zeros_like(slope))
+    assert np.array_equal(system.S, S)
+    wrong = system._replace(slope=-system.slope)
     subspace_solve, calls = _Core.subspace_solve, []
 
     def counted(self, S, rhs):
@@ -654,11 +667,11 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
         return subspace_solve(self, S, rhs)
 
     monkeypatch.setattr(_Core, "subspace_solve", counted)
-    again, solves = solver._solve_core(core, near, warm_start=theta)
-    assert calls == [key[0]] and solves == 2
-    assert core.steps[key][0] == near * core.y_scale
+    again, solves, solved = solver._solve_core(core, near, warm_start=theta, system=wrong)
+    assert calls == [S.tobytes()] and solves == 2
+    assert solved.lam0 == near * core.y_scale
     fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
-    expect, _ = solver._solve_core(fresh, near, warm_start=theta)
+    expect, _, _ = solver._solve_core(fresh, near, warm_start=theta)
     assert np.max(np.abs(again - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
 
@@ -691,10 +704,10 @@ def test_a_warm_start_at_or_over_lambda_max_gives_zeros(lam):
 def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros():
     X, y, _ = _warm_started_lasso()
     core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
-    theta, _ = solver._solve_core(core, 0.1 * core.lambda_max)
-    assert core.steps and np.any(theta != 0.0)
+    theta, _, system = solver._solve_core(core, 0.1 * core.lambda_max)
+    assert system is not None and np.any(theta != 0.0)
     for lam in (np.inf, core.lambda_max):
-        got, solves = solver._solve_core(core, lam, warm_start=theta)
+        got, solves, _ = solver._solve_core(core, lam, warm_start=theta, system=system)
         assert solves == 0
         assert got.tobytes() == np.zeros(X.shape[1]).tobytes()
 
@@ -716,12 +729,66 @@ def test_predicted_path_matches_fresh_solves_point_by_point(make, adaptive):
     pr = path(prob, grid_size=100)
     w = prob.weight_values
     for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
-        theta, _ = solver._solve_core(_fresh_core(prob), sol.lam, warm_start=prev.theta_scaled)
+        theta, _, _ = solver._solve_core(_fresh_core(prob), sol.lam, warm_start=prev.theta_scaled)
         scale = max(1.0, float(np.max(np.abs(theta))))
         assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
         assert degrees_of_freedom(extract_clusters(sol.beta, ds.schemas)) == \
             degrees_of_freedom(extract_clusters(back_transform(theta, prob.layout, w),
                                                 ds.schemas)), sol.lam
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("make", [lambda: make_s1(seed=1),
+                                  lambda: generate(make_scenario("S3")).train,
+                                  lambda: _rent_shaped_ds(5)], ids=["S1", "S3", "rent"])
+def test_predicted_path_matches_fresh_solves_bit_for_bit(monkeypatch, make, adaptive):
+    # a point depends only on its λ, its warm start and the system handed to
+    # it, not on what ran on the core before: a solve on a new core, warm
+    # started from the path's previous point and handed that point's system,
+    # repeats the path's θ̃ and step count exactly
+    ds = make()
+    prob = build_augmented(ds, build_weights(ds, adaptive, True))
+    solve_core, systems = solver._solve_core, [None]
+
+    def recorded(core, lam, warm_start=None, system=None):
+        out = solve_core(core, lam, warm_start, system)
+        systems.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_solve_core", recorded)
+    pr = path(prob, grid_size=100)
+    monkeypatch.undo()
+    assert len(systems) == len(pr.solutions)
+    warm = np.zeros(prob.q)
+    for sol, handed in zip(pr.solutions[:-1], systems):
+        theta, solves, _ = solver._solve_core(_fresh_core(prob), sol.lam, warm_start=warm,
+                                              system=handed)
+        assert theta.tobytes() == sol.theta_scaled.tobytes(), sol.lam
+        assert solves == sol.solves, sol.lam
+        warm = sol.theta_scaled
+
+
+def test_path_leaves_its_core_unchanged(monkeypatch):
+    # a solve writes nothing to the core: after a path every attribute holds
+    # the bytes it held when the core was built
+    _, problems = _s2_problems()
+    from_gram, built = _Core.from_gram, []
+
+    def snapshot(core):
+        return {name: value.tobytes() if isinstance(value, np.ndarray) else copy.deepcopy(value)
+                for name, value in vars(core).items()}
+
+    def kept(*args):
+        core = from_gram(*args)
+        built.append((core, snapshot(core)))
+        return core
+
+    monkeypatch.setattr(_Core, "from_gram", kept)
+    for prob in problems:
+        path(prob, grid_size=100)
+    assert len(built) == len(problems)
+    for core, before in built:
+        assert snapshot(core) == before
 
 
 def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
@@ -760,12 +827,13 @@ def test_a_column_over_its_floor_after_a_predicted_step_enters_the_next_solve(mo
     prob = build_augmented(train, build_weights(train, False, False))
     core = _fresh_core(prob)
     lams = solver._grid_lambdas(core.lambda_max, 100)
-    theta = np.zeros(prob.q)
+    theta, system = np.zeros(prob.q), None
     for lam in lams[:64]:
-        theta, _ = solver._solve_core(core, lam, warm_start=theta)
+        theta, _, system = solver._solve_core(core, lam, warm_start=theta, system=system)
     S = np.flatnonzero(theta)
     sigma_S = np.sign(theta[S])
-    lam0, theta0, slope = core.steps[(S.tobytes(), sigma_S.tobytes())]
+    assert np.array_equal(system.S, S) and np.array_equal(system.sigma_S, sigma_S)
+    lam0, theta0, slope = system.lam0, system.theta0, system.slope
     lam_s = lams[64] * core.y_scale
     predicted = np.zeros(prob.q)
     predicted[S] = theta0 + (lam_s - lam0) * slope
@@ -781,5 +849,5 @@ def test_a_column_over_its_floor_after_a_predicted_step_enters_the_next_solve(mo
         return subspace_solve(self, S, rhs)
 
     monkeypatch.setattr(_Core, "subspace_solve", counted)
-    solver._solve_core(core, lams[64], warm_start=theta)
+    solver._solve_core(core, lams[64], warm_start=theta, system=system)
     assert calls and 54 in calls[0] and set(calls[0]) - {54} == set(S.tolist())

@@ -414,6 +414,28 @@ def test_refit_rejects_a_wrong_label_count_by_factor(g_labels, h_labels):
         refit(ds, part)
 
 
+def test_a_nan_cluster_tolerance_is_rejected():
+    # a NaN threshold would cut every step, yet df compares against it too
+    ds = generate(make_scenario("S1", 0)).train
+    beta = ols_coefficients(ds)
+    for read in (extract_clusters, lambda b, s, tol: extract_clusters_path([b], s, tol),
+                 lambda b, s, tol: cluster_labels_path([b], s, tol)):
+        with pytest.raises(ValueError, match="got nan"):
+            read(beta, ds.schemas, tol=float("nan"))
+
+
+def test_refit_names_each_factor_the_partition_lacks():
+    ds = generate(make_scenario("S2", 0)).train
+    part = extract_clusters(ols_coefficients(ds), ds.schemas)
+    for dropped in (("ord4n",), ("nom8", "ord4n")):
+        kept = ClusterPartition(tuple(fp for fp in part.factors if fp.name not in dropped),
+                                part.threshold)
+        with pytest.raises(ShapeMismatch) as err:
+            refit(ds, kept)
+        assert str(err.value) == "; ".join(f"factor {name!r}: not in the partition"
+                                           for name in dropped)
+
+
 def test_extract_clusters_path_checks_shapes():
     betas = [{"g": np.zeros(3)}, {"g": np.zeros(2)}]
     with pytest.raises(ValueError, match="'g': expected 3"):
