@@ -64,10 +64,6 @@ class UnobservedLevel(CatfuseError):
         )
 
 
-class OlsUnavailable(CatfuseError):
-    pass
-
-
 class MissingCoordinates(CatfuseError):
     def __init__(self, factor: str | None = None):
         self.factor = factor            # None: no factor of the schema has any
@@ -93,6 +89,10 @@ class LayoutMismatch(CatfuseError):
 
 class RankDeficient(CatfuseError):
     pass
+
+
+class OlsUnavailable(RankDeficient):
+    """The unpenalized fit (weights.ols_coefficients) is rank deficient."""
 
 
 class FoldRankDeficient(CatfuseError):

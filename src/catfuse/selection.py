@@ -19,7 +19,6 @@ from .datamodel import Dataset, level_values
 from .errors import (
     FoldRankDeficient,
     NotConverged,
-    OlsUnavailable,
     RankDeficient,
     UnobservedLevel,
 )
@@ -30,8 +29,8 @@ from .structure import (
     degrees_of_freedom,
     extract_clusters,
     extract_clusters_path,
-    partition_from_labels,
     refit,
+    refit_labels,
 )
 from .weights import (
     adaptive_weights,
@@ -158,7 +157,7 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
         try:
             ws = build_weights(train, config.adaptive, config.use_frequency, config.spatial_h)
             pr = path(build_augmented(train, ws), config.grid_size)
-        except (RankDeficient, OlsUnavailable, UnobservedLevel) as e:
+        except (RankDeficient, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
         except NotConverged as e:
             raise type(e)(f"{e} (fold {f})") from e
@@ -169,15 +168,15 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
 def _refit_betas(
     train: Dataset, betas: Sequence[Dict[str, np.ndarray]], fold: int
 ) -> Tuple[List[Dict[str, np.ndarray]], np.ndarray]:
-    """refit(train, ·).beta at each distinct partition of the β, and the
-    index of each β's partition in that list: the cluster labels of all β
-    are read in one pass, and each distinct labelling is refitted once."""
+    """refit_labels(train, ·).beta at each distinct partition of the β, and
+    the index of each β's partition in that list: the cluster labels of all
+    β are read in one pass, and each distinct labelling is refitted once."""
     labels = cluster_labels_path(betas, train.schemas)
     distinct, which = np.unique(labels, axis=0, return_inverse=True)
     fitted = []
     for row in distinct:
         try:
-            fitted.append(refit(train, partition_from_labels(row, train.schemas)).beta)
+            fitted.append(refit_labels(train, row).beta)
         except RankDeficient as e:
             raise FoldRankDeficient(fold, detail=str(e))
     # the shape of the inverse differs across numpy versions
@@ -195,7 +194,7 @@ def score_folds(
     s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
     With `refit_inside`, the fold path's cluster labels are read in one
     cluster_labels_path pass, and each distinct labelling is refitted on
-    the training part and scored once (refit reads only the labels).
+    the training part and scored once (refit_labels).
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))

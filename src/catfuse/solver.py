@@ -55,7 +55,7 @@ import numpy as np
 from .coding import AugmentedProblem, ThetaLayout, induced_theta
 from .datamodel import NO_FACTORS
 from .errors import LayoutMismatch, NotConverged, RankDeficient
-from .structure import solve_normal_equations
+from .weights import ols_coefficients
 
 KKT_TOL = 1e-6
 PRECISION_SLACK = 1e-12
@@ -255,6 +255,8 @@ def _solve_core(
     theta = np.zeros(core.q) if warm_start is None else np.array(warm_start, dtype=float)
     if theta.shape != (core.q,):
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("warm start holds non-finite values")
     theta *= core.y_scale
     lam_s = lam * core.y_scale
     if lam_s >= core.lam_max_s:
@@ -339,10 +341,14 @@ def solve_lasso(
     """Minimize (y − Xθ)'(y − Xθ) + λΣ|θ_j| for a generic dense design.
 
     Note the objective carries no 1/2 or 1/n factor, so the all-zero
-    threshold is λ_max = 2·max_j |X_j'y|.
+    threshold is λ_max = 2·max_j |X_j'y|. A non-finite entry of the design,
+    the response or the warm start raises ValueError naming it.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
+    for what, a in (("design", X), ("response", y)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} holds non-finite values")
     core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
     theta, _, _ = _solve_core(core, float(lam), warm_start)
     return theta
@@ -515,10 +521,9 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     its value at the unpenalized fit. A PrecisionReport accompanies every
     point; its bound λ(‖θ̃_LS‖₁ − ‖θ̃‖₁)/γ is read off that point's fit and
     the λ = 0 fit θ̃_LS (module docstring), so each λ > 0 takes one solve.
-    θ̃_LS solves the normal equations of the data columns, read off the
-    core's Gram matrix, under the rank rule of every unpenalized fit
-    (structure.solve_normal_equations). A schema without factors raises
-    ValueError.
+    θ_LS is the θ induced by weights.ols_coefficients(problem.dataset),
+    whose rank deficiency raises OlsUnavailable, a RankDeficient. A schema
+    without factors raises ValueError.
     """
     w = problem.weight_values
     layout = problem.layout
@@ -526,40 +531,14 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
         raise ValueError(NO_FACTORS)
     core = _Core.from_gram(problem.XtX, problem.Xty, problem.absXtX, problem.absXty,
                            problem.A_scaled, problem.gamma)
-
-    # The λ = 0 point is the least-squares fit of the data columns (each
-    # block's first k, the tree edges), solved in unit weights: it does not
-    # depend on the weights, and capped adaptive weights would wreck the
-    # conditioning of a weighted fit. Its normal equations are read off the
-    # core's data block. The non-tree pair columns carry no data; they
-    # follow from θ_ij = β_i − β_j, which makes Aθ = 0. A column with
-    # neither data nor a restriction is unidentified and stays 0.
-    data_cols = np.array([b.offset + i for b in layout.blocks for i in range(b.k)], dtype=int)
-    w_d = w[data_cols]
-    G = core.XtX[np.ix_(data_cols, data_cols)] * np.outer(w_d, w_d)
-    has_data = np.diagonal(G) > 0.0
-    used = has_data | np.any(problem.A_raw[:, data_cols] != 0.0, axis=0)
-    try:
-        coef = solve_normal_equations(G[np.ix_(used, used)],
-                                      (core.Xty[data_cols] * w_d / core.y_scale)[used],
-                                      "unpenalized fit")
-    except RankDeficient as exc:
-        # a nominal level no row uses keeps its restriction rows but has an
-        # all-zero data column: name each such level by its schema index
-        levels = [(b.name, i) for b in layout.blocks for i in range(1, b.k + 1)]
-        named = "".join(f"; factor {levels[c][0]!r} level index {levels[c][1]} has no rows"
-                        for c in np.flatnonzero(used & ~has_data))
-        raise RankDeficient(f"{exc}{named}") from None
-    theta_ls = np.zeros(problem.q)
-    theta_ls[data_cols[used]] = coef
-    theta_ls = induced_theta(layout, back_transform(theta_ls, layout, np.ones(problem.q)))
-    theta_ls_scaled = theta_ls * w
+    # the least-squares fit does not depend on the weights, and Aθ_LS = 0
+    theta_ls_scaled = induced_theta(layout, ols_coefficients(problem.dataset)) * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
 
     lams = _grid_lambdas(core.lambda_max, grid_size)
     # θ̃ at every grid point, one row each; the outputs are read off the stack
     stack = np.empty((lams.size, problem.q))
-    solves = np.ones(lams.size, dtype=int)      # λ = 0: the normal equations
+    solves = np.ones(lams.size, dtype=int)      # λ = 0: ols_coefficients
     # each point hands its system to the next, which starts from its step
     theta, system = np.zeros(problem.q), None
     for i, lam in enumerate(lams[:-1]):

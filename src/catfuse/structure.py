@@ -20,14 +20,15 @@ builds each distinct partition from those labels once, and
 its member tuples (`FactorPartition.clusters`) are derived for output.
 
 Every unpenalized least-squares fit (the refit, the OLS behind adaptive
-weights and the λ = 0 end of a path) solves normal equations: `refit`
-collapses the dataset's LevelTable by cluster, so no n-row design is built,
-and `solve_normal_equations` holds the one rank rule.
+weights and the λ = 0 end of a path) is `refit_labels`: OLS on the dummy
+design collapsed by a row of cluster_labels_path, read off the dataset's
+LevelTable (no n-row design is built) under the one rank rule. `refit`
+checks a partition against the dataset and calls it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -175,19 +176,6 @@ def cluster_labels_path(
     return np.hstack(labels)
 
 
-def partition_from_labels(
-    labels: np.ndarray, schemas: Sequence[FactorSchema]
-) -> ClusterPartition:
-    """The partition one row of cluster_labels_path names, for `refit`,
-    which reads only the labels: coefficients and threshold are 0."""
-    labels, parts, at = tuple(labels.tolist()), [], 0
-    for sch in schemas:
-        lab = labels[at:at + sch.k + 1]
-        parts.append(FactorPartition(sch.name, lab, (0.0,) * (max(lab) + 1)))
-        at += sch.k + 1
-    return ClusterPartition(tuple(parts), threshold=0.0)
-
-
 def extract_clusters_path(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
@@ -254,12 +242,40 @@ class RefitResult:
     rss: float
 
 
-def solve_normal_equations(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """The solution of G·x = b for a Gram matrix G of full rank by RANK_TOL.
+class LabelFit(NamedTuple):
+    """refit_labels' fit: full per-level vectors, intercept and rss."""
 
-    Raises RankDeficient("{what} is rank deficient (rank r < m)"), with r
+    beta: Dict[str, np.ndarray]
+    intercept: float
+    rss: float
+
+
+def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
+    """Ordinary least squares with each factor's dummies collapsed by
+    cluster, for `labels` stacking every factor's cluster labels as
+    Dataset.level_table stacks its levels: one row of cluster_labels_path.
+    Another length raises ShapeMismatch.
+
+    Zero-cluster levels get no column (coefficient 0), and cluster c >= 1 of
+    a factor is one indicator column. The normal equations of the centered
+    collapsed design are read off ds.level_table (LevelTable.gram with C the
+    L × m membership of levels in columns); with c its column counts, the
+    intercept is ȳ − cᵀcoef/n, and rss is summed over the rows' residuals.
+    The design may have no columns; one not of full rank by RANK_TOL raises
+    RankDeficient("collapsed design is rank deficient (rank r < m)"), with r
     the number of eigenvalues of G above RANK_TOL times the largest.
     """
+    table = ds.level_table
+    labels = np.asarray(labels)
+    if labels.shape != (table.offsets[-1],):
+        raise ShapeMismatch(f"{labels.size} cluster labels for {table.offsets[-1]} levels")
+    # the design column of every stacked level: factor f's cluster c >= 1 is
+    # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)
+    firsts = np.cumsum(np.append(0, np.maximum.reduceat(labels, table.offsets[:-1])))
+    base = np.repeat(firsts[:-1], np.diff(table.offsets))
+    col = np.where(labels > 0, labels + base - 1, -1)
+    m = int(firsts[-1])
+    G, b, counts = table.gram((col[:, None] == np.arange(m)).astype(float))
     try:
         pivots = np.linalg.cholesky(G).diagonal() ** 2
         full = pivots.min(initial=np.inf) > RANK_TOL * G.diagonal().max(initial=0.0)
@@ -268,58 +284,45 @@ def solve_normal_equations(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarra
     if not full:
         ev = np.linalg.eigvalsh(G)
         rank = int(np.sum(ev > RANK_TOL * ev[-1]))
-        raise RankDeficient(f"{what} is rank deficient (rank {rank} < {b.size})")
-    return np.linalg.solve(G, b)
+        raise RankDeficient(f"collapsed design is rank deficient (rank {rank} < {m})")
+    coef = np.linalg.solve(G, b)
+    shift = float(counts @ coef) / ds.n      # the centering of the columns
+    level_coef = np.append(coef, 0.0)[col]
+    fitted = level_coef[table.index].sum(axis=1) - shift
+    return LabelFit(
+        beta={sch.name: level_coef[start:start + sch.k + 1].copy()
+              for sch, start in zip(ds.schemas, table.offsets.tolist())},
+        intercept=table.y_mean - shift,
+        rss=float(np.sum((ds.y - table.y_mean - fitted) ** 2)),
+    )
 
 
 def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
-    """Ordinary least squares with each factor's dummies collapsed by cluster.
+    """refit_labels on the partition's labels, checked against the dataset.
 
-    Zero-cluster levels get no column (their coefficient stays 0); every
-    other cluster contributes one indicator column for membership, so level
-    i of a factor reads column labels[i] − 1 of that factor's columns. A
-    factor the partition lacks, or whose partition has other than k + 1
-    labels, raises ShapeMismatch naming it. The collapsed design must have
-    full column rank; it may have no columns. The refitted partition keeps
-    the input labels.
-
-    The fit solves the normal equations of the centered collapsed design,
-    read off ds.level_table by LevelTable.gram with C the L × m membership
-    of levels in columns; with c its column counts, the intercept is
-    ȳ − cᵀcoef/n. rss is summed over the rows' residuals.
+    A factor the partition lacks, one the dataset lacks, or one whose
+    partition has other than k + 1 labels raises ShapeMismatch naming each.
+    The refitted partition keeps the input labels and threshold; a
+    cluster's coefficient is the refitted β of its smallest member.
     """
     by_name = {fp.name: fp for fp in partition.factors}
     fps = [by_name.get(sch.name) for sch in ds.schemas]
     wrong = [f"factor {sch.name!r}: " + ("not in the partition" if fp is None else
                                          f"{len(fp.labels)} cluster labels for {sch.k + 1} levels")
              for fp, sch in zip(fps, ds.schemas) if fp is None or len(fp.labels) != sch.k + 1]
+    wrong += [f"factor {name!r}: not in the dataset"
+              for name in by_name if name not in {sch.name for sch in ds.schemas}]
     if wrong:
         raise ShapeMismatch("; ".join(wrong))
-    table = ds.level_table
-    # the design column of every stacked level: factor f's cluster c >= 1 is
-    # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)
-    firsts = np.cumsum([0] + [len(fp.coefficients) - 1 for fp in fps])
-    labels = np.concatenate([np.zeros(0, dtype=np.intp)] + [fp.labels for fp in fps])
-    base = np.repeat(firsts[:-1], [len(fp.labels) for fp in fps])
-    col = np.where(labels > 0, labels + base - 1, -1)
-    m = int(firsts[-1])
-    G, b, counts = table.gram((col[:, None] == np.arange(m)).astype(float))
-    coef = solve_normal_equations(G, b, "collapsed design")
-    shift = float(counts @ coef) / ds.n      # the centering of the columns
-    level_coef = np.append(coef, 0.0)[col]
-    fitted = level_coef[table.index].sum(axis=1) - shift
-    rss = float(np.sum((ds.y - table.y_mean - fitted) ** 2))
-
-    values, starts, firsts = coef.tolist(), table.offsets.tolist(), firsts.tolist()
+    fit = refit_labels(ds, np.concatenate([np.zeros(0, dtype=np.intp)] + [fp.labels for fp in fps]))
     return RefitResult(
-        beta={sch.name: level_coef[start:start + sch.k + 1].copy()
-              for sch, start in zip(ds.schemas, starts)},
+        beta=fit.beta,
         partition=ClusterPartition(tuple(
-            FactorPartition(fp.name, fp.labels, (0.0, *values[first:end]))
-            for fp, first, end in zip(fps, firsts, firsts[1:])),
-            threshold=partition.threshold),
-        intercept=table.y_mean - shift,
-        rss=rss,
+            FactorPartition(fp.name, fp.labels,
+                            tuple(fit.beta[fp.name][[c[0] for c in fp.clusters]].tolist()))
+            for fp in fps), threshold=partition.threshold),
+        intercept=fit.intercept,
+        rss=fit.rss,
     )
 
 

@@ -19,7 +19,7 @@ from .errors import (
     RankDeficient,
     UnobservedLevel,
 )
-from .structure import partition_from_labels, refit
+from .structure import refit_labels
 
 ADAPTIVE_CAP = 1e12
 DEFAULT_BANDWIDTH_KM = 15.0
@@ -69,20 +69,36 @@ def standard_weights(ds: Dataset, use_frequency: bool = False) -> WeightSet:
 
 
 def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
-    """Unpenalized least-squares per-level coefficients: `refit` on the
-    partition that keeps every level in its own cluster.
+    """Unpenalized least-squares per-level coefficients: `refit_labels`
+    with every level in a cluster of its own, except where the data cannot
+    tell a level from its tree parent (coding.FactorBlock.level_coding). A
+    tree edge with no restriction row whose rows all lie on one side, an
+    ordinal step or a two-level factor whose data column is constant,
+    fuses its two levels, so its θ is 0 in `path`'s λ = 0 point.
 
     Returns full per-level vectors (reference entry 0). Raises OlsUnavailable
-    when the dummy design is rank deficient, and ValueError (as `path` does)
-    when the schema has no factors.
+    (a RankDeficient) when the design is still rank deficient, naming each
+    level that has no rows and a cluster of its own, and ValueError (as
+    `path` does) when the schema has no factors.
     """
     if not ds.schemas:
         raise ValueError(NO_FACTORS)
-    singletons = np.concatenate([np.arange(sch.k + 1) for sch in ds.schemas])
+    labels = []
+    for b, counts in zip(theta_layout(ds.schemas).blocks, ds.n_counts):
+        lab = np.arange(b.k + 1)
+        if b.length == b.k:         # no restriction row: a chain (ordinal or k = 1)
+            # an edge's level joins its parent's cluster when the rows on the
+            # edge's child side are none or all of them
+            side = counts @ b.level_coding
+            lab[1:] = np.cumsum((side != 0) & (side != ds.n))
+        labels.append(lab)
     try:
-        return refit(ds, partition_from_labels(singletons, ds.schemas)).beta
+        return refit_labels(ds, np.concatenate(labels)).beta
     except RankDeficient as e:
-        raise OlsUnavailable(f"dummy design: {e}") from None
+        named = "".join(f"; factor {sch.name!r} level index {i} has no rows"
+                        for sch, counts, lab in zip(ds.schemas, ds.n_counts, labels)
+                        for i in np.flatnonzero((counts == 0) & (np.bincount(lab)[lab] == 1)))
+        raise OlsUnavailable(f"unpenalized fit: {e}{named}") from None
 
 
 def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:

@@ -20,7 +20,13 @@ from catfuse.selection import (
 )
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import path
-from catfuse.structure import DEFAULT_CLUSTER_TOL, degrees_of_freedom, extract_clusters, refit
+from catfuse.structure import (
+    DEFAULT_CLUSTER_TOL,
+    degrees_of_freedom,
+    extract_clusters,
+    refit,
+    refit_labels,
+)
 
 from conftest import toy_mixed_ds
 
@@ -200,15 +206,15 @@ def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, mo
     fits = scenario_fold_paths["S2"]
     calls = {}
 
-    def counting_refit(ds, partition):
-        key = tuple(fp.clusters for fp in partition.factors)
-        calls.setdefault(id(ds), []).append(key)
-        return refit(ds, partition)
+    def counting_refit_labels(ds, labels):
+        calls.setdefault(id(ds), []).append(tuple(labels.tolist()))
+        return refit_labels(ds, labels)
 
-    monkeypatch.setattr(selection, "refit", counting_refit)
+    monkeypatch.setattr(selection, "refit_labels", counting_refit_labels)
     score_folds(fits, 40, refit_inside=True)
     for fit in fits:
-        keys = [tuple(fp.clusters for fp in extract_clusters(s.beta, fit.train.schemas).factors)
+        keys = [tuple(lab for fp in extract_clusters(s.beta, fit.train.schemas).factors
+                      for lab in fp.labels)
                 for s in fit.path.solutions]
         made = calls[id(fit.train)]
         assert sorted(made) == sorted(set(keys))

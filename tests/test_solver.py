@@ -142,8 +142,10 @@ def test_path_zero_lambda_is_induced_ols():
     prob = build_augmented(ds, ws)
     sol = path(prob, grid_size=20).solutions[-1]
     assert sol.lam == 0.0
+    # θ̃ is the induced OLS θ times the weights, with no solve in between
     expect = induced_theta(prob.layout, ols_coefficients(ds))
-    assert np.max(np.abs(sol.theta - expect)) <= 1e-12
+    assert np.array_equal(sol.theta_scaled, expect * prob.weight_values)
+    assert np.array_equal(sol.theta, sol.theta_scaled / prob.weight_values)
     assert np.max(np.abs(prob.A_raw @ sol.theta)) <= 1e-12
 
 
@@ -288,6 +290,27 @@ def test_path_zero_lambda_leaves_unidentified_columns_at_zero():
     ols_beta = pr.solutions[-1].beta
     assert ols_beta["o"][3] == ols_beta["o"][2]
     assert ols_beta["b"].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("o_levels, b_level", [((0, 1, 2), 0), ((1, 2, 3), 1)],
+                         ids=["top-ordinal-and-binary-y", "ordinal-reference-and-binary-n"])
+def test_ols_fuses_an_unidentified_level_with_its_tree_parent(o_levels, b_level):
+    # an ordinal step or a binary column with rows on one side only is not
+    # identified: the level shares its tree parent's β, as at path's λ = 0
+    rng = np.random.default_rng(4)
+    schemas = (FactorSchema("o", "ordinal", ("1", "2", "3", "4")),
+               FactorSchema("b", "binary", ("n", "y")),
+               FactorSchema("a", "nominal", ("x", "y", "z")))
+    codes = np.column_stack([rng.choice(o_levels, 60), np.full(60, b_level), rng.integers(0, 3, 60)])
+    ds = Dataset(rng.normal(0, 1, 60), codes, schemas)
+    ols = ols_coefficients(ds)
+    unused = ({0, 1, 2, 3} - set(o_levels)).pop()
+    assert ols["o"][unused] == ols["o"][2 if unused == 3 else 1]
+    assert ols["b"].tolist() == [0.0, 0.0]
+    assert len(set(ols["o"].tolist())) == 3 and len(set(ols["a"].tolist())) == 3
+    zero = path(build_augmented(ds, standard_weights(ds)), grid_size=10).solutions[-1]
+    for name, b in ols.items():
+        assert np.max(np.abs(zero.beta[name] - b)) <= 1e-14
 
 
 def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
@@ -530,7 +553,7 @@ def test_rank_deficient_fit_names_the_unobserved_level():
     ds = Dataset(rng.normal(0, 1, 60), codes, schemas)
     with pytest.raises(RankDeficient) as err:
         path(build_augmented(ds, standard_weights(ds)), grid_size=10)
-    assert str(err.value) == ("unpenalized fit is rank deficient (rank 4 < 5); "
+    assert str(err.value) == ("unpenalized fit: collapsed design is rank deficient (rank 4 < 5); "
                               "factor 'a' level index 2 has no rows")
     # the fold mapping keeps its class and carries the named level
     with pytest.raises(FoldRankDeficient, match="factor 'a' level index 2 has no rows"):
@@ -544,7 +567,7 @@ def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
     ds = Dataset(rng.normal(0, 1, 50), np.column_stack([col, col]), schemas)
     with pytest.raises(RankDeficient) as err:
         path(build_augmented(ds, standard_weights(ds)), grid_size=10)
-    assert str(err.value) == "unpenalized fit is rank deficient (rank 1 < 2)"
+    assert str(err.value) == "unpenalized fit: collapsed design is rank deficient (rank 1 < 2)"
 
 
 def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
@@ -684,6 +707,17 @@ def test_a_nan_lambda_is_rejected_and_an_infinite_one_gives_zeros():
         with pytest.raises(ValueError, match="-1.0"):
             solve(X, y, -1.0)
         assert np.all(solve(X, y, np.inf) == 0.0)
+
+
+def test_a_non_finite_design_response_or_warm_start_is_named():
+    rng = np.random.default_rng(10)
+    X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+    bad_X, bad_y, bad_warm = X.copy(), y.copy(), np.zeros(5)
+    bad_X[0, 0], bad_y[3], bad_warm[2] = np.nan, np.inf, np.nan
+    for args, kwargs, what in (((bad_X, y), {}, "design"), ((X, bad_y), {}, "response"),
+                               ((X, y), {"warm_start": bad_warm}, "warm start")):
+        with pytest.raises(ValueError, match=f"^{what} holds non-finite values$"):
+            solve_lasso(*args, 1.0, **kwargs)
 
 
 def _warm_started_lasso():

@@ -16,8 +16,8 @@ from catfuse.structure import (
     degrees_of_freedom,
     extract_clusters,
     extract_clusters_path,
-    partition_from_labels,
     refit,
+    refit_labels,
 )
 from catfuse.weights import ols_coefficients
 
@@ -200,20 +200,18 @@ def test_refit_rank_deficient():
         ols_coefficients(ds)
 
 
-def _refit_by_rows(ds: Dataset, partition: ClusterPartition):
+def _refit_by_rows(ds: Dataset, labels: np.ndarray):
     """Reference refit: SVD least squares on the n × m centered 0/1 design
-    of the clusters outside each zero cluster, as (β dict, intercept, rss)."""
-    fps = {fp.name: fp for fp in partition.factors}
-    blocks, of_levels = [], []
+    of the clusters outside each zero cluster, for stacked cluster labels,
+    as (β dict, intercept, rss)."""
+    blocks, of_levels, at = [], [], 0
     for l, sch in enumerate(ds.schemas):
-        fp = fps[sch.name]
-        kept = [c for c in range(len(fp.clusters)) if c != fp.zero_cluster]
-        of_level = np.full(sch.k + 1, -1)
-        for j, c in enumerate(kept):
-            of_level[list(fp.clusters[c])] = sum(b.shape[1] for b in blocks) + j
-        of_levels.append(of_level)
+        lab = labels[at:at + sch.k + 1]
+        at += sch.k + 1
+        first = sum(b.shape[1] for b in blocks)
+        of_levels.append(np.where(lab > 0, first + lab - 1, -1))
         blocks.append(np.column_stack(
-            [np.isin(ds.codes[:, l], fp.clusters[c]) for c in kept] or [np.zeros((ds.n, 0))]
+            [lab[ds.codes[:, l]] == c for c in range(1, lab.max() + 1)] or [np.zeros((ds.n, 0))]
         ).astype(float))
     X = np.hstack([np.zeros((ds.n, 0))] + blocks)
     yc = ds.y - ds.y.mean()
@@ -226,13 +224,14 @@ def _refit_by_rows(ds: Dataset, partition: ClusterPartition):
     return beta, intercept, float(np.sum((yc - Xc @ coef) ** 2))
 
 
-def _assert_refit_matches_rows(ds, partition):
-    got = refit(ds, partition)
-    beta, intercept, rss = _refit_by_rows(ds, partition)
+def _assert_refit_matches_rows(ds, labels):
+    got = refit_labels(ds, labels)
+    beta, intercept, rss = _refit_by_rows(ds, labels)
     for name, ref in beta.items():
         assert np.all(np.abs(got.beta[name] - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
     assert abs(got.intercept - intercept) <= 1e-10 * max(1.0, abs(intercept))
     assert abs(got.rss - rss) <= 1e-9 * rss
+    return got
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
@@ -246,12 +245,18 @@ def test_refit_matches_the_row_level_reference_on_every_path_partition(name):
         labels = cluster_labels_path(betas, ds.schemas)
         parts = extract_clusters_path(betas, ds.schemas)
         for row, part in zip(labels, parts):
-            read = partition_from_labels(row, ds.schemas)
-            assert [fp.clusters for fp in read.factors] == [fp.clusters for fp in part.factors]
-        distinct = np.unique(labels, axis=0)
+            assert row.tolist() == [lab for fp in part.factors for lab in fp.labels]
+        distinct, first = np.unique(labels, axis=0, return_index=True)
         assert 1 < len(distinct) < len(betas)
-        for row in distinct:
-            _assert_refit_matches_rows(ds, partition_from_labels(row, ds.schemas))
+        for row, g in zip(distinct, first):
+            got = _assert_refit_matches_rows(ds, row)
+            # refit is refit_labels on the partition's labels, bit for bit,
+            # and reads each cluster's coefficient off its smallest member
+            rf = refit(ds, parts[g])
+            assert all(rf.beta[n].tobytes() == got.beta[n].tobytes() for n in got.beta)
+            assert (rf.intercept, rf.rss) == (got.intercept, got.rss)
+            for fp in rf.partition.factors:
+                assert fp.coefficients == tuple(got.beta[fp.name][c[0]] for c in fp.clusters)
 
 
 def test_refit_with_a_single_row_reference_level_at_large_n():
@@ -263,9 +268,15 @@ def test_refit_with_a_single_row_reference_level_at_large_n():
     codes[17, 0] = 0                  # the reference level of g has one row
     y = np.array([0.0, 1.0, 1.0, 3.0])[codes[:, 0]] + codes[:, 1] + rng.normal(0, 1, n)
     ds = Dataset(y, codes, schemas)
-    singletons = partition_from_labels(np.array([0, 1, 2, 3, 0, 1, 2]), schemas)
-    _assert_refit_matches_rows(ds, singletons)
-    _assert_refit_matches_rows(ds, partition_from_labels(np.array([0, 1, 1, 2, 0, 0, 1]), schemas))
+    _assert_refit_matches_rows(ds, np.array([0, 1, 2, 3, 0, 1, 2]))
+    _assert_refit_matches_rows(ds, np.array([0, 1, 1, 2, 0, 0, 1]))
+
+
+def test_refit_labels_rejects_a_label_vector_of_another_length():
+    ds = generate(make_scenario("S1", 0)).train
+    L = sum(sch.k + 1 for sch in ds.schemas)
+    with pytest.raises(ShapeMismatch, match=f"^{L - 1} cluster labels for {L} levels$"):
+        refit_labels(ds, np.zeros(L - 1, dtype=int))
 
 
 def test_partition_json_shape():
@@ -434,6 +445,20 @@ def test_refit_names_each_factor_the_partition_lacks():
             refit(ds, kept)
         assert str(err.value) == "; ".join(f"factor {name!r}: not in the partition"
                                            for name in dropped)
+
+
+def test_refit_names_each_partition_factor_the_dataset_lacks():
+    ds = generate(make_scenario("S2", 0)).train
+    part = extract_clusters(ols_coefficients(ds), ds.schemas)
+    ghost = FactorPartition("ghost", (0, 1), (0.0, 0.0))
+    with pytest.raises(ShapeMismatch, match="^factor 'ghost': not in the dataset$"):
+        refit(ds, ClusterPartition(part.factors + (ghost,), part.threshold))
+    # named after the factors the partition lacks
+    kept = ClusterPartition((ghost,) + part.factors[1:], part.threshold)
+    with pytest.raises(ShapeMismatch) as err:
+        refit(ds, kept)
+    assert str(err.value) == (f"factor {part.factors[0].name!r}: not in the partition; "
+                              "factor 'ghost': not in the dataset")
 
 
 def test_extract_clusters_path_checks_shapes():
