@@ -138,11 +138,15 @@ class AugmentedProblem:
     absXty: np.ndarray
     A_scaled: np.ndarray
     A_raw: np.ndarray
-    gamma: float
     layout: ThetaLayout
     weight_values: np.ndarray
     column_means: np.ndarray
     dataset: Dataset
+
+    @property
+    def gamma(self) -> float:
+        """γ = DEFAULT_SQRT_GAMMA², the method's constant."""
+        return DEFAULT_SQRT_GAMMA ** 2
 
     @property
     def sqrt_gamma(self) -> float:
@@ -209,7 +213,7 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
         raise LayoutMismatch(f"weights are laid out for factors {have}; the dataset has {want}")
 
     table = ds.level_table
-    F, L = len(layout.blocks), int(table.offsets[-1])
+    L = int(table.offsets[-1])
     C = np.zeros((L, layout.q))
     for b, start in zip(layout.blocks, table.offsets.tolist()):
         C[start:start + b.k + 1, b.offset:b.offset + b.k] = b.level_coding
@@ -220,7 +224,8 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
     slope = 1.0 - 2.0 * means
     base = 2.0 * means * (1.0 - means)
     abs_y = np.abs(ds.y - table.y_mean)
-    abs_sums = np.bincount(table.index.ravel(), weights=np.repeat(abs_y, F), minlength=L)
+    abs_sums = np.bincount((ds.codes + table.offsets[:-1]).ravel(),
+                           weights=np.repeat(abs_y, len(layout.blocks)), minlength=L)
     ww = np.outer(w, w)
     A_raw = restriction_rows(layout)
     return AugmentedProblem(
@@ -230,7 +235,6 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
         absXty=(means * abs_y.sum() + slope * (C.T @ abs_sums)) / w,
         A_scaled=A_raw / w,
         A_raw=A_raw,
-        gamma=DEFAULT_SQRT_GAMMA ** 2,
         layout=layout,
         weight_values=w,
         column_means=means,

@@ -162,9 +162,9 @@ class Dataset:
         sums = np.bincount(flat, weights=yc, minlength=L)
         sums += np.bincount(flat, weights=yc - (sums / np.maximum(counts.diagonal(), 1.0))[flat],
                             minlength=L)
-        for a in (offsets, index, counts, sums):
+        for a in (offsets, counts, sums):
             a.setflags(write=False)
-        return LevelTable(offsets, index, counts, sums, y_mean)
+        return LevelTable(offsets, counts, sums, y_mean, self.n)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""
@@ -173,12 +173,24 @@ class Dataset:
 
 def level_values(betas: Sequence[Mapping[str, np.ndarray]], factor) -> np.ndarray:
     """(len(betas) × (k + 1)) stack of each β's vector for `factor` (with a
-    name and k): the one per-level length check, raising ShapeMismatch."""
+    name and k): the one per-level check, raising ShapeMismatch for a β
+    without the factor or with another length."""
     name, width = factor.name, factor.k + 1
-    rows = [np.asarray(b[name], dtype=float) for b in betas]
+    try:
+        rows = [np.asarray(b[name], dtype=float) for b in betas]
+    except KeyError:
+        raise ShapeMismatch(f"factor {name!r}: no per-level values") from None
     if any(row.shape != (width,) for row in rows):
         raise ShapeMismatch(f"factor {name!r}: expected {width} per-level values")
     return np.array(rows).reshape(len(betas), width)
+
+
+def row_effects(betas: Sequence[Mapping[str, np.ndarray]], ds: Dataset) -> np.ndarray:
+    """(len(betas) × n) sums of per-level effects, one row per β dict."""
+    out = np.zeros((len(betas), ds.n))
+    for l, sch in enumerate(ds.schemas):
+        out += level_values(betas, sch)[:, ds.codes[:, l]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,20 +200,20 @@ class LevelTable:
     All predictors are categorical, so with D the n × L 0/1 matrix of every
     factor's levels, stacked (factor l's level i at offsets[l] + i,
     L = Σ(k+1)), such a fit reads the data only through DᵀD, Dᵀ(y − ȳ), ȳ
-    and n. `index` keeps each row's stacked levels for row-level residuals.
+    and n. No array here has n rows.
     """
 
     offsets: np.ndarray     # (F + 1,) first stacked level of each factor; offsets[-1] = L
-    index: np.ndarray       # (n × F) stacked level of each row and factor
     counts: np.ndarray      # (L × L) co-occurrence counts DᵀD
     sums: np.ndarray        # (L,) per-level sums of y − ȳ
     y_mean: float
+    n: int
 
     def gram(self, C: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """XᵀX = CᵀDᵀDC − ccᵀ/n, Xᵀ(y − ȳ) = Cᵀ·sums and the column counts
         c = Cᵀ·diag(DᵀD) of X = DC centered, for C an L × m level coding."""
         counts = C.T @ self.counts.diagonal()
-        gram = C.T @ self.counts @ C - np.outer(counts, counts) / self.index.shape[0]
+        gram = C.T @ self.counts @ C - np.outer(counts, counts) / self.n
         return gram, C.T @ self.sums, counts
 
 

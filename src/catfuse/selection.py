@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .coding import build_augmented
-from .datamodel import Dataset, level_values
+from .datamodel import Dataset, row_effects
 from .errors import (
     FoldRankDeficient,
     NotConverged,
@@ -87,23 +87,15 @@ def fold_assignment(n: int, k_folds: int, seed: int) -> List[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, k_folds)]
 
 
-def _effects(betas: Sequence[Dict[str, np.ndarray]], ds: Dataset) -> np.ndarray:
-    """(len(betas) × n) sums of per-level effects, one row per β dict."""
-    out = np.zeros((len(betas), ds.n))
-    for l, sch in enumerate(ds.schemas):
-        out += level_values(betas, sch)[:, ds.codes[:, l]]
-    return out
-
-
 def predicted_effects(beta: Dict[str, np.ndarray], ds: Dataset) -> np.ndarray:
     """Sum of per-level effects for each observation of ds; raises
     ShapeMismatch unless each factor has one value per level."""
-    return _effects([beta], ds)[0]
+    return row_effects([beta], ds)[0]
 
 
 def intercept_for(beta: Dict[str, np.ndarray], train: Dataset) -> float:
     """Least-squares intercept given fixed effects: centers the fit on train."""
-    return float(train.y.mean() - predicted_effects(beta, train).mean())
+    return float(train.y.mean() - row_effects([beta], train)[0].mean())
 
 
 def fit_at(pr: PathResult, ds: Dataset, s_ratio: float, refit_after: bool = False) -> PointFit:
@@ -204,8 +196,8 @@ def score_folds(
         if refit_inside:
             betas, which = _refit_betas(fit.train, betas, f)
         # each β's intercept is fitted on the training part (intercept_for)
-        alpha = fit.train.y.mean() - _effects(betas, fit.train).mean(axis=1)
-        msep = ((fit.test.y - (alpha[:, None] + _effects(betas, fit.test))) ** 2).mean(axis=1)
+        alpha = fit.train.y.mean() - row_effects(betas, fit.train).mean(axis=1)
+        msep = ((fit.test.y - (alpha[:, None] + row_effects(betas, fit.test))) ** 2).mean(axis=1)
         scores[:, f] = msep[which[fit.path.nearest(s_grid)]]
     return s_grid, scores
 
@@ -233,7 +225,7 @@ def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np
         raise ValueError(f"kind must be AIC or BIC, got {kind!r}")
     pen = 2.0 if kind == "AIC" else float(np.log(ds.n))
     betas = [sol.beta for sol in path_result.solutions]
-    effects = _effects(betas, ds)
+    effects = row_effects(betas, ds)
     alpha = ds.y.mean() - effects.mean(axis=1)
     rss = (((ds.y - alpha[:, None]) - effects) ** 2).sum(axis=1)
     df = np.array([degrees_of_freedom(p) for p in extract_clusters_path(betas, ds.schemas)])

@@ -52,6 +52,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import coding
 from .coding import AugmentedProblem, ThetaLayout, induced_theta
 from .datamodel import NO_FACTORS
 from .errors import LayoutMismatch, NotConverged, RankDeficient
@@ -71,16 +72,18 @@ _ISTA_MAX_ITER = 2_000_000
 # ---------------------------------------------------------------------------
 
 class _Core:
-    """||y − Xθ||² + γ||Aθ||² as XᵀX, Xᵀy, |X|ᵀ|X|, |X|ᵀ|y|, A and γ: no array
-    here has n rows, so no solver step after construction costs O(n).
+    """||y − Xθ||² + γ||Aθ||² as XᵀX, Xᵀy, |X|ᵀ|X|, |X|ᵀ|y| and A: no array
+    here has n rows, so no solver step after construction costs O(n). γ is
+    the method's constant (`gamma`); a core without restriction rows is the
+    plain lasso, which γ cannot reach.
 
     Xᵀy and |X|ᵀ|y| hold the response multiplied by y_scale, the power of two
     nearest 1/max_j|X_jᵀy|; _solve_core maps λ and θ across it.
     """
 
-    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float, y_scale: float):
+    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, y_scale: float):
         self.XtX, self.Xty, self._absXtX, self._absXty = XtX, Xty, absXtX, absXty
-        self.A, self._absA, self.gamma = A, np.abs(A), float(gamma)
+        self.A, self._absA = A, np.abs(A)
         self.q, self.r = XtX.shape[0], A.shape[0]
         self.y_scale = y_scale
         self.lam_max_s = _lambda_max(Xty)      # λ_max in solver units
@@ -95,18 +98,22 @@ class _Core:
         self.pair_row[lone[at[alone]]] = rows[alone]
 
     @classmethod
-    def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray, gamma: float) -> "_Core":
+    def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray) -> "_Core":
         """The core of XᵀX, Xᵀy, |X|ᵀ|X| and |X|ᵀ|y| of the unscaled y."""
         # frexp splits off the exponent exactly, so scaling y by 2ᵏ shifts
         # y_scale by 2⁻ᵏ and leaves the scaled Xᵀy bit for bit unchanged
         m, e = math.frexp(float(np.max(np.abs(Xty), initial=0.0)))   # m in [½, 1)
         y_scale = math.ldexp(1.0, 1 - e if m < math.sqrt(0.5) else -e)
-        return cls(XtX, Xty * y_scale, absXtX, absXty * y_scale, A, gamma, y_scale)
+        return cls(XtX, Xty * y_scale, absXtX, absXty * y_scale, A, y_scale)
 
     @classmethod
-    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray, gamma: float) -> "_Core":
+    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray) -> "_Core":
         absX = np.abs(X)
-        return cls.from_gram(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A, gamma)
+        return cls.from_gram(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A)
+
+    @property
+    def gamma(self) -> float:
+        return coding.DEFAULT_SQRT_GAMMA ** 2
 
     @property
     def lambda_max(self) -> float:
@@ -349,7 +356,7 @@ def solve_lasso(
     for what, a in (("design", X), ("response", y)):
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{what} holds non-finite values")
-    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
     theta, _, _ = _solve_core(core, float(lam), warm_start)
     return theta
 
@@ -530,7 +537,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     if not layout.q:
         raise ValueError(NO_FACTORS)
     core = _Core.from_gram(problem.XtX, problem.Xty, problem.absXtX, problem.absXty,
-                           problem.A_scaled, problem.gamma)
+                           problem.A_scaled)
     # the least-squares fit does not depend on the weights, and Aθ_LS = 0
     theta_ls_scaled = induced_theta(layout, ols_coefficients(problem.dataset)) * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())
@@ -552,7 +559,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     stack[-1] = theta_ls_scaled
 
     l1 = np.abs(stack).sum(axis=1)
-    bounds = lams * (ols_l1 - l1) / problem.gamma
+    bounds = lams * (ols_l1 - l1) / core.gamma
     thetas = stack / w
     a_viol = thetas @ problem.A_raw.T
     deltas = np.einsum("ij,ij->i", a_viol, a_viol)

@@ -22,8 +22,9 @@ its member tuples (`FactorPartition.clusters`) are derived for output.
 Every unpenalized least-squares fit (the refit, the OLS behind adaptive
 weights and the λ = 0 end of a path) is `refit_labels`: OLS on the dummy
 design collapsed by a row of cluster_labels_path, read off the dataset's
-LevelTable (no n-row design is built) under the one rank rule. `refit`
-checks a partition against the dataset and calls it.
+LevelTable (no n-row design is built) under the one rank rule. It returns
+β and the intercept only. `refit` checks a partition against the dataset,
+calls it and sums the residuals (datamodel.row_effects) for its rss.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .datamodel import Dataset, FactorSchema, level_values
+from .datamodel import Dataset, FactorSchema, level_values, row_effects
 from .errors import RankDeficient, ShapeMismatch
 from .coding import u_transform
 
@@ -243,37 +244,54 @@ class RefitResult:
 
 
 class LabelFit(NamedTuple):
-    """refit_labels' fit: full per-level vectors, intercept and rss."""
+    """refit_labels' fit: full per-level vectors and intercept."""
 
     beta: Dict[str, np.ndarray]
     intercept: float
-    rss: float
 
 
 def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     """Ordinary least squares with each factor's dummies collapsed by
     cluster, for `labels` stacking every factor's cluster labels as
     Dataset.level_table stacks its levels: one row of cluster_labels_path.
-    Another length raises ShapeMismatch.
+    An array of another shape raises ShapeMismatch naming its shape. Each
+    factor's labels must be integers numbered by first occurrence from 0,
+    as FactorPartition's are; otherwise ValueError names the factor.
 
     Zero-cluster levels get no column (coefficient 0), and cluster c >= 1 of
     a factor is one indicator column. The normal equations of the centered
     collapsed design are read off ds.level_table (LevelTable.gram with C the
     L × m membership of levels in columns); with c its column counts, the
-    intercept is ȳ − cᵀcoef/n, and rss is summed over the rows' residuals.
-    The design may have no columns; one not of full rank by RANK_TOL raises
-    RankDeficient("collapsed design is rank deficient (rank r < m)"), with r
-    the number of eigenvalues of G above RANK_TOL times the largest.
+    intercept is ȳ − cᵀcoef/n. No residual is computed here (refit sums
+    them). The design may have no columns; one not of full rank by RANK_TOL
+    raises RankDeficient("collapsed design is rank deficient (rank r < m)"),
+    with r the number of eigenvalues of G above RANK_TOL times the largest.
     """
     table = ds.level_table
+    L = int(table.offsets[-1])
     labels = np.asarray(labels)
-    if labels.shape != (table.offsets[-1],):
-        raise ShapeMismatch(f"{labels.size} cluster labels for {table.offsets[-1]} levels")
+    if labels.shape != (L,):
+        raise ShapeMismatch(f"cluster labels of shape {labels.shape} for {L} levels")
+    # numbered by first occurrence from 0: within a factor no label exceeds
+    # its level's position, and the running maximum steps by 0 or 1 (one
+    # running maximum serves every factor once labels are shifted by their
+    # factor's first stacked level)
+    factor = np.repeat(np.arange(len(ds.schemas)), np.diff(table.offsets))
+    offset = table.offsets[factor]
+    ok = (labels == np.floor(labels)) & (labels >= 0) & (labels <= np.arange(L) - offset)
+    lab = np.where(ok, labels, 0).astype(np.intp)
+    ok[1:] &= np.diff(np.maximum.accumulate(lab + offset) - offset) <= 1
+    if not ok.all():
+        raise ValueError("; ".join(
+            f"factor {ds.schemas[f].name!r}: cluster labels "
+            f"{labels[table.offsets[f]:table.offsets[f + 1]].tolist()} "
+            "are not integers numbered by first occurrence from 0"
+            for f in np.unique(factor[~ok]).tolist()))
+    labels = lab
     # the design column of every stacked level: factor f's cluster c >= 1 is
     # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)
     firsts = np.cumsum(np.append(0, np.maximum.reduceat(labels, table.offsets[:-1])))
-    base = np.repeat(firsts[:-1], np.diff(table.offsets))
-    col = np.where(labels > 0, labels + base - 1, -1)
+    col = np.where(labels > 0, labels + firsts[factor] - 1, -1)
     m = int(firsts[-1])
     G, b, counts = table.gram((col[:, None] == np.arange(m)).astype(float))
     try:
@@ -288,12 +306,10 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     coef = np.linalg.solve(G, b)
     shift = float(counts @ coef) / ds.n      # the centering of the columns
     level_coef = np.append(coef, 0.0)[col]
-    fitted = level_coef[table.index].sum(axis=1) - shift
     return LabelFit(
         beta={sch.name: level_coef[start:start + sch.k + 1].copy()
               for sch, start in zip(ds.schemas, table.offsets.tolist())},
         intercept=table.y_mean - shift,
-        rss=float(np.sum((ds.y - table.y_mean - fitted) ** 2)),
     )
 
 
@@ -303,7 +319,8 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     A factor the partition lacks, one the dataset lacks, or one whose
     partition has other than k + 1 labels raises ShapeMismatch naming each.
     The refitted partition keeps the input labels and threshold; a
-    cluster's coefficient is the refitted β of its smallest member.
+    cluster's coefficient is the refitted β of its smallest member. rss
+    sums the squared residuals y − intercept − datamodel.row_effects.
     """
     by_name = {fp.name: fp for fp in partition.factors}
     fps = [by_name.get(sch.name) for sch in ds.schemas]
@@ -315,6 +332,7 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
     if wrong:
         raise ShapeMismatch("; ".join(wrong))
     fit = refit_labels(ds, np.concatenate([np.zeros(0, dtype=np.intp)] + [fp.labels for fp in fps]))
+    residuals = (ds.y - fit.intercept) - row_effects([fit.beta], ds)[0]
     return RefitResult(
         beta=fit.beta,
         partition=ClusterPartition(tuple(
@@ -322,7 +340,7 @@ def refit(ds: Dataset, partition: ClusterPartition) -> RefitResult:
                             tuple(fit.beta[fp.name][[c[0] for c in fp.clusters]].tolist()))
             for fp in fps), threshold=partition.threshold),
         intercept=fit.intercept,
-        rss=fit.rss,
+        rss=float(np.sum(residuals ** 2)),
     )
 
 

@@ -2,10 +2,13 @@
 rows, and the augmented least-squares problem."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from catfuse.coding import (
+    DEFAULT_SQRT_GAMMA,
     build_augmented,
     induced_theta,
     nominal_pairs,
@@ -222,6 +225,15 @@ def _gram_datasets():
         (FactorSchema("g", "nominal", ("a", "b", "c")), FactorSchema("o", "ordinal", ("1", "2", "3"))))
     scenarios = [generate(make_scenario(name, seed=3)).train for name in ("S1", "S2", "S3")]
     return scenarios + [rent, unobserved]
+
+
+def test_gamma_is_the_method_constant_not_a_field():
+    ds = toy_mixed_ds(seed=1)
+    prob = build_augmented(ds, standard_weights(ds))
+    assert "gamma" not in {f.name for f in dataclasses.fields(prob)}
+    assert (prob.gamma, prob.sqrt_gamma) == (DEFAULT_SQRT_GAMMA ** 2, DEFAULT_SQRT_GAMMA)
+    with pytest.raises(TypeError):
+        dataclasses.replace(prob, gamma=0.0)
 
 
 def test_build_augmented_gram_pieces_are_the_dense_products():

@@ -6,11 +6,12 @@ import pytest
 from catfuse.coding import build_augmented
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse import selection
-from catfuse.errors import FoldRankDeficient, NotConverged
+from catfuse.errors import FoldRankDeficient, NotConverged, ShapeMismatch
 from catfuse.selection import (
     CvConfig,
     build_weights,
     compute_fold_paths,
+    fit_at,
     fold_assignment,
     information_criterion,
     intercept_for,
@@ -18,7 +19,7 @@ from catfuse.selection import (
     predicted_effects,
     score_folds,
 )
-from catfuse.simlab import generate, make_scenario
+from catfuse.simlab import evaluate, generate, make_scenario
 from catfuse.solver import path
 from catfuse.structure import (
     DEFAULT_CLUSTER_TOL,
@@ -27,6 +28,8 @@ from catfuse.structure import (
     refit,
     refit_labels,
 )
+
+from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
 
 from conftest import toy_mixed_ds
 
@@ -78,6 +81,39 @@ def test_predicted_effects_and_intercept_check_the_level_count(values):
     for consumer in (predicted_effects, intercept_for):
         with pytest.raises(ValueError, match="factor 'g': expected 3 per-level values"):
             consumer(beta, ds)
+
+
+def test_a_beta_without_a_factor_raises_shape_mismatch_naming_it():
+    sc = make_scenario("S2", seed=0)
+    ds = generate(sc).train
+    beta = ols_coefficients(ds)
+    del beta["ord4n"]
+    consumers = {
+        "extract_clusters": lambda: extract_clusters(beta, ds.schemas),
+        "predicted_effects": lambda: predicted_effects(beta, ds),
+        "intercept_for": lambda: intercept_for(beta, ds),
+        "adaptive_weights": lambda: adaptive_weights(standard_weights(ds), beta),
+        "evaluate": lambda: evaluate(beta, sc.beta_star, sc.schemas),
+    }
+    for name, consumer in consumers.items():
+        with pytest.raises(ShapeMismatch, match="^factor 'ord4n': no per-level values$"):
+            consumer()
+
+
+def test_no_level_table_array_has_a_row_per_observation():
+    ds = toy_mixed_ds(seed=5, n=2000)
+    assert ds.n > 100 * int(ds.level_table.offsets[-1])
+    prob = build_augmented(ds, build_weights(ds, adaptive=True, use_frequency=True))
+    fit_at(path(prob, grid_size=20), ds, 0.5, refit_after=True)
+    config = CvConfig(k_folds=5, grid_size=20, seed=1, adaptive=True, use_frequency=True,
+                      refit_inside=True)
+    kfold_cv(ds, config)
+    fits = compute_fold_paths(ds, config)
+    score_folds(fits, config.grid_size, refit_inside=True)
+    for held in [ds] + [fit.train for fit in fits]:
+        for name, value in vars(held.level_table).items():
+            if isinstance(value, np.ndarray):
+                assert held.n not in value.shape, name
 
 
 def test_kfold_cv_shapes_and_chosen_rule():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from catfuse import solver
+from catfuse import coding, solver
 from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
@@ -89,10 +90,10 @@ def test_certified_warm_start_takes_no_solve():
     # leaves θ as it is) re-reads that certificate and returns θ untouched
     rng = np.random.default_rng(9)
     X, y = random_instance(rng)
-    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
     ds = make_s1(seed=2)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    s1 = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    s1 = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     for core in (generic, s1):
         for frac in (0.5, 0.1, 0.01):
             lam = frac * core.lambda_max
@@ -313,15 +314,18 @@ def test_ols_fuses_an_unidentified_level_with_its_tree_parent(o_levels, b_level)
         assert np.max(np.abs(zero.beta[name] - b)) <= 1e-14
 
 
-def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
+def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path(monkeypatch):
     # Every row twice and γ' = 2γ doubles the whole objective, so the path
     # has λ doubled at every point and the same minimisers.
     ds = toy_mixed_ds(seed=13)
     twice = Dataset(np.concatenate([ds.y, ds.y]), np.vstack([ds.codes, ds.codes]), ds.schemas)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    prob2 = dataclasses.replace(build_augmented(twice, standard_weights(twice, use_frequency=True)),
-                                gamma=2.0 * prob.gamma)
-    one, two = path(prob, grid_size=40), path(prob2, grid_size=40)
+    prob2 = build_augmented(twice, standard_weights(twice, use_frequency=True))
+    gamma = prob.gamma
+    one = path(prob, grid_size=40)
+    monkeypatch.setattr(coding, "DEFAULT_SQRT_GAMMA", math.sqrt(2.0 * gamma))
+    assert prob2.gamma == pytest.approx(2.0 * gamma, rel=1e-15)
+    two = path(prob2, grid_size=40)
     for a, b in zip(one.solutions, two.solutions):
         assert b.lam == pytest.approx(2.0 * a.lam, rel=1e-12, abs=0.0)
         for name in a.beta:
@@ -331,9 +335,9 @@ def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path():
 
 
 def _gamma_zero_core(core):
-    # the γ = 0 core on the same data Gram
+    # the γ = 0 problem on the same data Gram: the core without restriction rows
     return _Core(core.XtX, core.Xty, core._absXtX, core._absXty,
-                 np.zeros((0, core.q)), 0.0, core.y_scale)
+                 np.zeros((0, core.q)), core.y_scale)
 
 
 def test_core_keeps_no_row_sized_array():
@@ -341,7 +345,7 @@ def test_core_keeps_no_row_sized_array():
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
     n, r = prob.Z_data.shape[0], prob.r
     assert n > 100 * (prob.q + r)
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     for cache in (core, _gamma_zero_core(core)):
         for name, value in vars(cache).items():
             if isinstance(value, np.ndarray):
@@ -354,7 +358,7 @@ def test_path_and_fit_leave_no_row_sized_array_on_the_problem():
     fit_at(path(prob, grid_size=20), ds, 0.5, refit_after=True)
     assert "Z_data" not in vars(prob)
     # the core path builds from the problem's Gram pieces
-    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled, prob.gamma)
+    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled)
     for held in (prob, core):
         for name, value in vars(held).items():
             if isinstance(value, np.ndarray):
@@ -505,7 +509,7 @@ def test_subspace_solve_matches_full_saddle_system():
         assert np.sum(adapt.values == base.values * ADAPTIVE_CAP) == 3
         for ws in (base, adapt):
             prob = build_augmented(ds, ws)
-            core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+            core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
             pairs = _pair_columns(prob.layout)
             assert np.flatnonzero(core.pair_row >= 0).tolist() == pairs
             assert np.all(core.A[core.pair_row[pairs], pairs] != 0.0)
@@ -521,13 +525,13 @@ def test_subspace_solve_matches_full_saddle_system():
     # nothing to eliminate: no restriction rows, or a row whose two lone columns share it
     assert np.all(_gamma_zero_core(core).pair_row == -1)
     X, y = random_instance(rng)
-    assert np.all(_Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0).pair_row == -1)
+    assert np.all(_Core.from_design(X, np.zeros((0, X.shape[1])), y).pair_row == -1)
     schemas = (FactorSchema("a", "nominal", ("x", "y", "z")),
                FactorSchema("b", "nominal", ("p", "q", "r", "s")))
     codes = np.column_stack([rng.choice([0, 2], 80), rng.integers(0, 4, 80)])
     ds = Dataset(rng.normal(0, 1, 80), codes, schemas)
     prob = build_augmented(ds, standard_weights(ds))
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     assert np.all(core.pair_row[prob.layout.blocks[0].slice] == -1)
     assert np.flatnonzero(core.pair_row >= 0).tolist() == _pair_columns(prob.layout)[1:]
 
@@ -582,7 +586,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     prob = build_augmented(ds, standard_weights(ds))
     b1, b2 = prob.layout.block("b1").offset, prob.layout.block("b2").offset
     S = np.array([0, b1, b2])     # θ_10 touches restriction rows; b1, b2 touch none
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     assert core.r > 0 and np.array_equal(core.XtX[:, b1], core.XtX[:, b2])
     # one sign for both copies keeps the right-hand side in the range
     sigma = np.array([1.0, -1.0, -1.0])
@@ -592,7 +596,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     # r = 0 falls back to lstsq: solve_lasso's generic core and a γ = 0 core
     X, y = random_instance(rng)
     X[:, 3] = X[:, 1]
-    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
     lstsq, lstsq_calls = np.linalg.lstsq, []
 
     def counted_lstsq(*args, **kwargs):
@@ -612,7 +616,7 @@ def test_two_column_subspace_solve_matches_two_one_column_solves():
     rng = np.random.default_rng(18)
     for ds in (make_s1(seed=1), generate(make_scenario("S2", 0)).train, _rent_shaped_ds(4)):
         prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-        core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+        core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
         pairs = _pair_columns(prob.layout)
         data = np.setdiff1d(np.arange(prob.q), pairs)
         lam = 0.1 * core.lambda_max * core.y_scale
@@ -661,7 +665,7 @@ def test_stepped_path_matches_fresh_solves_point_by_point():
         pr = path(prob, grid_size=100)
         w = prob.weight_values
         for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
-            fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+            fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
             theta, _, _ = solver._solve_core(fresh, sol.lam, warm_start=prev.theta_scaled)
             scale = max(1.0, float(np.max(np.abs(theta))))
             assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
@@ -677,7 +681,7 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
     # fresh-core one (a zero slope would leave θ as it is: no step is taken)
     ds = make_s1(seed=2)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     lam, near = 0.1 * core.lambda_max, 0.1 * (1.0 - 1e-4) * core.lambda_max
     theta, _, system = solver._solve_core(core, lam)
     S = np.flatnonzero(theta)
@@ -693,7 +697,7 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
     again, solves, solved = solver._solve_core(core, near, warm_start=theta, system=wrong)
     assert calls == [S.tobytes()] and solves == 2
     assert solved.lam0 == near * core.y_scale
-    fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered, prob.gamma)
+    fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     expect, _, _ = solver._solve_core(fresh, near, warm_start=theta)
     assert np.max(np.abs(again - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
@@ -737,7 +741,7 @@ def test_a_warm_start_at_or_over_lambda_max_gives_zeros(lam):
 
 def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros():
     X, y, _ = _warm_started_lasso()
-    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y, 0.0)
+    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
     theta, _, system = solver._solve_core(core, 0.1 * core.lambda_max)
     assert system is not None and np.any(theta != 0.0)
     for lam in (np.inf, core.lambda_max):
@@ -747,7 +751,7 @@ def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros
 
 
 def _fresh_core(prob):
-    return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled, prob.gamma)
+    return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])

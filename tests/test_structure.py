@@ -224,14 +224,20 @@ def _refit_by_rows(ds: Dataset, labels: np.ndarray):
     return beta, intercept, float(np.sum((yc - Xc @ coef) ** 2))
 
 
-def _assert_refit_matches_rows(ds, labels):
+def _assert_refit_matches_rows(ds, labels, partition):
+    """refit_labels on `labels` against the row-level reference; refit on
+    `partition` (with those labels) gives its β and intercept bit for bit,
+    and an rss that matches the reference's."""
     got = refit_labels(ds, labels)
     beta, intercept, rss = _refit_by_rows(ds, labels)
     for name, ref in beta.items():
         assert np.all(np.abs(got.beta[name] - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
     assert abs(got.intercept - intercept) <= 1e-10 * max(1.0, abs(intercept))
-    assert abs(got.rss - rss) <= 1e-9 * rss
-    return got
+    rf = refit(ds, partition)
+    assert all(rf.beta[n].tobytes() == got.beta[n].tobytes() for n in got.beta)
+    assert rf.intercept == got.intercept
+    assert abs(rf.rss - rss) <= 1e-9 * rss
+    return got, rf
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
@@ -249,12 +255,9 @@ def test_refit_matches_the_row_level_reference_on_every_path_partition(name):
         distinct, first = np.unique(labels, axis=0, return_index=True)
         assert 1 < len(distinct) < len(betas)
         for row, g in zip(distinct, first):
-            got = _assert_refit_matches_rows(ds, row)
             # refit is refit_labels on the partition's labels, bit for bit,
             # and reads each cluster's coefficient off its smallest member
-            rf = refit(ds, parts[g])
-            assert all(rf.beta[n].tobytes() == got.beta[n].tobytes() for n in got.beta)
-            assert (rf.intercept, rf.rss) == (got.intercept, got.rss)
+            got, rf = _assert_refit_matches_rows(ds, row, parts[g])
             for fp in rf.partition.factors:
                 assert fp.coefficients == tuple(got.beta[fp.name][c[0]] for c in fp.clusters)
 
@@ -268,15 +271,43 @@ def test_refit_with_a_single_row_reference_level_at_large_n():
     codes[17, 0] = 0                  # the reference level of g has one row
     y = np.array([0.0, 1.0, 1.0, 3.0])[codes[:, 0]] + codes[:, 1] + rng.normal(0, 1, n)
     ds = Dataset(y, codes, schemas)
-    _assert_refit_matches_rows(ds, np.array([0, 1, 2, 3, 0, 1, 2]))
-    _assert_refit_matches_rows(ds, np.array([0, 1, 1, 2, 0, 0, 1]))
+    for g, h in (((0, 1, 2, 3), (0, 1, 2)), ((0, 1, 1, 2), (0, 0, 1))):
+        part = ClusterPartition((FactorPartition("g", g, (0.0,) * (max(g) + 1)),
+                                 FactorPartition("h", h, (0.0,) * (max(h) + 1))), threshold=1e-8)
+        _assert_refit_matches_rows(ds, np.array(g + h), part)
 
 
 def test_refit_labels_rejects_a_label_vector_of_another_length():
     ds = generate(make_scenario("S1", 0)).train
     L = sum(sch.k + 1 for sch in ds.schemas)
-    with pytest.raises(ShapeMismatch, match=f"^{L - 1} cluster labels for {L} levels$"):
+    with pytest.raises(ShapeMismatch, match=fr"^cluster labels of shape \({L - 1},\) for {L} levels$"):
         refit_labels(ds, np.zeros(L - 1, dtype=int))
+    with pytest.raises(ShapeMismatch, match=fr"^cluster labels of shape \(1, {L}\) for {L} levels$"):
+        refit_labels(ds, np.zeros((1, L), dtype=int))
+
+
+@pytest.mark.parametrize("labels", [
+    [1, 1, 1, 0, 0, 0, 2, 2, 2],          # the reference level outside cluster 0
+    [0, 0, 0, -1, -1, -1, 1, 1, 1],       # a negative label
+    [0, 0, 0, 2, 2, 2, 3, 3, 3],          # cluster 1 empty
+    [0, 0, 0, 1, 1, 1, 2, 2, 2.5],        # not an integer
+])
+def test_refit_labels_rejects_labels_not_numbered_by_first_occurrence(labels):
+    ds = generate(make_scenario("S1", 0)).train
+    with pytest.raises(ValueError, match=r"^factor 'g': cluster labels \[.*\] are not integers "
+                                         "numbered by first occurrence from 0$"):
+        refit_labels(ds, np.array(labels))
+
+
+def test_refit_labels_names_only_the_factor_whose_labels_are_misnumbered():
+    ds = generate(make_scenario("S2", 0)).train
+    labels = cluster_labels_path([ols_coefficients(ds)], ds.schemas)[0]
+    refit_labels(ds, labels)
+    at = ds.level_table.offsets[[sch.name for sch in ds.schemas].index("nom8n")]
+    labels[at + 1] = labels[at + 2] + 1
+    with pytest.raises(ValueError, match=r"^factor 'nom8n': cluster labels \[0, 3, 2, [^;]*\] "
+                                         "are not integers numbered by first occurrence from 0$"):
+        refit_labels(ds, labels)
 
 
 def test_partition_json_shape():
