@@ -17,7 +17,6 @@ from .coding import (
     ThetaLayout,
     build_augmented,
     theta_layout,
-    u_back_transform,
     u_transform,
 )
 from .weights import (
@@ -33,10 +32,7 @@ from .solver import (
     PathSolution,
     PrecisionReport,
     back_transform,
-    ista_oracle,
-    lambda_max,
     path,
-    solve_lasso,
 )
 from .structure import (
     ClusterPartition,
@@ -79,7 +75,6 @@ __all__ = [
     "ThetaLayout",
     "build_augmented",
     "theta_layout",
-    "u_back_transform",
     "u_transform",
     "WeightSet",
     "adaptive_weights",
@@ -91,10 +86,7 @@ __all__ = [
     "PathSolution",
     "PrecisionReport",
     "back_transform",
-    "ista_oracle",
-    "lambda_max",
     "path",
-    "solve_lasso",
     "ClusterPartition",
     "FactorPartition",
     "RefitResult",

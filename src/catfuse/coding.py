@@ -1,7 +1,7 @@
 """Design matrices and parameter transforms.
 
 The pairwise-difference parameterization θ with its restriction matrix A,
-the first-difference transform U and its inverse, and assembly of the
+the first-difference transform U, and assembly of the
 augmented least-squares problem whose plain L1 solution approximates the
 difference-penalized fit, whose data block is read off the level table.
 
@@ -93,6 +93,18 @@ class ThetaLayout:
         """Restriction row count: one per non-tree pair."""
         return sum(b.length - b.k for b in self.blocks)
 
+    @cached_property
+    def pair_row(self) -> np.ndarray:
+        """Read-only (q,) vector: the restriction row of each non-tree pair
+        column, in restriction_rows' order, and -1 at each tree column."""
+        rows = np.full(self.q, -1)
+        start = 0
+        for b in self.blocks:
+            rows[b.offset + b.k:b.offset + b.length] = np.arange(start, start + b.length - b.k)
+            start += b.length - b.k
+        rows.setflags(write=False)
+        return rows
+
     def block(self, name: str) -> FactorBlock:
         for b in self.blocks:
             if b.name == name:
@@ -171,14 +183,6 @@ class AugmentedProblem:
     def y_centered(self) -> np.ndarray:
         return self.dataset.y - self.dataset.y.mean()
 
-    @property
-    def Z_tilde(self) -> np.ndarray:
-        return np.vstack([self.Z_data, self.sqrt_gamma * self.A_scaled])
-
-    @property
-    def y_tilde(self) -> np.ndarray:
-        return np.concatenate([self.y_centered, np.zeros(self.r)])
-
 
 def restriction_rows(layout: ThetaLayout) -> np.ndarray:
     """One row per non-tree pair (i, j): (P[i] − P[j])·θ_tree − θ_ij = 0."""
@@ -243,7 +247,7 @@ def build_augmented(ds: Dataset, weights) -> AugmentedProblem:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by tests and structure extraction
+# helpers shared by the path and structure extraction
 # ---------------------------------------------------------------------------
 
 def induced_theta(layout: ThetaLayout, beta: Dict[str, np.ndarray]) -> np.ndarray:
@@ -265,8 +269,3 @@ def u_transform(beta: np.ndarray) -> np.ndarray:
     """First differences δ_i = β_i − β_{i−1} with β_0 = 0."""
     beta = np.asarray(beta, dtype=float)
     return np.diff(beta, prepend=0.0)
-
-
-def u_back_transform(delta: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis: β_i = Σ_{s<=i} δ_s."""
-    return np.cumsum(np.asarray(delta, dtype=float), axis=-1)

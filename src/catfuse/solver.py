@@ -1,4 +1,4 @@
-"""Penalized solvers and regularization paths.
+"""The augmented lasso of the difference penalty and its regularization path.
 
 The augmented problem minimizes ||y − Xθ||² + γ||Aθ||² + λΣ|θ_j|, a plain
 L1 problem on the stacked (ỹ, Z̃). The solver works in Gram form (XᵀX, Xᵀy,
@@ -14,10 +14,10 @@ inner step solves the saddle-point system
 
 (v = 2γAθₛ), which stays well conditioned for any γ, with Lawson–Hanson
 style sign handling. A non-tree pair column θ_ij carries no data and sits
-in one restriction row ρ, so when it is active its stationarity row fixes
-v_ρ in closed form and row ρ gives θ_ij from the data columns. The solve
-therefore runs only on the active data columns (each factor's tree edges,
-coding.ThetaLayout) and the restriction rows whose pair column is
+in one restriction row ρ (ThetaLayout.pair_row), so when it is active its
+stationarity row fixes v_ρ in closed form and row ρ gives θ_ij from the
+data columns. The solve therefore runs only on the active data columns
+(each factor's tree edges) and the restriction rows whose pair column is
 inactive; the elimination is exact, with no approximation in γ.
 
 γ is finite, so a fit violates the restrictions by Δ = ‖Aθ̂‖². The λ = 0
@@ -64,7 +64,6 @@ DEFAULT_GRID_SIZE = 100
 GRID_RATIO = 1e-4   # smallest positive grid λ relative to λ_max
 
 _EPS = np.finfo(float).eps
-_ISTA_MAX_ITER = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -74,42 +73,36 @@ _ISTA_MAX_ITER = 2_000_000
 class _Core:
     """||y − Xθ||² + γ||Aθ||² as XᵀX, Xᵀy, |X|ᵀ|X|, |X|ᵀ|y| and A: no array
     here has n rows, so no solver step after construction costs O(n). γ is
-    the method's constant (`gamma`); a core without restriction rows is the
-    plain lasso, which γ cannot reach.
+    the method's constant (`gamma`).
 
     Xᵀy and |X|ᵀ|y| hold the response multiplied by y_scale, the power of two
     nearest 1/max_j|X_jᵀy|; _solve_core maps λ and θ across it.
     """
 
-    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, y_scale: float):
+    def __init__(self, XtX, Xty, absXtX, absXty, A: np.ndarray, pair_row: np.ndarray,
+                 y_scale: float):
         self.XtX, self.Xty, self._absXtX, self._absXty = XtX, Xty, absXtX, absXty
         self.A, self._absA = A, np.abs(A)
         self.q, self.r = XtX.shape[0], A.shape[0]
+        # pair_row[c] = ρ for a non-tree pair column c, whose one entry in A
+        # is at row ρ (ThetaLayout.pair_row); -1 elsewhere. subspace_solve
+        # eliminates these columns.
+        self.pair_row = pair_row
         self.y_scale = y_scale
-        self.lam_max_s = _lambda_max(Xty)      # λ_max in solver units
-        # pair_row[c] = ρ for a column with no data and one nonzero in A, at
-        # row ρ, when it is the only such column of ρ (a non-tree pair
-        # column); -1 elsewhere. subspace_solve eliminates these columns.
-        lone = np.flatnonzero(~np.any(XtX != 0.0, axis=0)
-                              & (np.count_nonzero(A, axis=0) == 1))
-        rows, at = np.nonzero(A[:, lone])
-        alone = np.bincount(rows, minlength=self.r)[rows] == 1
-        self.pair_row = np.full(self.q, -1)
-        self.pair_row[lone[at[alone]]] = rows[alone]
+        # λ_max in solver units. grad at θ = 0 reads these same Xᵀy entries,
+        # so at λ_max no entry violates the KKT conditions: the path's top is
+        # exactly all-zero
+        self.lam_max_s = 2.0 * float(np.max(np.abs(Xty), initial=0.0))
 
     @classmethod
-    def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray) -> "_Core":
-        """The core of XᵀX, Xᵀy, |X|ᵀ|X| and |X|ᵀ|y| of the unscaled y."""
+    def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray, pair_row: np.ndarray) -> "_Core":
+        """The core of XᵀX, Xᵀy, |X|ᵀ|X| and |X|ᵀ|y| of the unscaled y, with
+        A's pair columns at pair_row."""
         # frexp splits off the exponent exactly, so scaling y by 2ᵏ shifts
         # y_scale by 2⁻ᵏ and leaves the scaled Xᵀy bit for bit unchanged
         m, e = math.frexp(float(np.max(np.abs(Xty), initial=0.0)))   # m in [½, 1)
         y_scale = math.ldexp(1.0, 1 - e if m < math.sqrt(0.5) else -e)
-        return cls(XtX, Xty * y_scale, absXtX, absXty * y_scale, A, y_scale)
-
-    @classmethod
-    def from_design(cls, X: np.ndarray, A: np.ndarray, y: np.ndarray) -> "_Core":
-        absX = np.abs(X)
-        return cls.from_gram(X.T @ X, X.T @ y, absX.T @ absX, absX.T @ np.abs(y), A)
+        return cls(XtX, Xty * y_scale, absXtX, absXty * y_scale, A, pair_row, y_scale)
 
     @property
     def gamma(self) -> float:
@@ -336,81 +329,6 @@ def _resolve(core: _Core, theta: np.ndarray, active: np.ndarray, sigma: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# public generic interface
-# ---------------------------------------------------------------------------
-
-def solve_lasso(
-    design: np.ndarray,
-    response: np.ndarray,
-    lam: float,
-    warm_start: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Minimize (y − Xθ)'(y − Xθ) + λΣ|θ_j| for a generic dense design.
-
-    Note the objective carries no 1/2 or 1/n factor, so the all-zero
-    threshold is λ_max = 2·max_j |X_j'y|. A non-finite entry of the design,
-    the response or the warm start raises ValueError naming it.
-    """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    for what, a in (("design", X), ("response", y)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{what} holds non-finite values")
-    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
-    theta, _, _ = _solve_core(core, float(lam), warm_start)
-    return theta
-
-
-def ista_oracle(design: np.ndarray, response: np.ndarray, lam: float) -> np.ndarray:
-    """Independent proximal-gradient reference solver (verification only).
-
-    Monotone ISTA with backtracking on the step size; stops when the
-    objective decrease falls below 1e−14 (at most _ISTA_MAX_ITER
-    iterations). λ = +inf gives zeros; a NaN or negative λ raises
-    ValueError. Deliberately shares no code with solve_lasso.
-    """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    lam = float(lam)
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam!r}")
-    n, p = X.shape
-    theta = np.zeros(p)
-    if lam == math.inf:         # the objective at θ = 0 would read inf·0
-        return theta
-    XtX = X.T @ X
-    Xty = X.T @ y
-
-    def f_smooth(t):
-        r = y - X @ t
-        return float(r @ r)
-
-    def objective(t):
-        return f_smooth(t) + lam * float(np.abs(t).sum())
-
-    L = 2.0 * float(np.max(np.einsum("ij,ij->j", X, X))) if p else 1.0
-    L = max(L, 1e-12)
-    obj = objective(theta)
-    for _ in range(_ISTA_MAX_ITER):
-        g = 2.0 * (XtX @ theta - Xty)
-        f0 = f_smooth(theta)
-        while True:
-            step = theta - g / L
-            cand = np.sign(step) * np.maximum(np.abs(step) - lam / L, 0.0)
-            diff = cand - theta
-            quad = f0 + float(g @ diff) + 0.5 * L * float(diff @ diff)
-            if f_smooth(cand) <= quad + 1e-12 * abs(quad):
-                break
-            L *= 2.0
-        theta = cand
-        new_obj = objective(theta)
-        if obj - new_obj < 1e-14:
-            return theta
-        obj = new_obj
-    raise NotConverged(f"ISTA oracle did not stabilize within {_ISTA_MAX_ITER} iterations")
-
-
-# ---------------------------------------------------------------------------
 # paths on the augmented problem
 # ---------------------------------------------------------------------------
 
@@ -446,10 +364,6 @@ class PathResult:
     solutions: Tuple[PathSolution, ...]
 
     @property
-    def grid(self) -> Tuple[Tuple[float, float], ...]:      # (λ, s_ratio) pairs
-        return tuple((sol.lam, sol.s_ratio) for sol in self.solutions)
-
-    @property
     def lambda_max(self) -> float:
         return self.solutions[0].lam
 
@@ -466,19 +380,6 @@ class PathResult:
     def solution_at(self, s_ratio: float) -> PathSolution:
         """The point nearest s_ratio: nearest's one-value case."""
         return self.solutions[int(self.nearest(s_ratio))]
-
-
-def _lambda_max(Xty: np.ndarray) -> float:
-    # grad at θ = 0 reads these same Xᵀy entries, so at λ_max no entry
-    # violates the KKT conditions: the path's top is exactly all-zero
-    return 2.0 * float(np.max(np.abs(Xty), initial=0.0))
-
-
-def lambda_max(problem: AugmentedProblem) -> float:
-    """Smallest λ with all-zero solution: 2·max_j |Z̃_j·ỹ|, read off the
-    problem's Xᵀy (the restriction rows contribute nothing because ỹ is
-    zero there)."""
-    return _lambda_max(problem.Xty)
 
 
 def back_transform(
@@ -537,7 +438,7 @@ def path(problem: AugmentedProblem, grid_size: int = DEFAULT_GRID_SIZE) -> PathR
     if not layout.q:
         raise ValueError(NO_FACTORS)
     core = _Core.from_gram(problem.XtX, problem.Xty, problem.absXtX, problem.absXty,
-                           problem.A_scaled)
+                           problem.A_scaled, layout.pair_row)
     # the least-squares fit does not depend on the weights, and Aθ_LS = 0
     theta_ls_scaled = induced_theta(layout, ols_coefficients(problem.dataset)) * w
     ols_l1 = float(np.abs(theta_ls_scaled).sum())

@@ -278,9 +278,11 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     # factor's first stacked level)
     factor = np.repeat(np.arange(len(ds.schemas)), np.diff(table.offsets))
     offset = table.offsets[factor]
-    ok = (labels == np.floor(labels)) & (labels >= 0) & (labels <= np.arange(L) - offset)
-    lab = np.where(ok, labels, 0).astype(np.intp)
-    ok[1:] &= np.diff(np.maximum.accumulate(lab + offset) - offset) <= 1
+    ok, lab = np.zeros(L, dtype=bool), np.zeros(L, dtype=np.intp)
+    if labels.dtype.kind in "biuf":          # strings and objects are no integers
+        ok = (labels == np.floor(labels)) & (labels >= 0) & (labels <= np.arange(L) - offset)
+        lab = np.where(ok, labels, 0).astype(np.intp)
+        ok[1:] &= np.diff(np.maximum.accumulate(lab + offset) - offset) <= 1
     if not ok.all():
         raise ValueError("; ".join(
             f"factor {ds.schemas[f].name!r}: cluster labels "

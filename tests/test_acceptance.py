@@ -18,18 +18,18 @@ from catfuse.coding import (
     induced_theta,
     restriction_rows,
     theta_layout,
-    u_back_transform,
     u_transform,
 )
 from catfuse.datamodel import Dataset, FactorSchema, ingest_csv, schema_to_json
 from catfuse.selection import CvConfig, build_weights, intercept_for, kfold_cv, predicted_effects
 from catfuse.simlab import generate, make_scenario, run_study
-from catfuse.solver import ista_oracle, lambda_max, path, solve_lasso
+from catfuse.solver import path
 from catfuse.structure import degrees_of_freedom, extract_clusters, refit
 from catfuse.weights import ols_coefficients, standard_weights
 from catfuse.cli import main as cli_main
 
 from conftest import rent_csv_path, rent_schema
+from reference import ista_oracle, solve_lasso, u_back_transform, y_tilde, z_tilde
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -93,7 +93,7 @@ def test_criterion_03_limit_behavior():
     fitted = intercept_for(top.beta, ds) + predicted_effects(top.beta, ds)
     mean_ok = np.max(np.abs(fitted - ds.y.mean())) <= 1e-10
     # strictly above the threshold the solution must stay at zero too
-    theta_above = solve_lasso(prob.Z_tilde, prob.y_tilde, 2.0 * pr.lambda_max)
+    theta_above = solve_lasso(z_tilde(prob), y_tilde(prob), 2.0 * pr.lambda_max)
     above_ok = np.all(theta_above == 0.0)
     _report(3, "limit-behavior", bool(ols_ok and zero_ok and mean_ok and above_ok))
 

@@ -14,7 +14,6 @@ from catfuse.coding import (
     nominal_pairs,
     restriction_rows,
     theta_layout,
-    u_back_transform,
     u_transform,
 )
 from catfuse.datamodel import Dataset, FactorSchema
@@ -24,6 +23,7 @@ from catfuse.simlab import generate, make_scenario
 from catfuse.weights import standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
+from reference import u_back_transform, y_tilde, z_tilde
 
 
 def test_nominal_pairs_order():
@@ -168,11 +168,11 @@ def test_build_augmented_shapes_and_scaling():
     layout = prob.layout
     assert prob.Z_data.shape == (ds.n, layout.q)
     assert prob.A_raw.shape == (layout.r, layout.q)
-    assert prob.y_tilde.shape == (ds.n + layout.r,)
-    assert np.all(prob.y_tilde[ds.n:] == 0.0)
-    assert prob.Z_tilde.shape == (ds.n + layout.r, layout.q)
+    assert y_tilde(prob).shape == (ds.n + layout.r,)
+    assert np.all(y_tilde(prob)[ds.n:] == 0.0)
+    assert z_tilde(prob).shape == (ds.n + layout.r, layout.q)
     # stacked tail is sqrt(gamma) times the scaled restriction rows
-    assert np.allclose(prob.Z_tilde[ds.n:], prob.sqrt_gamma * prob.A_scaled, rtol=0, atol=0)
+    assert np.allclose(z_tilde(prob)[ds.n:], prob.sqrt_gamma * prob.A_scaled, rtol=0, atol=0)
     # nominal extra-pair columns carry no data
     blk = layout.block("a")
     extra = slice(blk.offset + 3, blk.offset + blk.length)

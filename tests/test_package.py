@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -59,9 +60,44 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_every_exported_name_is_called_in_src_or_named_in_the_readme():
+    # a public name that only tests call belongs in tests/reference.py. A use
+    # is a bare name, a module attribute (coding.X) or an imported module,
+    # outside the top-level def or class of that name; __init__.py only
+    # re-exports
+    modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
+    used = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    found = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in modules:
+                    found = node.attr
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    found = node.module.split(".")[-1]
+                else:
+                    continue
+                if found != own:
+                    used.add(found)
+    readme = _readme()
+    unused = [name for name in catfuse.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []
+
+
 def _readme_library_block() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library use\n", 1)[1]
+    section = _readme().split("\n## Library use\n", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from catfuse.coding import induced_theta, restriction_rows, theta_layout, u_back_transform
+from catfuse.coding import induced_theta, restriction_rows, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.simlab import evaluate
 from catfuse.solver import back_transform
@@ -19,6 +19,8 @@ from catfuse.weights import (
     spatial_factors,
     standard_weights,
 )
+
+from reference import u_back_transform
 
 SCHEMAS = (
     FactorSchema("g", "nominal", ("a", "b", "c", "d", "e"),

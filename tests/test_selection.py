@@ -32,6 +32,7 @@ from catfuse.structure import (
 from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
 
 from conftest import toy_mixed_ds
+from reference import grid
 
 
 def test_fold_assignment_partitions():
@@ -204,7 +205,7 @@ def _score_folds_per_point(fits, grid_size, refit_inside):
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))
     for f, fit in enumerate(fits):
-        fold_s = np.array([s for _, s in fit.path.grid])
+        fold_s = np.array([s for _, s in grid(fit.path)])
         msep = np.empty(len(fit.path.solutions))
         for g, sol in enumerate(fit.path.solutions):
             beta = sol.beta

@@ -15,19 +15,19 @@ from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
 from catfuse.selection import CvConfig, build_weights, compute_fold_paths, fit_at
 from catfuse.simlab import generate, make_scenario
-from catfuse.solver import (
-    PRECISION_SLACK,
-    _Core,
-    back_transform,
-    ista_oracle,
-    lambda_max,
-    path,
-    solve_lasso,
-)
+from catfuse.solver import PRECISION_SLACK, _Core, back_transform, path
 from catfuse.structure import degrees_of_freedom, extract_clusters
 from catfuse.weights import ADAPTIVE_CAP, adaptive_weights, ols_coefficients, standard_weights
 
 from conftest import rent_schema, toy_mixed_ds
+from reference import (
+    core_from_design,
+    grid,
+    ista_oracle,
+    lambda_max,
+    scan_pair_rows,
+    solve_lasso,
+)
 
 
 def make_s1(seed: int = 0) -> Dataset:
@@ -90,10 +90,10 @@ def test_certified_warm_start_takes_no_solve():
     # leaves θ as it is) re-reads that certificate and returns θ untouched
     rng = np.random.default_rng(9)
     X, y = random_instance(rng)
-    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
+    generic = core_from_design(X, np.zeros((0, X.shape[1])), y)
     ds = make_s1(seed=2)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    s1 = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    s1 = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     for core in (generic, s1):
         for frac in (0.5, 0.1, 0.01):
             lam = frac * core.lambda_max
@@ -239,10 +239,10 @@ def test_path_result_reads_grid_and_lambda_max_off_its_points():
     ds = make_s1(seed=10)
     pr = path(build_augmented(ds, standard_weights(ds, use_frequency=True)), grid_size=12)
     assert [f.name for f in dataclasses.fields(pr)] == ["solutions"]
-    assert pr.grid == tuple((sol.lam, sol.s_ratio) for sol in pr.solutions)
+    assert grid(pr) == tuple((sol.lam, sol.s_ratio) for sol in pr.solutions)
     assert pr.lambda_max == pr.solutions[0].lam
     tail = dataclasses.replace(pr, solutions=pr.solutions[4:])
-    assert tail.grid == pr.grid[4:]
+    assert grid(tail) == grid(pr)[4:]
     assert tail.lambda_max == pr.solutions[4].lam < pr.lambda_max
     assert tail.solution_at(1.0) is pr.solutions[-1]
 
@@ -337,7 +337,7 @@ def test_path_on_duplicated_rows_at_double_gamma_is_the_same_path(monkeypatch):
 def _gamma_zero_core(core):
     # the γ = 0 problem on the same data Gram: the core without restriction rows
     return _Core(core.XtX, core.Xty, core._absXtX, core._absXty,
-                 np.zeros((0, core.q)), core.y_scale)
+                 np.zeros((0, core.q)), np.full(core.q, -1), core.y_scale)
 
 
 def test_core_keeps_no_row_sized_array():
@@ -345,7 +345,7 @@ def test_core_keeps_no_row_sized_array():
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
     n, r = prob.Z_data.shape[0], prob.r
     assert n > 100 * (prob.q + r)
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     for cache in (core, _gamma_zero_core(core)):
         for name, value in vars(cache).items():
             if isinstance(value, np.ndarray):
@@ -358,7 +358,8 @@ def test_path_and_fit_leave_no_row_sized_array_on_the_problem():
     fit_at(path(prob, grid_size=20), ds, 0.5, refit_after=True)
     assert "Z_data" not in vars(prob)
     # the core path builds from the problem's Gram pieces
-    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled)
+    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled,
+                           prob.layout.pair_row)
     for held in (prob, core):
         for name, value in vars(held).items():
             if isinstance(value, np.ndarray):
@@ -509,7 +510,7 @@ def test_subspace_solve_matches_full_saddle_system():
         assert np.sum(adapt.values == base.values * ADAPTIVE_CAP) == 3
         for ws in (base, adapt):
             prob = build_augmented(ds, ws)
-            core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+            core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
             pairs = _pair_columns(prob.layout)
             assert np.flatnonzero(core.pair_row >= 0).tolist() == pairs
             assert np.all(core.A[core.pair_row[pairs], pairs] != 0.0)
@@ -525,15 +526,34 @@ def test_subspace_solve_matches_full_saddle_system():
     # nothing to eliminate: no restriction rows, or a row whose two lone columns share it
     assert np.all(_gamma_zero_core(core).pair_row == -1)
     X, y = random_instance(rng)
-    assert np.all(_Core.from_design(X, np.zeros((0, X.shape[1])), y).pair_row == -1)
+    assert np.all(core_from_design(X, np.zeros((0, X.shape[1])), y).pair_row == -1)
     schemas = (FactorSchema("a", "nominal", ("x", "y", "z")),
                FactorSchema("b", "nominal", ("p", "q", "r", "s")))
     codes = np.column_stack([rng.choice([0, 2], 80), rng.integers(0, 4, 80)])
     ds = Dataset(rng.normal(0, 1, 80), codes, schemas)
     prob = build_augmented(ds, standard_weights(ds))
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     assert np.all(core.pair_row[prob.layout.blocks[0].slice] == -1)
     assert np.flatnonzero(core.pair_row >= 0).tolist() == _pair_columns(prob.layout)[1:]
+
+
+def test_layout_pair_rows_equal_the_scan_of_the_gram_and_restriction_rows():
+    # the core reads its pair rows off the layout; where every level has rows
+    # they are the lone no-data columns that a scan of XᵀX and A finds
+    problems = []
+    for name in ("S1", "S2", "S3"):
+        for seed in range(3):
+            train = generate(make_scenario(name, seed)).train
+            problems += [build_augmented(train, build_weights(train, adaptive, use_frequency))
+                         for adaptive in (False, True) for use_frequency in (False, True)]
+    problems += [build_augmented(ds, build_weights(ds, True, True))
+                 for ds in map(_rent_shaped_ds, range(3))]
+    assert len(problems) == 39
+    for prob in problems:
+        pair_row = prob.layout.pair_row
+        assert not pair_row.flags.writeable
+        assert pair_row.tobytes() == scan_pair_rows(prob.XtX, prob.A_scaled).tobytes()
+        assert np.array_equal(pair_row[_pair_columns(prob.layout)], np.arange(prob.r))
 
 
 def test_many_level_nominal_path():
@@ -586,7 +606,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     prob = build_augmented(ds, standard_weights(ds))
     b1, b2 = prob.layout.block("b1").offset, prob.layout.block("b2").offset
     S = np.array([0, b1, b2])     # θ_10 touches restriction rows; b1, b2 touch none
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     assert core.r > 0 and np.array_equal(core.XtX[:, b1], core.XtX[:, b2])
     # one sign for both copies keeps the right-hand side in the range
     sigma = np.array([1.0, -1.0, -1.0])
@@ -596,7 +616,7 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     # r = 0 falls back to lstsq: solve_lasso's generic core and a γ = 0 core
     X, y = random_instance(rng)
     X[:, 3] = X[:, 1]
-    generic = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
+    generic = core_from_design(X, np.zeros((0, X.shape[1])), y)
     lstsq, lstsq_calls = np.linalg.lstsq, []
 
     def counted_lstsq(*args, **kwargs):
@@ -616,7 +636,7 @@ def test_two_column_subspace_solve_matches_two_one_column_solves():
     rng = np.random.default_rng(18)
     for ds in (make_s1(seed=1), generate(make_scenario("S2", 0)).train, _rent_shaped_ds(4)):
         prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-        core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+        core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
         pairs = _pair_columns(prob.layout)
         data = np.setdiff1d(np.arange(prob.q), pairs)
         lam = 0.1 * core.lambda_max * core.y_scale
@@ -665,7 +685,7 @@ def test_stepped_path_matches_fresh_solves_point_by_point():
         pr = path(prob, grid_size=100)
         w = prob.weight_values
         for prev, sol in zip(pr.solutions, pr.solutions[1:-1]):
-            fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+            fresh = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
             theta, _, _ = solver._solve_core(fresh, sol.lam, warm_start=prev.theta_scaled)
             scale = max(1.0, float(np.max(np.abs(theta))))
             assert np.max(np.abs(sol.theta_scaled - theta)) <= 1e-9 * scale, sol.lam
@@ -681,7 +701,7 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
     # fresh-core one (a zero slope would leave θ as it is: no step is taken)
     ds = make_s1(seed=2)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))
-    core = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    core = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     lam, near = 0.1 * core.lambda_max, 0.1 * (1.0 - 1e-4) * core.lambda_max
     theta, _, system = solver._solve_core(core, lam)
     S = np.flatnonzero(theta)
@@ -697,7 +717,7 @@ def test_a_stepped_solution_that_fails_the_certificate_is_solved_afresh(monkeypa
     again, solves, solved = solver._solve_core(core, near, warm_start=theta, system=wrong)
     assert calls == [S.tobytes()] and solves == 2
     assert solved.lam0 == near * core.y_scale
-    fresh = _Core.from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
+    fresh = core_from_design(prob.Z_data, prob.A_scaled, prob.y_centered)
     expect, _, _ = solver._solve_core(fresh, near, warm_start=theta)
     assert np.max(np.abs(again - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
@@ -741,7 +761,7 @@ def test_a_warm_start_at_or_over_lambda_max_gives_zeros(lam):
 
 def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros():
     X, y, _ = _warm_started_lasso()
-    core = _Core.from_design(X, np.zeros((0, X.shape[1])), y)
+    core = core_from_design(X, np.zeros((0, X.shape[1])), y)
     theta, _, system = solver._solve_core(core, 0.1 * core.lambda_max)
     assert system is not None and np.any(theta != 0.0)
     for lam in (np.inf, core.lambda_max):
@@ -751,7 +771,8 @@ def test_a_warm_start_at_infinite_lambda_on_a_core_with_stored_steps_gives_zeros
 
 
 def _fresh_core(prob):
-    return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled)
+    return _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled,
+                           prob.layout.pair_row)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])

@@ -299,6 +299,17 @@ def test_refit_labels_rejects_labels_not_numbered_by_first_occurrence(labels):
         refit_labels(ds, np.array(labels))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array(list("000111222")),
+    np.array([0, 0, 0, 1, 1, 1, 2, 2, None], dtype=object),
+], ids=["strings", "objects"])
+def test_refit_labels_rejects_labels_that_are_not_numbers(labels):
+    ds = generate(make_scenario("S1", 0)).train
+    with pytest.raises(ValueError, match=r"^factor 'g': cluster labels \[.*\] are not integers "
+                                         "numbered by first occurrence from 0$"):
+        refit_labels(ds, labels)
+
+
 def test_refit_labels_names_only_the_factor_whose_labels_are_misnumbered():
     ds = generate(make_scenario("S2", 0)).train
     labels = cluster_labels_path([ols_coefficients(ds)], ds.schemas)[0]
