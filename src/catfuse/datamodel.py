@@ -70,15 +70,15 @@ class FactorSchema:
                 f"got {len(self.levels)}"
             )
         if self.spatial_coords is not None:
-            coords = tuple(float(c) for c in self.spatial_coords)
-            object.__setattr__(self, "spatial_coords", coords)
+            coords = tuple(map(_float_or_nan, self.spatial_coords))
             if len(coords) != len(self.levels):
-                raise ValueError(
-                    f"factor {self.name!r}: {len(coords)} spatial coords for "
-                    f"{len(self.levels)} levels"
-                )
-            if any(not math.isfinite(c) or c < 0 for c in coords):
-                raise ValueError(f"factor {self.name!r}: spatial coords must be finite and >= 0")
+                raise ValueError(f"factor {self.name!r}: {len(coords)} spatial coords "
+                                 f"for {len(self.levels)} levels")
+            bad = [i for i, c in enumerate(coords) if not (math.isfinite(c) and c >= 0)]
+            if bad:
+                raise ValueError(f"factor {self.name!r}: spatial coord {bad[0]} must be a "
+                                 f"finite number >= 0, got {self.spatial_coords[bad[0]]!r}")
+            object.__setattr__(self, "spatial_coords", coords)
 
     @property
     def k(self) -> int:
@@ -285,10 +285,10 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
     return Dataset(y, codes, schema)
 
 
-def _float_or_nan(token: str) -> float:
+def _float_or_nan(token) -> float:
     try:
         return float(token)
-    except ValueError:
+    except (TypeError, ValueError):
         return math.nan
 
 

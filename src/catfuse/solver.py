@@ -24,18 +24,18 @@ inactive; the elimination is exact, with no approximation in γ.
 fit θ_LS has Aθ_LS = 0 and the least RSS, so comparing the objective at θ̂
 and at θ_LS gives γΔ ≤ λ(‖θ̃_LS‖₁ − ‖θ̃‖₁) at each point, with no second solve.
 
-One loop drives a solve, and its one exit test is the KKT certificate: each
-round evaluates the gradient and its rounding floor once, then adds
-violators, returns a certified θ or re-solves the active set. A solve that
-cannot be certified raises NotConverged, never swallowed. θₛ is affine in λ
-while the active set and its signs are fixed, so one factorisation of a
-system (S, σ_S) gives θ_S(λ₀) and dθ_S/dλ together. Each grid point starts
-from the previous point's system stepped to its λ (the predicted step) and
-then certifies; the first certificate round after it admits any column whose
-violation exceeds its rounding floor, since the step is the exact
-continuation of the previous point between knots. Every other step
-factorises, a recurring system too, so a solve depends only on its λ, warm
-start and handed system, never on what ran on the core before.
+One loop drives a solve, and its one exit test is the lasso KKT certificate:
+each round reads the gradient and its rounding floor off _Core.certificate
+once, then adds violators, returns a certified θ or re-solves the active
+set. A solve that cannot be certified raises NotConverged, never swallowed.
+θₛ is affine in λ while the active set and its signs are fixed, so one
+factorisation of a system (S, σ_S) gives θ_S(λ₀) and dθ_S/dλ together. Each
+grid point starts from the previous point's system stepped to its λ (the
+predicted step) and then certifies; the first certificate round after it
+admits any column whose violation exceeds its rounding floor, since the step
+is the exact continuation of the previous point between knots. Every other
+step factorises, a recurring system too, so a solve depends only on its λ,
+warm start and handed system, never on what ran on the core before.
 
 Each problem is solved on the response y·c, where c is the power of two
 nearest 1/max_j|X̃_jᵀy|, so λ_max lies in [√2, 2√2] in solver units and
@@ -89,10 +89,10 @@ class _Core:
         # eliminates these columns.
         self.pair_row = pair_row
         self.y_scale = y_scale
-        # λ_max in solver units. grad at θ = 0 reads these same Xᵀy entries,
-        # so at λ_max no entry violates the KKT conditions: the path's top is
-        # exactly all-zero
-        self.lam_max_s = 2.0 * float(np.max(np.abs(Xty), initial=0.0))
+        # λ_max in solver units is max|g(0)|: at λ_max no column violates the
+        # KKT conditions, so the path's top is exactly all-zero
+        g0, _ = self.certificate(np.zeros(self.q))
+        self.lam_max_s = float(np.max(np.abs(g0), initial=0.0))
 
     @classmethod
     def from_gram(cls, XtX, Xty, absXtX, absXty, A: np.ndarray, pair_row: np.ndarray) -> "_Core":
@@ -112,18 +112,17 @@ class _Core:
     def lambda_max(self) -> float:
         return self.lam_max_s / self.y_scale
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return (2.0 * (self.XtX @ theta - self.Xty)
-                + (2.0 * self.gamma) * (self.A.T @ (self.A @ theta)))
-
-    def kkt_floor(self, theta: np.ndarray) -> np.ndarray:
-        # Rounding-error bound for the gradient evaluation, 8ε|B|ᵀ(|B||θ| + |ỹ|)
-        # on the stacked B = [X; √γA], ỹ = [y; 0], multiplied out. At γ ~ 1e10
-        # the float64 quantization of θ alone moves augmented-column gradients
-        # by ~γ·ulp, far beyond the generic tolerance.
+    def certificate(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The gradient g at θ and its rounding floor 8ε|B|ᵀ(|B||θ| + |ỹ|) on
+        the stacked B = [X; √γA], ỹ = [y; 0], multiplied out. At γ ~ 1e10 the
+        float64 quantization of θ alone moves augmented-column gradients by
+        ~γ·ulp, far beyond the generic tolerance."""
+        g = (2.0 * (self.XtX @ theta - self.Xty)
+             + (2.0 * self.gamma) * (self.A.T @ (self.A @ theta)))
         t = np.abs(theta)
-        return 8.0 * _EPS * (self._absXtX @ t + self._absXty
-                             + self.gamma * (self._absA.T @ (self._absA @ t)))
+        floor = 8.0 * _EPS * (self._absXtX @ t + self._absXty
+                              + self.gamma * (self._absA.T @ (self._absA @ t)))
+        return g, floor
 
     # -- subspace solve ----------------------------------------------------
 
@@ -231,17 +230,18 @@ def _solve_core(
     the warm start's nonzeros and signs) and stepping it to λ changes θ_S,
     the solve first re-solves that active set from the step (a certified θ
     at its own λ, or a zero slope, is left as it is and goes straight to the
-    certificate). Then come the certificate rounds. Each evaluates the
-    gradient g and its rounding floor once, sets tol = KKT_TOL + floor, and
-    reads the KKT certificate off them:
+    certificate). Then come the certificate rounds. Each reads the gradient g
+    and its rounding floor off core.certificate once, then sets
+    tol = KKT_TOL + floor and z = |g + λ·sign θ| (|g_j| on an inactive
+    column) and reads both KKT tests off z:
 
-    - inactive columns with |g_j| over λ by more than ¼·tol are violators; up
+    - inactive columns with z_j over λ by more than ¼·tol are violators; up
       to _ADD_PER_ROUND of the worst join the active set with σ_j = −sign g_j.
       In the first round after a predicted step the bar is the floor itself:
       the predicted θ continues the previous system exactly, so a violation
       above rounding is a column that crossed λ inside the step;
     - with no violator, θ is returned once every active column is stationary,
-      |g_j + λ·sign θ_j| ≤ tol_j;
+      z_j ≤ tol_j;
     - otherwise the active set is re-solved.
 
     A re-solve factorises the subspace system on the active set S and walks
@@ -275,18 +275,19 @@ def _solve_core(
     if predicted:
         solves, system = _resolve(core, theta, active, sigma, lam_s, system)
     for _ in range(_MAX_ROUNDS):
-        g = core.grad(theta)
-        floor = core.kkt_floor(theta)
+        g, floor = core.certificate(theta)
         tol = KKT_TOL + floor
         active = theta != 0.0
-        viol = np.where(active, -np.inf, np.abs(g) - lam_s)
+        # copysign, not λ·sign θ: at λ = ∞ an inactive column would read ∞·0
+        z = np.abs(g + np.where(active, np.copysign(lam_s, theta), 0.0))
+        viol = np.where(active, -np.inf, z - lam_s)
         add = np.flatnonzero(viol > (floor if predicted else 0.25 * tol))
         predicted = False
         if add.size:
             add = add[np.argsort(viol[add])[::-1]][:_ADD_PER_ROUND]
             active[add] = True
             sigma[add] = -np.sign(g[add])
-        elif np.all(np.abs(g[active] + lam_s * np.sign(theta[active])) <= tol[active]):
+        elif np.all(z[active] <= tol[active]):
             return theta / core.y_scale, solves, system
         steps, system = _resolve(core, theta, active, sigma, lam_s)
         solves += steps

@@ -11,8 +11,8 @@ from typing import Dict
 
 import numpy as np
 
-from .coding import ThetaLayout, theta_layout
-from .datamodel import NO_FACTORS, Dataset, FactorSchema, level_values
+from .coding import ThetaLayout, induced_theta, theta_layout
+from .datamodel import NO_FACTORS, Dataset, FactorSchema
 from .errors import (
     MissingCoordinates,
     OlsUnavailable,
@@ -109,19 +109,18 @@ def adaptive_weights(base: WeightSet, ols: Dict[str, np.ndarray]) -> WeightSet:
     multiplier past the cap) yields the capped multiplier 1e12, forcing
     fusion at any positive penalty without breaking the arithmetic.
     """
-    values = np.array(base.values)
-    for b in base.layout.blocks:
-        bl = level_values([ols], b)[0]
-        i, j = b.pair_index
-        with np.errstate(divide="ignore"):
-            values[b.slice] *= np.minimum(1.0 / np.abs(bl[i] - bl[j]), ADAPTIVE_CAP)
-    return WeightSet(values, base.layout)
+    with np.errstate(divide="ignore"):
+        multiplier = np.minimum(1.0 / np.abs(induced_theta(base.layout, ols)), ADAPTIVE_CAP)
+    return WeightSet(base.values * multiplier, base.layout)
 
 
 def epanechnikov(u):
-    """Kernel 0.75(1 − u²) on |u| <= 1 and 0 outside, elementwise."""
+    """Kernel 0.75(1 − u²) on |u| <= 1 and 0 outside (and at NaN),
+    elementwise; u is squared only inside, so no u overflows."""
     u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)[()]
+    inside = np.abs(u) <= 1.0
+    v = np.where(inside, u, 0.0)
+    return np.where(inside, 0.75 * (1.0 - v * v), 0.0)[()]
 
 
 def spatial_factors(

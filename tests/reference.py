@@ -11,6 +11,8 @@ never calls it. Tests import it as they import conftest.
   package states only in Gram form.
 - lambda_max, grid, u_back_transform: quantities the package reads off
   elsewhere or does not need.
+- grad, kkt_floor: the gradient and its rounding floor as two separate
+  expressions on a solver core, which _Core.certificate states together.
 """
 from __future__ import annotations
 
@@ -146,3 +148,17 @@ def grid(pr: PathResult) -> Tuple[Tuple[float, float], ...]:
 def u_back_transform(delta: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis: β_i = Σ_{s<=i} δ_s."""
     return np.cumsum(np.asarray(delta, dtype=float), axis=-1)
+
+
+def grad(core: _Core, theta: np.ndarray) -> np.ndarray:
+    """The gradient of ||y − Xθ||² + γ||Aθ||² on the core's (scaled) response."""
+    return (2.0 * (core.XtX @ theta - core.Xty)
+            + (2.0 * core.gamma) * (core.A.T @ (core.A @ theta)))
+
+
+def kkt_floor(core: _Core, theta: np.ndarray) -> np.ndarray:
+    """The rounding-error bound 8ε|B|ᵀ(|B||θ| + |ỹ|) of grad on the stacked
+    B = [X; √γA], ỹ = [y; 0], multiplied out."""
+    t = np.abs(theta)
+    return 8.0 * np.finfo(float).eps * (core._absXtX @ t + core._absXty
+                                        + core.gamma * (core._absA.T @ (core._absA @ t)))

@@ -295,7 +295,7 @@ def test_short_csv_row_errors_as_json(tmp_path, capsys):
 ])
 def test_fit_rejects_clashing_column_names(tmp_path, capsys, extra, response, message):
     data, schema, _ = write_inputs(tmp_path, seed=17)
-    doc = json.loads(open(schema, encoding="utf-8").read()) + [extra]
+    doc = json.loads(Path(schema).read_text(encoding="utf-8")) + [extra]
     with open(schema, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     out = tmp_path / "o"
@@ -329,10 +329,18 @@ def test_spatial_bandwidth_without_coordinates_errors_as_json(tmp_path, capsys):
      "schema entry 1: 'spatial_coords' must be a JSON array"),
     ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": "12"},
      "schema entry 1: 'spatial_coords' must be a JSON array"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [0.0, None]},
+     "factor 'h': spatial coord 1 must be a finite number >= 0, got None"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [[0, 0], [1, 0]]},
+     "factor 'h': spatial coord 0 must be a finite number >= 0, got [0, 0]"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [0.0, {"x": 1}]},
+     "factor 'h': spatial coord 1 must be a finite number >= 0, got {'x': 1}"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": ["x", 1.0]},
+     "factor 'h': spatial coord 0 must be a finite number >= 0, got 'x'"),
 ])
 def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     data, schema, _ = write_inputs(tmp_path, seed=16)
-    doc = json.loads(open(schema, encoding="utf-8").read()) + [entry]
+    doc = json.loads(Path(schema).read_text(encoding="utf-8")) + [entry]
     with open(schema, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     rc = main(["path", "--data", data, "--schema", schema, "--out", str(tmp_path / "o")])

@@ -42,6 +42,12 @@ def test_schema_spatial_coords_validated():
         FactorSchema("f", "nominal", ("a", "b"), spatial_coords=(0.0,))
     with pytest.raises(ValueError):
         FactorSchema("f", "nominal", ("a", "b"), spatial_coords=(0.0, float("nan")))
+    # an entry float() rejects is named by factor and index, as a NaN is
+    for coords, index in (((0.0, None, 2.5, 4.0), 1), (([0, 0], [1, 0], [0, 1], [1, 1]), 0),
+                          ((0.0, 1.0, {"x": 1}, 3.0), 2), ((0.0, 1.0, 2.0, "x"), 3),
+                          ((0.0, float("nan"), 2.0, 3.0), 1)):
+        with pytest.raises(ValueError, match=f"^factor 'f': spatial coord {index} "):
+            FactorSchema("f", "nominal", ("a", "b", "c", "d"), spatial_coords=coords)
 
 
 def test_binary_uses_nominal_penalty():

@@ -22,8 +22,10 @@ from catfuse.weights import ADAPTIVE_CAP, adaptive_weights, ols_coefficients, st
 from conftest import rent_schema, toy_mixed_ds
 from reference import (
     core_from_design,
+    grad,
     grid,
     ista_oracle,
+    kkt_floor,
     lambda_max,
     scan_pair_rows,
     solve_lasso,
@@ -537,23 +539,43 @@ def test_subspace_solve_matches_full_saddle_system():
     assert np.flatnonzero(core.pair_row >= 0).tolist() == _pair_columns(prob.layout)[1:]
 
 
-def test_layout_pair_rows_equal_the_scan_of_the_gram_and_restriction_rows():
-    # the core reads its pair rows off the layout; where every level has rows
-    # they are the lone no-data columns that a scan of XᵀX and A finds
+def _bank_problems():
+    # S1/S2/S3 seeds 0–2 under the four weightings, and rent-shaped
+    # instances 0–2 with adaptive frequency weights
     problems = []
     for name in ("S1", "S2", "S3"):
         for seed in range(3):
             train = generate(make_scenario(name, seed)).train
             problems += [build_augmented(train, build_weights(train, adaptive, use_frequency))
                          for adaptive in (False, True) for use_frequency in (False, True)]
-    problems += [build_augmented(ds, build_weights(ds, True, True))
-                 for ds in map(_rent_shaped_ds, range(3))]
+    return problems + [build_augmented(ds, build_weights(ds, True, True))
+                       for ds in map(_rent_shaped_ds, range(3))]
+
+
+def test_layout_pair_rows_equal_the_scan_of_the_gram_and_restriction_rows():
+    # the core reads its pair rows off the layout; where every level has rows
+    # they are the lone no-data columns that a scan of XᵀX and A finds
+    problems = _bank_problems()
     assert len(problems) == 39
     for prob in problems:
         pair_row = prob.layout.pair_row
         assert not pair_row.flags.writeable
         assert pair_row.tobytes() == scan_pair_rows(prob.XtX, prob.A_scaled).tobytes()
         assert np.array_equal(pair_row[_pair_columns(prob.layout)], np.arange(prob.r))
+
+
+def test_certificate_equals_the_separate_gradient_and_floor():
+    # the certificate states the gradient and its rounding floor together:
+    # at every grid point of each path it repeats the two separate
+    # expressions bit for bit, and λ_max read off it at θ = 0 is 2·max|Xᵀy|
+    for prob in _bank_problems():
+        core = _fresh_core(prob)
+        assert core.lambda_max == lambda_max(prob)
+        for sol in path(prob, grid_size=100).solutions:
+            theta = sol.theta_scaled * core.y_scale
+            g, floor = core.certificate(theta)
+            assert g.tobytes() == grad(core, theta).tobytes(), sol.lam
+            assert floor.tobytes() == kkt_floor(core, theta).tobytes(), sol.lam
 
 
 def test_many_level_nominal_path():
@@ -854,18 +876,18 @@ def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
     # a grid point starts from its predicted θ, not by certifying the
     # previous point's θ at the new λ, so most points take one KKT round
     _, problems = _s2_problems()
-    counts = {"grad": 0, "factorisations": 0}
-    grad, subspace_solve = _Core.grad, _Core.subspace_solve
+    counts = {"certificate": 0, "factorisations": 0}
+    certificate, subspace_solve = _Core.certificate, _Core.subspace_solve
 
-    def counted_grad(core, theta):
-        counts["grad"] += 1
-        return grad(core, theta)
+    def counted_certificate(core, theta):
+        counts["certificate"] += 1
+        return certificate(core, theta)
 
     def counted_solve(core, S, rhs):
         counts["factorisations"] += 1
         return subspace_solve(core, S, rhs)
 
-    monkeypatch.setattr(_Core, "grad", counted_grad)
+    monkeypatch.setattr(_Core, "certificate", counted_certificate)
     monkeypatch.setattr(_Core, "subspace_solve", counted_solve)
     points, factorisations = 0, []
     for prob in problems:
@@ -873,7 +895,7 @@ def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
         pr = path(prob, grid_size=100)
         points += sum(sol.lam > 0 for sol in pr.solutions)
         factorisations.append(counts["factorisations"] - before)
-    assert counts["grad"] <= 1.6 * points
+    assert counts["certificate"] <= 1.6 * points
     assert factorisations == [67, 53]
 
 
@@ -897,8 +919,8 @@ def test_a_column_over_its_floor_after_a_predicted_step_enters_the_next_solve(mo
     predicted = np.zeros(prob.q)
     predicted[S] = theta0 + (lam_s - lam0) * slope
     assert np.all(np.sign(predicted[S]) == sigma_S)      # no sign crossing
-    viol = np.abs(core.grad(predicted)) - lam_s
-    floor = core.kkt_floor(predicted)
+    g, floor = core.certificate(predicted)
+    viol = np.abs(g) - lam_s
     between = (predicted == 0.0) & (viol > floor) & (viol <= 0.25 * (solver.KKT_TOL + floor))
     assert np.flatnonzero(between).tolist() == [54]
     subspace_solve, calls = _Core.subspace_solve, []

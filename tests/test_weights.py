@@ -105,6 +105,13 @@ def test_spatial_factors_floor_and_kernel():
     assert mult[2] == DEFAULT_SPATIAL_FLOOR
 
 
+def test_spatial_factors_at_a_tiny_bandwidth_sit_on_the_floor():
+    # (ς_i − ς_j)/h reaches 2e300 at h = 1e-300: the kernel squares u only
+    # inside its support, so no square overflows
+    sch = FactorSchema("g", "nominal", ("a", "b", "c"), spatial_coords=(0.0, 1.0, 2.0))
+    assert spatial_factors(sch, h=1e-300).tolist() == [DEFAULT_SPATIAL_FLOOR] * 3
+
+
 def test_with_spatial_multiplies_only_located_factors():
     rng = np.random.default_rng(0)
     schemas = (
