@@ -30,7 +30,6 @@ from .selection import (
     fit_at,
     kfold_cv,
 )
-from .simlab import SimReport, run_study
 from .solver import DEFAULT_GRID_SIZE, PathResult, path
 from .structure import degrees_of_freedom, extract_clusters_path
 
@@ -177,6 +176,8 @@ def cmd_cv(args: argparse.Namespace) -> Dict[str, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> Dict[str, str]:
+    from .simlab import SimReport, run_study   # only this command loads simlab
+
     cfg = _config_dict(args)
     report = run_study(args.scenario, args.variants, replicates=args.replicates,
                        seed=args.seed, k_folds=args.k_folds, grid_size=args.grid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -70,7 +71,9 @@ class FactorSchema:
                 f"got {len(self.levels)}"
             )
         if self.spatial_coords is not None:
-            coords = tuple(map(_float_or_nan, self.spatial_coords))
+            # a real number only: float() would also read True or "2.5" as a distance
+            coords = tuple(_float_or_nan(c) if isinstance(c, numbers.Real)
+                           and not isinstance(c, bool) else math.nan for c in self.spatial_coords)
             if len(coords) != len(self.levels):
                 raise ValueError(f"factor {self.name!r}: {len(coords)} spatial coords "
                                  f"for {len(self.levels)} levels")
@@ -288,7 +291,7 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
 def _float_or_nan(token) -> float:
     try:
         return float(token)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):     # OverflowError: an int past float range
         return math.nan
 
 

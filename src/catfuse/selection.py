@@ -140,11 +140,9 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
     class with "(fold f)" added to its message.
     """
     folds = fold_assignment(ds.n, config.k_folds, config.seed)
-    all_rows = np.arange(ds.n)
     fits = []
     for f, test_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, test_rows)
-        train = ds.subset(train_rows)
+        train = ds.subset(np.sort(np.concatenate(folds[:f] + folds[f + 1:])))
         test = ds.subset(test_rows)
         try:
             ws = build_weights(train, config.adaptive, config.use_frequency, config.spatial_h)

@@ -337,6 +337,10 @@ def test_spatial_bandwidth_without_coordinates_errors_as_json(tmp_path, capsys):
      "factor 'h': spatial coord 1 must be a finite number >= 0, got {'x': 1}"),
     ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": ["x", 1.0]},
      "factor 'h': spatial coord 0 must be a finite number >= 0, got 'x'"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [True, 2.5]},
+     "factor 'h': spatial coord 0 must be a finite number >= 0, got True"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [1.0, "2.5"]},
+     "factor 'h': spatial coord 1 must be a finite number >= 0, got '2.5'"),
 ])
 def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     data, schema, _ = write_inputs(tmp_path, seed=16)

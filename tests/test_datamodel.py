@@ -45,9 +45,17 @@ def test_schema_spatial_coords_validated():
     # an entry float() rejects is named by factor and index, as a NaN is
     for coords, index in (((0.0, None, 2.5, 4.0), 1), (([0, 0], [1, 0], [0, 1], [1, 1]), 0),
                           ((0.0, 1.0, {"x": 1}, 3.0), 2), ((0.0, 1.0, 2.0, "x"), 3),
-                          ((0.0, float("nan"), 2.0, 3.0), 1)):
+                          ((0.0, float("nan"), 2.0, 3.0), 1), ((0.0, 10 ** 400, 2.0, 3.0), 1),
+                          # float() reads these as 1.0 and 2.5, but they are no distances
+                          ((0.0, 1.0, True, 3.0), 2), ((0.0, "2.5", 2.0, 3.0), 1),
+                          ((np.True_, 1.0, 2.0, 3.0), 0)):
         with pytest.raises(ValueError, match=f"^factor 'f': spatial coord {index} "):
             FactorSchema("f", "nominal", ("a", "b", "c", "d"), spatial_coords=coords)
+    # ints and numpy reals are read as floats
+    located = FactorSchema("f", "nominal", ("a", "b", "c"),
+                           spatial_coords=(0, np.float32(1.5), np.int64(4)))
+    assert located.spatial_coords == (0.0, 1.5, 4.0)
+    assert all(type(c) is float for c in located.spatial_coords)
 
 
 def test_binary_uses_nominal_penalty():
@@ -177,6 +185,24 @@ def test_dataset_rejects_non_integral_codes():
     with pytest.raises(ValueError, match="factor 'g': level index is not an integer"):
         Dataset(np.arange(3.0), [[0.0], [1.7], [2.2]], (g,))
     assert Dataset(np.arange(3.0), [[0.0], [1.0], [2.0]], (g,)).codes.tolist() == [[0], [1], [2]]
+
+
+def test_dataset_rejects_malformed_arrays():
+    g = FactorSchema("g", "nominal", ("a", "b", "c"))
+    codes = np.array([[0], [1], [2], [1]])
+    for y, codes_, schemas, error, message in (
+        (np.zeros((4, 1)), codes, (g,), ValueError, "y must be 1-d and codes (n, n_factors)"),
+        (np.zeros(0), np.zeros((0, 1), dtype=int), (g,), EmptyDataset, "dataset has no rows"),
+        (np.array([0.0, np.inf, 1.0, 2.0]), codes, (g,), ValueError,
+         "response contains non-finite values"),
+        (np.zeros(4), codes, (g, FactorSchema("h", "nominal", ("x", "y"))), ValueError,
+         "codes column count must match number of schemas"),
+        (np.zeros(4), np.array([[0], [1], [3], [1]]), (g,), ValueError,
+         "factor 'g': level index out of range"),
+    ):
+        with pytest.raises(error) as ei:
+            Dataset(y, codes_, schemas)
+        assert type(ei.value) is error and str(ei.value) == message
 
 
 def test_ingest_rejects_a_needed_column_named_twice_in_the_header(tmp_path):

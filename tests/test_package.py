@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,14 +103,21 @@ def _readme_library_block() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+REGIONS, GRADES = ("north", "south", "east", "west"), ("low", "mid", "high")
+
+
+def _write_region_grade_csv(directory: Path) -> None:
+    """data.csv of 200 rows: y, a nominal region and an ordinal grade."""
     rng = np.random.default_rng(0)
-    regions, grades = ("north", "south", "east", "west"), ("low", "mid", "high")
     r, g = rng.integers(0, 4, 200), rng.integers(0, 3, 200)
     y = np.array([0.0, 0.0, 1.5, 1.5])[r] + np.array([0.0, 1.0, 1.0])[g] + rng.normal(0, 1, 200)
-    rows = [f"{float(v)!r},{regions[i]},{grades[j]}" for v, i, j in zip(y, r, g)]
-    (tmp_path / "data.csv").write_text("y,region,grade\n" + "\n".join(rows) + "\n",
-                                       encoding="utf-8")
+    rows = [f"{float(v)!r},{REGIONS[i]},{GRADES[j]}" for v, i, j in zip(y, r, g)]
+    (directory / "data.csv").write_text("y,region,grade\n" + "\n".join(rows) + "\n",
+                                        encoding="utf-8")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    _write_region_grade_csv(tmp_path)
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(_readme_library_block(), scope)
@@ -116,3 +125,39 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert fit.solution is scope["sol"]
     assert fit.solution is pr.solution_at(scope["cv"].chosen_s_ratio)
     assert int(capsys.readouterr().out.splitlines()[1]) == catfuse.degrees_of_freedom(fit.partition)
+
+
+_LOADS = """
+import json, sys
+import catfuse
+seen = {"after_import": sorted(m for m in sys.modules if m.startswith("catfuse."))}
+try:
+    catfuse.no_such_name
+except AttributeError as e:
+    seen["unknown"] = str(e)
+from catfuse.cli import main
+data = ["--data", "data.csv", "--schema", "schema.json", "--grid", "10"]
+seen["exits"] = [main(["path", *data, "--out", "path"]),
+                 main(["fit", *data, "--s-ratio", "0.5", "--refit", "--out", "fit"])]
+seen["after_commands"] = sorted(m for m in sys.modules if m.startswith("catfuse."))
+print(json.dumps(seen))
+"""
+
+
+def test_a_module_loads_when_a_name_of_it_is_first_read(tmp_path):
+    # in a fresh interpreter: `import catfuse` loads no submodule, and the
+    # path and fit commands never load the simulation lab
+    _write_region_grade_csv(tmp_path)
+    (tmp_path / "schema.json").write_text(json.dumps([
+        {"name": "region", "scale": "nominal", "levels": list(REGIONS)},
+        {"name": "grade", "scale": "ordinal", "levels": list(GRADES)}]), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LOADS], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    assert seen["after_import"] == []
+    assert seen["unknown"] == "module 'catfuse' has no attribute 'no_such_name'"
+    assert seen["exits"] == [0, 0]
+    assert "catfuse.cli" in seen["after_commands"]
+    assert "catfuse.simlab" not in seen["after_commands"]

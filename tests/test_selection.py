@@ -61,6 +61,19 @@ def test_fold_assignment_validation():
         fold_assignment(5, 3, seed=0)
 
 
+def test_each_fold_splits_the_rows_into_its_training_and_test_parts():
+    ds = toy_mixed_ds(seed=2, n=60)
+    numbered = Dataset(np.arange(60.0), ds.codes, ds.schemas)     # y names each row
+    folds = fold_assignment(60, 4, seed=3)
+    fits = compute_fold_paths(numbered, CvConfig(k_folds=4, grid_size=10, seed=3))
+    for fit, test_rows in zip(fits, folds):
+        train_rows = fit.train.y.astype(np.int64)
+        assert np.array_equal(fit.test.y, test_rows)
+        assert np.all(np.diff(train_rows) > 0)
+        assert np.array_equal(np.sort(np.concatenate([train_rows, test_rows])), np.arange(60))
+        assert np.array_equal(fit.train.codes, ds.codes[train_rows])
+
+
 def test_predicted_effects_and_intercept():
     ds = toy_mixed_ds(seed=20)
     beta = {"a": np.array([0.0, 1.0, 1.0, -2.0]),

@@ -92,6 +92,11 @@ def test_unknown_scenario():
         make_scenario("S9")
 
 
+def test_run_study_needs_a_replicate():
+    with pytest.raises(ValueError, match="^replicates must be >= 1$"):
+        run_study("S1", ["stdrd"], replicates=0, seed=0, k_folds=3, grid_size=10)
+
+
 def test_evaluate_perfect_estimate():
     d = generate(make_scenario("S2", seed=2))
     m = evaluate(d.beta_star, d.beta_star, d.train.schemas)

@@ -185,6 +185,12 @@ def test_path_rejects_a_schema_without_factors():
         path(build_augmented(ds, standard_weights(ds)), grid_size=10)
 
 
+def test_path_rejects_a_grid_of_one_point():
+    ds = toy_mixed_ds(seed=0)
+    with pytest.raises(ValueError, match="^grid_size must be >= 2$"):
+        path(build_augmented(ds, standard_weights(ds)), grid_size=1)
+
+
 def test_path_precision_reports():
     ds = make_s1(seed=5)
     prob = build_augmented(ds, standard_weights(ds, use_frequency=True))

@@ -9,6 +9,7 @@ from catfuse.errors import MissingCoordinates, UnobservedLevel
 from catfuse.weights import (
     ADAPTIVE_CAP,
     DEFAULT_SPATIAL_FLOOR,
+    WeightSet,
     adaptive_weights,
     epanechnikov,
     ols_coefficients,
@@ -110,6 +111,24 @@ def test_spatial_factors_at_a_tiny_bandwidth_sit_on_the_floor():
     # inside its support, so no square overflows
     sch = FactorSchema("g", "nominal", ("a", "b", "c"), spatial_coords=(0.0, 1.0, 2.0))
     assert spatial_factors(sch, h=1e-300).tolist() == [DEFAULT_SPATIAL_FLOOR] * 3
+
+
+def test_spatial_factors_need_coordinates_and_a_positive_bandwidth():
+    with pytest.raises(MissingCoordinates, match="^factor 'g' has no spatial coordinates$"):
+        spatial_factors(FactorSchema("g", "nominal", ("a", "b", "c")), h=15.0)
+    sch = FactorSchema("g", "nominal", ("a", "b", "c"), spatial_coords=(0.0, 1.0, 2.0))
+    for h in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^bandwidth h must be > 0$"):
+            spatial_factors(sch, h=h)
+
+
+def test_weight_set_rejects_a_wrong_length_and_non_positive_weights():
+    layout = theta_layout([FactorSchema("g", "nominal", ("a", "b", "c"))])
+    with pytest.raises(ValueError, match=r"^expected 3 weights, got \(2,\)$"):
+        WeightSet(np.ones(2), layout)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^weights must be finite and > 0$"):
+            WeightSet(np.array([1.0, bad, 1.0]), layout)
 
 
 def test_with_spatial_multiplies_only_located_factors():
