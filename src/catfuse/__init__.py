@@ -27,7 +27,7 @@ _HOME = {
     **dict.fromkeys(("ClusterPartition", "FactorPartition", "RefitResult", "degrees_of_freedom",
                      "extract_clusters", "extract_clusters_path", "refit"), "structure"),
     **dict.fromkeys(("CvConfig", "CvCurve", "build_weights", "fit_at", "fold_assignment",
-                     "information_criterion", "kfold_cv"), "selection"),
+                     "information_criterion", "kfold_cv", "weighted_path"), "selection"),
     **dict.fromkeys(("EvalMetrics", "Scenario", "SimReport", "evaluate", "generate",
                      "make_scenario", "parse_variant", "run_study"), "simlab"),
     "errors": "errors",

@@ -5,8 +5,10 @@ version embedded) and byte-identical across reruns with the same inputs.
 Each command computes its files' text, and only then does `_write` put
 them in the output directory, each atomically: temp file in the target
 directory, then os.replace. A JSON document is built by `_json_doc` and a
-CSV table by `_csv`, both embedding the config. `fit` and `cv` make the
-same tuned fit as a study variant (selection.fit_at, CvCurve.from_scores).
+CSV table by `_csv`, both embedding the config. Model flags map to one
+CvConfig (`_model_config`), whose path is selection.weighted_path. `fit`
+and `cv` make the same tuned fit as a study variant (selection.fit_at,
+CvCurve.from_scores).
 Errors print one JSON object to stderr and exit 1.
 """
 from __future__ import annotations
@@ -15,22 +17,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
-from .coding import build_augmented
 from .datamodel import Dataset, ingest_csv, load_schema
 from .errors import CatfuseError
 from .selection import (
     DEFAULT_K_FOLDS,
     CvConfig,
-    build_weights,
     fit_at,
     kfold_cv,
+    weighted_path,
 )
-from .solver import DEFAULT_GRID_SIZE, PathResult, path
+from .solver import DEFAULT_GRID_SIZE
 from .structure import degrees_of_freedom, extract_clusters_path
 
 SCHEMA_VERSION = 1
@@ -93,9 +95,10 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return ingest_csv(args.data, schemas, response_column=args.response)
 
 
-def _full_path(ds: Dataset, args: argparse.Namespace) -> PathResult:
-    ws = build_weights(ds, args.adaptive, args.frequency, args.spatial_h)
-    return path(build_augmented(ds, ws), args.grid)
+def _model_config(args: argparse.Namespace) -> CvConfig:
+    """The model flags (_add_model_flags) as the CvConfig of a path."""
+    return CvConfig(grid_size=args.grid, adaptive=args.adaptive,
+                    use_frequency=args.frequency, spatial_h=args.spatial_h)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ def cmd_fit(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
     s_req = _resolve_s_ratio(args.s_ratio)
-    pr = _full_path(ds, args)
+    pr = weighted_path(ds, _model_config(args))
     sol, beta, part, intercept = fit_at(pr, ds, s_req, args.refit)
     df = degrees_of_freedom(part)
 
@@ -142,7 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> Dict[str, str]:
 def cmd_path(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
-    pr = _full_path(ds, args)
+    pr = weighted_path(ds, _model_config(args))
 
     cols = [f"{sch.name}:{lvl}" for sch in ds.schemas for lvl in sch.levels[1:]]
     header = ["s_ratio", "lambda"] + cols + ["df", "delta", "bound"]
@@ -158,9 +161,8 @@ def cmd_path(args: argparse.Namespace) -> Dict[str, str]:
 def cmd_cv(args: argparse.Namespace) -> Dict[str, str]:
     cfg = _config_dict(args)
     ds = _load_dataset(args)
-    curve = kfold_cv(ds, CvConfig(
-        k_folds=args.k_folds, grid_size=args.grid, seed=args.seed, adaptive=args.adaptive,
-        use_frequency=args.frequency, refit_inside=args.refit, spatial_h=args.spatial_h))
+    curve = kfold_cv(ds, replace(_model_config(args), k_folds=args.k_folds, seed=args.seed,
+                                 refit_inside=args.refit))
     header = ["s_ratio", "mean_score"] + [f"fold_{k + 1}" for k in range(args.k_folds)]
     rows = [[_fmt(s), _fmt(curve.mean_score[g])] + [_fmt(v) for v in curve.fold_scores[g]]
             for g, s in enumerate(curve.s_grid)]

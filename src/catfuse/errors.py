@@ -88,7 +88,9 @@ class LayoutMismatch(CatfuseError):
 # ---------------------------------------------------------------------------
 
 class RankDeficient(CatfuseError):
-    pass
+    def __init__(self, message: str = "", factors: tuple = ()):
+        self.factors = factors          # factors whose columns carry the null space
+        super().__init__(message)
 
 
 class OlsUnavailable(RankDeficient):

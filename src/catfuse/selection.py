@@ -4,8 +4,9 @@ The tuned fit is three steps, each stated once: fold scores on a common
 s/s_max grid (`score_folds`), s at their first minimum mean
 (`CvCurve.from_scores`), and the fit at that s (`fit_at`). Fold λ scales
 differ, so each fold contributes its path's point nearest each grid value
-(`PathResult.nearest`). Adaptive weights are recomputed on every training
-part so no test information leaks into the weights.
+(`PathResult.nearest`). Every path, of a fold or of the full data, is
+`weighted_path` of one CvConfig. Adaptive weights are recomputed on every
+training part so no test information leaks into the weights.
 """
 from __future__ import annotations
 
@@ -124,6 +125,13 @@ def build_weights(
     return ws
 
 
+def weighted_path(ds: Dataset, config: CvConfig) -> PathResult:
+    """path(build_augmented(ds, build_weights(…))) under config's weights and
+    grid, the one place the three meet; config's fold fields are not read."""
+    ws = build_weights(ds, config.adaptive, config.use_frequency, config.spatial_h)
+    return path(build_augmented(ds, ws), config.grid_size)
+
+
 @dataclass
 class _FoldFit:
     train: Dataset
@@ -132,8 +140,8 @@ class _FoldFit:
 
 
 def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
-    """Per-fold training paths of config's folds, weights and grid; shared
-    by CV scorers with and without refit (config.refit_inside is not read).
+    """Per-fold weighted_path of config's folds, weights and grid; shared by
+    CV scorers with and without refit (config.refit_inside is not read).
 
     A failure names its fold: a singular training part raises
     FoldRankDeficient, and a NotConverged from the fold's path keeps its
@@ -145,8 +153,7 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
         train = ds.subset(np.sort(np.concatenate(folds[:f] + folds[f + 1:])))
         test = ds.subset(test_rows)
         try:
-            ws = build_weights(train, config.adaptive, config.use_frequency, config.spatial_h)
-            pr = path(build_augmented(train, ws), config.grid_size)
+            pr = weighted_path(train, config)
         except (RankDeficient, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
         except NotConverged as e:

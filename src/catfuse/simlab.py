@@ -24,25 +24,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datamodel import Dataset, FactorSchema, level_values
-from .coding import build_augmented, theta_layout
+from .coding import theta_layout
 from .selection import (
     DEFAULT_K_FOLDS,
     CvConfig,
     CvCurve,
-    build_weights,
     compute_fold_paths,
     fit_at,
     intercept_for,
     predicted_effects,
     score_folds,
+    weighted_path,
 )
-from .solver import DEFAULT_GRID_SIZE, PathResult, path
+from .solver import DEFAULT_GRID_SIZE, PathResult
 from .structure import degrees_of_freedom, extract_clusters
 from .weights import ols_coefficients
 
 PROBS_8 = (0.1, 0.1, 0.2, 0.05, 0.2, 0.1, 0.2, 0.05)
 PROBS_4 = (0.1, 0.4, 0.2, 0.3)
-S1_EFFECTS = (0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 6.0, 6.0, 6.0)
+UNIFORM_6 = (1.0 / 6,) * 6
 
 
 @dataclass(frozen=True)
@@ -58,61 +58,46 @@ class Scenario:
     seed: int
 
 
-def _levels(k1: int) -> Tuple[str, ...]:
-    return tuple(str(i) for i in range(k1))
+# per factor: name, scale, level count, level probabilities (None for a
+# balanced block design) and true effects (None for pure noise)
+_S2_FACTORS = (
+    ("nom8", "nominal", 8, PROBS_8, (0, 0, 1, 1, 1, 1, -2, -2)),
+    ("nom8n", "nominal", 8, PROBS_8, None),
+    ("nom4", "nominal", 4, PROBS_4, (0, 0, 2, 2)),
+    ("nom4n", "nominal", 4, PROBS_4, None),
+    ("ord8", "ordinal", 8, PROBS_8, (0, 0, 1, 1, 2, 2, 4, 4)),
+    ("ord8n", "ordinal", 8, PROBS_8, None),
+    ("ord4", "ordinal", 4, PROBS_4, (0, 0, -2, -2)),
+    ("ord4n", "ordinal", 4, PROBS_4, None),
+)
+# per scenario: noise sd, n_train, n_test and its factors
+_SCENARIOS = {
+    "S1": (2.0, 180, 180, (("g", "nominal", 9, None, (0, 0, 0, 3, 3, 3, 6, 6, 6)),)),
+    "S2": (1.0, 500, 1000, _S2_FACTORS),
+    "S3": (1.0, 500, 1000, _S2_FACTORS
+           + tuple((f"xnom{i}", "nominal", 6, UNIFORM_6, None) for i in range(1, 5))
+           + tuple((f"xord{i}", "ordinal", 6, UNIFORM_6, None) for i in range(1, 5))),
+}
 
 
 def make_scenario(name: str, seed: int = 0) -> Scenario:
-    """Built-in scenario factory; names S1, S2, S3."""
-    if name == "S1":
-        sch = (FactorSchema("g", "nominal", _levels(9)),)
-        return Scenario(
-            name="S1",
-            schemas=sch,
-            beta_star={"g": np.array(S1_EFFECTS)},
-            alpha=1.0,
-            noise_sd=2.0,
-            probs=(None,),
-            n_train=180,
-            n_test=180,
-            seed=seed,
-        )
-    if name in ("S2", "S3"):
-        specs = [
-            ("nom8", "nominal", 8, PROBS_8, (0, 0, 1, 1, 1, 1, -2, -2)),
-            ("nom8n", "nominal", 8, PROBS_8, None),
-            ("nom4", "nominal", 4, PROBS_4, (0, 0, 2, 2)),
-            ("nom4n", "nominal", 4, PROBS_4, None),
-            ("ord8", "ordinal", 8, PROBS_8, (0, 0, 1, 1, 2, 2, 4, 4)),
-            ("ord8n", "ordinal", 8, PROBS_8, None),
-            ("ord4", "ordinal", 4, PROBS_4, (0, 0, -2, -2)),
-            ("ord4n", "ordinal", 4, PROBS_4, None),
-        ]
-        if name == "S3":
-            uniform6 = tuple([1.0 / 6] * 6)
-            for i in range(1, 5):
-                specs.append((f"xnom{i}", "nominal", 6, uniform6, None))
-            for i in range(1, 5):
-                specs.append((f"xord{i}", "ordinal", 6, uniform6, None))
-        schemas = []
-        beta_star = {}
-        probs = []
-        for fname, scale, k1, p, truth in specs:
-            schemas.append(FactorSchema(fname, scale, _levels(k1)))
-            beta_star[fname] = np.array(truth, dtype=float) if truth is not None else np.zeros(k1)
-            probs.append(tuple(p))
-        return Scenario(
-            name=name,
-            schemas=tuple(schemas),
-            beta_star=beta_star,
-            alpha=1.0,
-            noise_sd=1.0,
-            probs=tuple(probs),
-            n_train=500,
-            n_test=1000,
-            seed=seed,
-        )
-    raise ValueError(f"unknown scenario {name!r}; expected S1, S2 or S3")
+    """Built-in scenario factory; names S1, S2, S3 (intercept 1 each)."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; expected S1, S2 or S3")
+    noise_sd, n_train, n_test, factors = _SCENARIOS[name]
+    return Scenario(
+        name=name,
+        schemas=tuple(FactorSchema(f, scale, tuple(map(str, range(k1))))
+                      for f, scale, k1, _, _ in factors),
+        beta_star={f: np.zeros(k1) if truth is None else np.array(truth, dtype=float)
+                   for f, _, k1, _, truth in factors},
+        alpha=1.0,
+        noise_sd=noise_sd,
+        probs=tuple(p for _, _, _, p, _ in factors),
+        n_train=n_train,
+        n_test=n_test,
+        seed=seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -272,11 +257,7 @@ class SimReport:
     def summary(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per variant: median and mean of every metric, replicate-ordered."""
         out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        labels = []
-        for rec in self.records:
-            if rec.variant not in labels:
-                labels.append(rec.variant)
-        for label in labels:
+        for label in dict.fromkeys(rec.variant for rec in self.records):
             rows = [r for r in self.records if r.variant == label]
             stats = {}
             for m in self.METRICS:
@@ -304,11 +285,11 @@ def run_study(
     variant is the tuned fit `catfuse cv` and `catfuse fit` make: s chosen
     by CvCurve.from_scores on score_folds, then fit_at that s on the
     full-data path, refitted for "+rf" (with the refit's own intercept).
-    Variants sharing a weight configuration share its fold paths and its
-    full-data path (refit changes only the scoring and the read-out at the
-    chosen point), which roughly halves the cost of refit/no-refit
-    contrasts. A "+rf" variant's CV scoring refits each distinct partition
-    of a fold once (score_folds).
+    Variants sharing a weighting share one CvConfig (refit is not in it),
+    which keys their fold paths and full-data path: refit changes only the
+    scoring and the read-out at the chosen point, so sharing roughly halves
+    the cost of refit/no-refit contrasts. A "+rf" variant's CV scoring
+    refits each distinct partition of a fold once (score_folds).
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -317,22 +298,20 @@ def run_study(
     for rep in range(replicates):
         data = generate(make_scenario(scenario_name, seed=seed + rep))
         train, test = data.train, data.test
-        # per weight set (adaptive, use_frequency): fold paths and full-data path
-        paths: Dict[Tuple[bool, bool], Tuple[list, PathResult]] = {}
+        # per weighting's config: fold paths and full-data path
+        paths: Dict[CvConfig, Tuple[list, PathResult]] = {}
         for vc in vcs:
             if vc.ols_only:
                 beta = ols_coefficients(train)
                 part = extract_clusters(beta, train.schemas)
                 alpha, chosen_s = intercept_for(beta, train), 1.0
             else:
-                key = (vc.adaptive, vc.use_frequency)
-                if key not in paths:
-                    folds = compute_fold_paths(train, CvConfig(
-                        k_folds=k_folds, grid_size=grid_size, seed=seed + rep,
-                        adaptive=vc.adaptive, use_frequency=vc.use_frequency))
-                    ws = build_weights(train, *key)
-                    paths[key] = (folds, path(build_augmented(train, ws), grid_size))
-                fold_paths, full = paths[key]
+                config = CvConfig(k_folds=k_folds, grid_size=grid_size, seed=seed + rep,
+                                  adaptive=vc.adaptive, use_frequency=vc.use_frequency)
+                if config not in paths:
+                    paths[config] = (compute_fold_paths(train, config),
+                                     weighted_path(train, config))
+                fold_paths, full = paths[config]
                 scored = score_folds(fold_paths, grid_size, vc.refit_after)
                 chosen_s = CvCurve.from_scores(*scored).chosen_s_ratio
                 _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_after)

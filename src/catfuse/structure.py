@@ -47,6 +47,8 @@ DEFAULT_CLUSTER_TOL = 1e-8
 # (1.6e-16·max G_ii for two equal columns at n = 50 000), while a reference
 # level with a single row of n = 50 000 keeps every pivot above 9e-5·max G_ii.
 RANK_TOL = 1e-10
+# a column is in a rank-deficient Gram's null space past this unit-vector entry
+NULL_WEIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,8 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     intercept is ȳ − cᵀcoef/n. No residual is computed here (refit sums
     them). The design may have no columns; one not of full rank by RANK_TOL
     raises RankDeficient("collapsed design is rank deficient (rank r < m)"),
-    with r the number of eigenvalues of G above RANK_TOL times the largest.
+    with r the number of eigenvalues of G above RANK_TOL times the largest,
+    and `factors` naming each factor with a column in G's null space.
     """
     table = ds.level_table
     L = int(table.offsets[-1])
@@ -302,9 +305,11 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     except np.linalg.LinAlgError:
         full = False
     if not full:
-        ev = np.linalg.eigvalsh(G)
-        rank = int(np.sum(ev > RANK_TOL * ev[-1]))
-        raise RankDeficient(f"collapsed design is rank deficient (rank {rank} < {m})")
+        ev, vecs = np.linalg.eigh(G)
+        null = ev <= RANK_TOL * ev[-1]
+        carried = np.isin(col, np.flatnonzero(np.abs(vecs[:, null]).max(axis=1) > NULL_WEIGHT_TOL))
+        raise RankDeficient(f"collapsed design is rank deficient (rank {m - null.sum()} < {m})",
+                            factors=tuple(ds.schemas[f].name for f in np.unique(factor[carried])))
     coef = np.linalg.solve(G, b)
     shift = float(counts @ coef) / ds.n      # the centering of the columns
     level_coef = np.append(coef, 0.0)[col]

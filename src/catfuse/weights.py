@@ -78,8 +78,9 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
 
     Returns full per-level vectors (reference entry 0). Raises OlsUnavailable
     (a RankDeficient) when the design is still rank deficient, naming each
-    level that has no rows and a cluster of its own, and ValueError (as
-    `path` does) when the schema has no factors.
+    level that has no rows and a cluster of its own, or else the factors
+    whose columns are collinear; and ValueError (as `path` does) when the
+    schema has no factors.
     """
     if not ds.schemas:
         raise ValueError(NO_FACTORS)
@@ -98,6 +99,9 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
         named = "".join(f"; factor {sch.name!r} level index {i} has no rows"
                         for sch, counts, lab in zip(ds.schemas, ds.n_counts, labels)
                         for i in np.flatnonzero((counts == 0) & (np.bincount(lab)[lab] == 1)))
+        if not named and len(e.factors) > 1:
+            *rest, last = map(repr, e.factors)
+            named = f"; factors {', '.join(rest)} and {last} are collinear"
         raise OlsUnavailable(f"unpenalized fit: {e}{named}") from None
 
 

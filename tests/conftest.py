@@ -59,3 +59,20 @@ def toy_mixed_ds(seed: int = 0, n: int = 120) -> Dataset:
     )
     y = 0.5 + effects + rng.normal(0, 1, n)
     return Dataset(y, codes, schemas)
+
+
+def aliased_nominal_ds() -> Dataset:
+    """Two 3-level nominal factors a and b with equal codes, plus an ordinal
+    c drawn apart from them (60 rows): the unpenalized fit is rank deficient
+    with no empty level."""
+    rng = np.random.default_rng(8)
+    schemas = (FactorSchema("a", "nominal", ("x", "y", "z")),
+               FactorSchema("b", "nominal", ("x", "y", "z")),
+               FactorSchema("c", "ordinal", ("0", "1", "2")))
+    col = rng.integers(0, 3, 60)
+    return Dataset(rng.normal(0, 1, 60), np.column_stack([col, col, rng.integers(0, 3, 60)]),
+                   schemas)
+
+
+ALIASED_MESSAGE = ("unpenalized fit: collapsed design is rank deficient (rank 4 < 6); "
+                   "factors 'a' and 'b' are collinear")

@@ -19,6 +19,8 @@ from catfuse.solver import path
 from catfuse.structure import extract_clusters, refit
 from catfuse.weights import ols_coefficients
 
+from conftest import ALIASED_MESSAGE, aliased_nominal_ds
+
 
 def write_dataset(tmp_path, ds, name):
     """ds as a CSV (response y, exact floats) plus its schema file."""
@@ -304,6 +306,15 @@ def test_fit_rejects_clashing_column_names(tmp_path, capsys, extra, response, me
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_aliased_factors_error_as_json_naming_them(tmp_path, capsys):
+    data, schema = write_dataset(tmp_path, aliased_nominal_ds(), "aliased.csv")
+    out = tmp_path / "o"
+    assert main(["path", "--data", data, "--schema", schema, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "OlsUnavailable", "message": ALIASED_MESSAGE}
     assert not out.exists()
 
 

@@ -52,6 +52,11 @@ def test_layout_sizes_mixed():
     assert [b.kind for b in layout.blocks] == ["nominal", "ordinal", "nominal"]
 
 
+def test_layout_block_of_an_unknown_factor_raises_key_error():
+    with pytest.raises(KeyError, match="^'nope'$"):
+        theta_layout(rent_schema()).block("nope")
+
+
 def test_layout_sizes_rent():
     layout = theta_layout(rent_schema())
     # district contributes 25·24/2 pairs; ordinal factors contribute k

@@ -156,6 +156,20 @@ def test_ingest_empty(tmp_path):
         ingest_csv(p, SCHEMAS, response_column="y")
 
 
+def test_ingest_a_file_without_a_header_names_the_file(tmp_path):
+    p = _write(tmp_path, "", "nothing.csv")
+    with pytest.raises(EmptyDataset, match=r"^.*nothing\.csv: file is empty$"):
+        ingest_csv(p, SCHEMAS, response_column="y")
+
+
+def test_load_schema_rejects_a_document_that_is_not_an_array(tmp_path):
+    p = tmp_path / "schema.json"
+    p.write_text('{"name": "color", "scale": "nominal", "levels": ["red", "green"]}',
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^schema document must be a JSON array$"):
+        load_schema(str(p))
+
+
 def test_dataset_rejects_a_repeated_factor_name():
     # two 3-level factors both named "g": before, the second silently
     # overwrote the first in every per-factor dict

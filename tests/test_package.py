@@ -16,6 +16,15 @@ import catfuse
 SRC = os.path.dirname(os.path.abspath(catfuse.__file__))
 
 
+def _src_trees():
+    """(module name, syntax tree) of each src module but __init__.py, which
+    only re-exports."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in catfuse.__all__ if not hasattr(catfuse, name)]
     assert missing == []
@@ -44,13 +53,8 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
 
 
 def test_every_imported_name_is_used():
-    # __init__.py imports names to re-export them
     unused = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name == "__init__.py":
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _src_trees():
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -62,6 +66,32 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+CHAIN = {"build_weights", "build_augmented", "path"}
+
+
+def test_weights_augmented_problem_and_path_meet_only_in_weighted_path():
+    # one function composes a fit's weights, augmented problem and path, so
+    # the CLI, CV and the study all take theirs from selection.weighted_path
+    callers, imports = set(), {}
+    for module, tree in _src_trees():
+        imports[module] = {alias.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for stmt in tree.body:
+            defs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for fn in defs:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                        if called in CHAIN:
+                            callers.add(f"{module}.{fn.name}")
+    assert callers == {"selection.weighted_path"}
+    assert imports["cli"] & CHAIN == set()
+    assert imports["simlab"] & CHAIN == set()
+
+
 def _readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -69,15 +99,10 @@ def _readme() -> str:
 def test_every_exported_name_is_called_in_src_or_named_in_the_readme():
     # a public name that only tests call belongs in tests/reference.py. A use
     # is a bare name, a module attribute (coding.X) or an imported module,
-    # outside the top-level def or class of that name; __init__.py only
-    # re-exports
+    # outside the top-level def or class of that name
     modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
     used = set()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name == "__init__.py":
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for _, tree in _src_trees():
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
             for node in ast.walk(stmt):

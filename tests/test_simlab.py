@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from catfuse import simlab
+from catfuse.selection import CvConfig
 from catfuse.simlab import (
     PROBS_4,
     PROBS_8,
@@ -14,6 +18,11 @@ from catfuse.simlab import (
     run_study,
 )
 from catfuse.structure import extract_clusters
+
+
+def test_balanced_design_rejects_n_not_divisible_by_the_level_count():
+    with pytest.raises(ValueError, match=r"^balanced design needs n divisible by level count$"):
+        generate(replace(make_scenario("S1"), n_train=181))
 
 
 def test_s1_layout():
@@ -171,3 +180,25 @@ def test_run_study_single_replicate_shape():
     summ = rep.summary()
     assert set(summ) == {"ols", "stdrd"}
     assert summ["ols"]["df"]["median"] == 9.0
+
+
+def test_run_study_fits_each_weighting_once_under_one_config(monkeypatch):
+    # a weighting's fold paths and full-data path come from one CvConfig;
+    # "+rf" shares its weighting's paths, and each replicate has its own seed
+    calls = []
+
+    def recording(name):
+        real = getattr(simlab, name)
+
+        def wrapper(ds, config):
+            calls.append((name, config))
+            return real(ds, config)
+        return wrapper
+
+    for name in ("compute_fold_paths", "weighted_path"):
+        monkeypatch.setattr(simlab, name, recording(name))
+    run_study("S1", ["stdrd", "stdrd+rf", "adapt+rf", "adapt"], replicates=2, seed=3,
+              k_folds=3, grid_size=10)
+    configs = [CvConfig(k_folds=3, grid_size=10, seed=seed, adaptive=adaptive, use_frequency=True)
+               for seed in (3, 4) for adaptive in (False, True)]
+    assert calls == [(name, c) for c in configs for name in ("compute_fold_paths", "weighted_path")]

@@ -13,13 +13,13 @@ from catfuse import coding, solver
 from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
-from catfuse.selection import CvConfig, build_weights, compute_fold_paths, fit_at
+from catfuse.selection import CvConfig, build_weights, compute_fold_paths, fit_at, weighted_path
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import PRECISION_SLACK, _Core, back_transform, path
 from catfuse.structure import degrees_of_freedom, extract_clusters
 from catfuse.weights import ADAPTIVE_CAP, adaptive_weights, ols_coefficients, standard_weights
 
-from conftest import rent_schema, toy_mixed_ds
+from conftest import ALIASED_MESSAGE, aliased_nominal_ds, rent_schema, toy_mixed_ds
 from reference import (
     core_from_design,
     grad,
@@ -105,6 +105,15 @@ def test_certified_warm_start_takes_no_solve():
                 again, solves, _ = solver._solve_core(core, lam, warm_start=theta, system=handed)
                 assert solves == 0
                 assert again.tobytes() == theta.tobytes()
+
+
+def test_a_warm_start_of_the_wrong_length_is_a_layout_mismatch():
+    ds = make_s1()
+    prob = build_augmented(ds, standard_weights(ds))
+    core = _Core.from_gram(prob.XtX, prob.Xty, prob.absXtX, prob.absXty, prob.A_scaled,
+                           prob.layout.pair_row)
+    with pytest.raises(LayoutMismatch, match=r"^warm start has shape \(37,\), expected \(36,\)$"):
+        solver._solve_core(core, 0.5 * core.lambda_max, warm_start=np.zeros(prob.q + 1))
 
 
 def test_lambda_max_formula():
@@ -619,7 +628,22 @@ def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
     ds = Dataset(rng.normal(0, 1, 50), np.column_stack([col, col]), schemas)
     with pytest.raises(RankDeficient) as err:
         path(build_augmented(ds, standard_weights(ds)), grid_size=10)
-    assert str(err.value) == "unpenalized fit: collapsed design is rank deficient (rank 1 < 2)"
+    assert str(err.value) == ("unpenalized fit: collapsed design is rank deficient (rank 1 < 2); "
+                              "factors 'b1' and 'b2' are collinear")
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_rank_deficient_fit_names_the_aliased_factors(adaptive):
+    ds = aliased_nominal_ds()
+    with pytest.raises(RankDeficient) as err:
+        weighted_path(ds, CvConfig(grid_size=10, adaptive=adaptive))
+    assert str(err.value) == ALIASED_MESSAGE
+
+
+def test_fold_rank_deficiency_names_the_aliased_factors():
+    with pytest.raises(FoldRankDeficient) as err:
+        compute_fold_paths(aliased_nominal_ds(), CvConfig(k_folds=3, grid_size=5))
+    assert str(err.value) == f"training part of fold 0 is rank deficient: {ALIASED_MESSAGE}"
 
 
 def test_subspace_solve_on_two_identical_data_columns(monkeypatch):

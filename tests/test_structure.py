@@ -46,6 +46,12 @@ def test_nominal_clusters_transitive():
     assert fp.zero_cluster == 0
 
 
+def test_partition_of_an_unknown_factor_raises_key_error():
+    part = extract_clusters({"g": np.array([0.0, 1.0, 1.0])}, NOM3)
+    with pytest.raises(KeyError, match="^'nope'$"):
+        part.factor("nope")
+
+
 def test_threshold_scales_with_magnitude():
     schemas = NOM3
     beta = {"g": np.array([0.0, 3e-8, 100.0])}
