@@ -165,9 +165,11 @@ class Dataset:
         sums = np.bincount(flat, weights=yc, minlength=L)
         sums += np.bincount(flat, weights=yc - (sums / np.maximum(counts.diagonal(), 1.0))[flat],
                             minlength=L)
-        for a in (offsets, counts, sums):
+        factor = np.repeat(np.arange(len(sizes)), sizes)
+        position = np.arange(L) - offsets[factor]
+        for a in (offsets, counts, sums, factor, position):
             a.setflags(write=False)
-        return LevelTable(offsets, counts, sums, y_mean, self.n)
+        return LevelTable(offsets, counts, sums, y_mean, self.n, factor, position)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order kept)."""
@@ -180,19 +182,35 @@ def level_values(betas: Sequence[Mapping[str, np.ndarray]], factor) -> np.ndarra
     without the factor or with another length."""
     name, width = factor.name, factor.k + 1
     try:
-        rows = [np.asarray(b[name], dtype=float) for b in betas]
+        rows = [b[name] for b in betas]
     except KeyError:
         raise ShapeMismatch(f"factor {name!r}: no per-level values") from None
-    if any(row.shape != (width,) for row in rows):
-        raise ShapeMismatch(f"factor {name!r}: expected {width} per-level values")
-    return np.array(rows).reshape(len(betas), width)
+    try:
+        stack = np.array(rows, dtype=float)         # one call stacks every row
+    except ValueError:                              # ragged rows, or a value that is no number
+        stack = None
+    if stack is None or stack.shape != (len(rows), width):
+        # read row by row, failing as that row's own np.asarray does
+        if any(np.asarray(row, dtype=float).shape != (width,) for row in rows):
+            raise ShapeMismatch(f"factor {name!r}: expected {width} per-level values")
+        stack = np.array(rows, dtype=float).reshape(len(rows), width)   # the empty list
+    return stack
 
 
-def row_effects(betas: Sequence[Mapping[str, np.ndarray]], ds: Dataset) -> np.ndarray:
-    """(len(betas) × n) sums of per-level effects, one row per β dict."""
+def row_effects(betas, ds: Dataset) -> np.ndarray:
+    """(G × n) sums of per-level effects, one row per β: `betas` is a
+    sequence of G β dicts, or a (G × L) stack of every factor's per-level
+    values, stacked as Dataset.level_table stacks levels."""
+    stacked = isinstance(betas, np.ndarray)
+    L = sum(sch.k + 1 for sch in ds.schemas)
+    if stacked and (betas.ndim != 2 or betas.shape[1] != L):
+        raise ShapeMismatch(f"level stack of shape {betas.shape} for {L} levels")
     out = np.zeros((len(betas), ds.n))
+    start = 0
     for l, sch in enumerate(ds.schemas):
-        out += level_values(betas, sch)[:, ds.codes[:, l]]
+        B = betas[:, start:start + sch.k + 1] if stacked else level_values(betas, sch)
+        out += B[:, ds.codes[:, l]]
+        start += sch.k + 1
     return out
 
 
@@ -211,12 +229,14 @@ class LevelTable:
     sums: np.ndarray        # (L,) per-level sums of y − ȳ
     y_mean: float
     n: int
+    factor: np.ndarray      # (L,) the factor of each stacked level
+    position: np.ndarray    # (L,) each stacked level's index within its factor
 
     def gram(self, C: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """XᵀX = CᵀDᵀDC − ccᵀ/n, Xᵀ(y − ȳ) = Cᵀ·sums and the column counts
         c = Cᵀ·diag(DᵀD) of X = DC centered, for C an L × m level coding."""
         counts = C.T @ self.counts.diagonal()
-        gram = C.T @ self.counts @ C - np.outer(counts, counts) / self.n
+        gram = C.T @ self.counts @ C - counts[:, None] * counts / self.n
         return gram, C.T @ self.sums, counts
 
 

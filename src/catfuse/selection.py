@@ -162,22 +162,23 @@ def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
     return fits
 
 
-def _refit_betas(
+def _refit_levels(
     train: Dataset, betas: Sequence[Dict[str, np.ndarray]], fold: int
-) -> Tuple[List[Dict[str, np.ndarray]], np.ndarray]:
-    """refit_labels(train, ·).beta at each distinct partition of the β, and
-    the index of each β's partition in that list: the cluster labels of all
-    β are read in one pass, and each distinct labelling is refitted once."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (distinct × L) stack of refit_labels(train, ·).levels at each
+    distinct partition of the β, and the index of each β's partition in it:
+    the cluster labels of all β are read in one pass, and each distinct
+    labelling is refitted once."""
     labels = cluster_labels_path(betas, train.schemas)
     distinct, which = np.unique(labels, axis=0, return_inverse=True)
-    fitted = []
-    for row in distinct:
+    levels = np.empty(distinct.shape)
+    for i, row in enumerate(distinct):
         try:
-            fitted.append(refit_labels(train, row).beta)
+            levels[i] = refit_labels(train, row).levels
         except RankDeficient as e:
             raise FoldRankDeficient(fold, detail=str(e))
     # the shape of the inverse differs across numpy versions
-    return fitted, which.ravel()
+    return levels, which.ravel()
 
 
 def score_folds(
@@ -191,19 +192,23 @@ def score_folds(
     s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
     With `refit_inside`, the fold path's cluster labels are read in one
     cluster_labels_path pass, and each distinct labelling is refitted on
-    the training part and scored once (refit_labels).
+    the training part once (refit_labels); the refits are scored as one
+    level stack. Each fit is scored once, and only if a grid value reads it.
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))
     for f, fit in enumerate(fits):
         betas = [sol.beta for sol in fit.path.solutions]
-        which = np.arange(len(betas))
+        read = fit.path.nearest(s_grid)             # the fit each grid value reads
         if refit_inside:
-            betas, which = _refit_betas(fit.train, betas, f)
+            betas, which = _refit_levels(fit.train, betas, f)
+            read = which[read]
+        scored, at = np.unique(read, return_inverse=True)
+        betas = betas[scored] if refit_inside else [betas[i] for i in scored]
         # each β's intercept is fitted on the training part (intercept_for)
         alpha = fit.train.y.mean() - row_effects(betas, fit.train).mean(axis=1)
         msep = ((fit.test.y - (alpha[:, None] + row_effects(betas, fit.test))) ** 2).mean(axis=1)
-        scores[:, f] = msep[which[fit.path.nearest(s_grid)]]
+        scores[:, f] = msep[at]
     return s_grid, scores
 
 

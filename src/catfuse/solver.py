@@ -18,7 +18,8 @@ in one restriction row ρ (ThetaLayout.pair_row), so when it is active its
 stationarity row fixes v_ρ in closed form and row ρ gives θ_ij from the
 data columns. The solve therefore runs only on the active data columns
 (each factor's tree edges) and the restriction rows whose pair column is
-inactive; the elimination is exact, with no approximation in γ.
+inactive; the elimination is exact, with no approximation in γ, and a set
+with no active pair column has nothing to eliminate.
 
 γ is finite, so a fit violates the restrictions by Δ = ‖Aθ̂‖². The λ = 0
 fit θ_LS has Aθ_LS = 0 and the least RSS, so comparing the objective at θ̂
@@ -146,37 +147,49 @@ class _Core:
         """
         rho = self.pair_row[S]
         elim = rho >= 0
-        keep = ~elim
-        D, E = S[keep], rho[elim]
-        pivot = self.A[E, S[elim]]
-        v_E = (rhs_head[elim].T / pivot).T       # .T divides each row of a stack
-        A_D = self.A[:, D]
-        A_ED = A_D[E]
-        touched = A_D.any(axis=1)
-        touched[E] = False
+        pairs = elim.any()
+        if pairs:
+            keep = ~elim
+            D, E = S[keep], rho[elim]
+            pivot = self.A[E, S[elim]]
+            v_E = (rhs_head[elim].T / pivot).T       # .T divides each row of a stack
+            A_D = self.A[:, D]
+            A_ED = A_D[E]
+            touched = A_D.any(axis=1)
+            touched[E] = False
+            head = rhs_head[keep] - A_ED.T @ v_E
+        else:                                       # no pair column: nothing to eliminate
+            D, A_D, head = S, self.A[:, S], rhs_head
+            touched = A_D.any(axis=1)
         A_KD = A_D[touched]
         m, ra = D.size, A_KD.shape[0]
         M = np.empty((m + ra, m + ra))
-        M[:m, :m] = 2.0 * self.XtX[D][:, D]
+        M[:m, :m] = 2.0 * self.XtX.take(D, axis=0).take(D, axis=1)
         M[:m, m:] = A_KD.T
         M[m:, :m] = A_KD
         M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma)
-        rhs = np.concatenate([rhs_head[keep] - A_ED.T @ v_E, np.zeros((ra,) + rhs_head.shape[1:])])
+        rhs = np.zeros((m + ra,) + rhs_head.shape[1:])
+        rhs[:m] = head
         try:
             sol = np.linalg.solve(M, rhs)
             sol += np.linalg.solve(M, rhs - M @ sol)
-            rel_res = (np.linalg.norm(rhs - M @ sol, axis=0)
-                       / np.maximum(np.linalg.norm(rhs, axis=0), 1.0))
-            if not np.all(rel_res <= 1e-6):      # NaN fails too
+            res = rhs - M @ sol
+            # each column's 2-norm, summed as np.linalg.norm(·, axis=0) sums it
+            rel_res = (np.sqrt((res * res).sum(axis=0))
+                       / np.maximum(np.sqrt((rhs * rhs).sum(axis=0)), 1.0))
+            if not (rel_res <= 1e-6).all():          # NaN fails too
                 raise np.linalg.LinAlgError("large residual")
         except np.linalg.LinAlgError:
             if self.r:
                 raise RankDeficient("augmented subspace system is singular")
             sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        out = np.empty(rhs_head.shape)
-        out[keep] = sol[:m]
-        out[elim] = ((v_E / (2.0 * self.gamma) - A_ED @ sol[:m]).T / pivot).T
-        if not np.all(np.isfinite(out)):
+        if pairs:
+            out = np.empty(rhs_head.shape)
+            out[keep] = sol[:m]
+            out[elim] = ((v_E / (2.0 * self.gamma) - A_ED @ sol[:m]).T / pivot).T
+        else:
+            out = sol[:m]
+        if not np.isfinite(out).all():
             raise RankDeficient("subspace solve produced non-finite values")
         return out
 
@@ -255,7 +268,7 @@ def _solve_core(
     theta = np.zeros(core.q) if warm_start is None else np.array(warm_start, dtype=float)
     if theta.shape != (core.q,):
         raise LayoutMismatch(f"warm start has shape {theta.shape}, expected ({core.q},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("warm start holds non-finite values")
     theta *= core.y_scale
     lam_s = lam * core.y_scale
@@ -263,7 +276,7 @@ def _solve_core(
         theta[:] = 0.0
     sigma = np.sign(theta)
     active = theta != 0.0
-    S = np.flatnonzero(active)
+    S = active.nonzero()[0]
     solves = 0
     # only the warm start's own system is stepped (bytes: 20× cheaper than array_equal)
     if system is not None and (system.S.tobytes(), system.sigma_S.tobytes()) != (
@@ -271,9 +284,12 @@ def _solve_core(
         system = None
     # the predicted step: compared with θ_S itself, so a warm start already
     # stepped to this λ (or on a zero slope) goes straight to the certificate
-    predicted = system is not None and bool(np.any(system.at(lam_s) != theta[S]))
+    predicted = False
+    if system is not None:
+        stepped = system.at(lam_s)
+        predicted = bool((stepped != theta[S]).any())
     if predicted:
-        solves, system = _resolve(core, theta, active, sigma, lam_s, system)
+        solves, system = _resolve(core, theta, active, sigma, lam_s, system, stepped)
     for _ in range(_MAX_ROUNDS):
         g, floor = core.certificate(theta)
         tol = KKT_TOL + floor
@@ -281,13 +297,13 @@ def _solve_core(
         # copysign, not λ·sign θ: at λ = ∞ an inactive column would read ∞·0
         z = np.abs(g + np.where(active, np.copysign(lam_s, theta), 0.0))
         viol = np.where(active, -np.inf, z - lam_s)
-        add = np.flatnonzero(viol > (floor if predicted else 0.25 * tol))
+        add = (viol > (floor if predicted else 0.25 * tol)).nonzero()[0]
         predicted = False
         if add.size:
             add = add[np.argsort(viol[add])[::-1]][:_ADD_PER_ROUND]
             active[add] = True
             sigma[add] = -np.sign(g[add])
-        elif np.all(z[active] <= tol[active]):
+        elif (z[active] <= tol[active]).all():
             return theta / core.y_scale, solves, system
         steps, system = _resolve(core, theta, active, sigma, lam_s)
         solves += steps
@@ -295,16 +311,18 @@ def _solve_core(
 
 
 def _resolve(core: _Core, theta: np.ndarray, active: np.ndarray, sigma: np.ndarray,
-             lam_s: float, system: Optional[_System] = None) -> Tuple[int, Optional[_System]]:
+             lam_s: float, system: Optional[_System] = None,
+             cand: Optional[np.ndarray] = None) -> Tuple[int, Optional[_System]]:
     """Re-solve the active set in place (_solve_core): the number of steps
     taken and the system θ now solves (None once every column dropped). The
-    first step reads a handed-in `system`; every other step factorises."""
+    first step reads a handed-in `system` and its θ_S at λ, `cand`; every
+    other step factorises."""
     for steps in range(1, _MAX_INNER + 1):
-        S = np.flatnonzero(active)
+        S = active.nonzero()[0]
         if system is None:
             system = core.solve_at(S, sigma[S], lam_s)
-        cand = system.at(lam_s)
-        if lam_s == 0.0 or not np.any(cand * sigma[S] < 0.0):
+            cand = system.theta0                     # system.at(λ₀)
+        if lam_s == 0.0 or not (cand * sigma[S] < 0.0).any():
             theta[:] = 0.0
             theta[S] = cand
             return steps, system
@@ -312,19 +330,20 @@ def _resolve(core: _Core, theta: np.ndarray, active: np.ndarray, sigma: np.ndarr
         # walk toward the candidate, stop at the first zero crossing: a
         # θ_j ≠ 0 that would change sign, or a new θ_j = 0 moving against
         # σ_j (finite: a flipped θ_j ≠ 0 has sign σ_j, so it crosses 0)
+        t = theta[S]
+        dS = cand - t
         d = np.zeros(core.q)
-        d[S] = cand - theta[S]
-        t, dS = theta[S], d[S]
+        d[S] = dS
         cross = np.full(S.size, np.inf)
         hit = (t != 0.0) & (np.sign(t) != np.sign(t + dS)) & (dS != 0.0)
         cross[hit] = -t[hit] / dS[hit]
         cross[(t == 0.0) & (sigma[S] * dS < 0.0)] = 0.0
-        tmin = min(max(float(np.min(cross)), 0.0), 1.0)
+        tmin = min(max(float(cross.min()), 0.0), 1.0)
         theta += tmin * d
         dropped = S[cross <= tmin + 1e-15]
         theta[dropped] = 0.0
         active[dropped] = False
-        if not np.any(active):
+        if not active.any():
             return steps, None
     raise NotConverged("active-set inner loop exceeded iteration cap")
 

@@ -246,10 +246,13 @@ class RefitResult:
 
 
 class LabelFit(NamedTuple):
-    """refit_labels' fit: full per-level vectors and intercept."""
+    """refit_labels' fit: full per-level vectors and intercept, and the same
+    vectors stacked as Dataset.level_table stacks levels (each beta entry is
+    a view of its factor's slice of `levels`)."""
 
     beta: Dict[str, np.ndarray]
     intercept: float
+    levels: np.ndarray
 
 
 def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
@@ -268,10 +271,13 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     them). The design may have no columns; one not of full rank by RANK_TOL
     raises RankDeficient("collapsed design is rank deficient (rank r < m)"),
     with r the number of eigenvalues of G above RANK_TOL times the largest,
-    and `factors` naming each factor with a column in G's null space.
+    and `factors` naming each factor with a column in G's null space; when
+    there are two or more, the message ends "; factors 'a' and 'b' are
+    collinear".
     """
     table = ds.level_table
-    L = int(table.offsets[-1])
+    factor = table.factor
+    L = factor.size
     labels = np.asarray(labels)
     if labels.shape != (L,):
         raise ShapeMismatch(f"cluster labels of shape {labels.shape} for {L} levels")
@@ -279,13 +285,13 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     # its level's position, and the running maximum steps by 0 or 1 (one
     # running maximum serves every factor once labels are shifted by their
     # factor's first stacked level)
-    factor = np.repeat(np.arange(len(ds.schemas)), np.diff(table.offsets))
     offset = table.offsets[factor]
     ok, lab = np.zeros(L, dtype=bool), np.zeros(L, dtype=np.intp)
     if labels.dtype.kind in "biuf":          # strings and objects are no integers
-        ok = (labels == np.floor(labels)) & (labels >= 0) & (labels <= np.arange(L) - offset)
+        ok = (labels == np.floor(labels)) & (labels >= 0) & (labels <= table.position)
         lab = np.where(ok, labels, 0).astype(np.intp)
-        ok[1:] &= np.diff(np.maximum.accumulate(lab + offset) - offset) <= 1
+        running = np.maximum.accumulate(lab + offset) - offset
+        ok[1:] &= running[1:] - running[:-1] <= 1
     if not ok.all():
         raise ValueError("; ".join(
             f"factor {ds.schemas[f].name!r}: cluster labels "
@@ -295,7 +301,8 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
     labels = lab
     # the design column of every stacked level: factor f's cluster c >= 1 is
     # column firsts[f] + c − 1, and its zero cluster reads -1 (coefficient 0)
-    firsts = np.cumsum(np.append(0, np.maximum.reduceat(labels, table.offsets[:-1])))
+    firsts = np.zeros(len(ds.schemas) + 1, dtype=np.intp)
+    np.cumsum(np.maximum.reduceat(labels, table.offsets[:-1]), out=firsts[1:])
     col = np.where(labels > 0, labels + firsts[factor] - 1, -1)
     m = int(firsts[-1])
     G, b, counts = table.gram((col[:, None] == np.arange(m)).astype(float))
@@ -308,15 +315,21 @@ def refit_labels(ds: Dataset, labels: np.ndarray) -> LabelFit:
         ev, vecs = np.linalg.eigh(G)
         null = ev <= RANK_TOL * ev[-1]
         carried = np.isin(col, np.flatnonzero(np.abs(vecs[:, null]).max(axis=1) > NULL_WEIGHT_TOL))
-        raise RankDeficient(f"collapsed design is rank deficient (rank {m - null.sum()} < {m})",
-                            factors=tuple(ds.schemas[f].name for f in np.unique(factor[carried])))
+        names = tuple(ds.schemas[f].name for f in np.unique(factor[carried]))
+        named = ""
+        if len(names) > 1:
+            *rest, last = map(repr, names)
+            named = f"; factors {', '.join(rest)} and {last} are collinear"
+        raise RankDeficient(f"collapsed design is rank deficient (rank {m - null.sum()} < {m})"
+                            f"{named}", factors=names)
     coef = np.linalg.solve(G, b)
     shift = float(counts @ coef) / ds.n      # the centering of the columns
-    level_coef = np.append(coef, 0.0)[col]
+    levels = np.concatenate((coef, [0.0]))[col]
     return LabelFit(
-        beta={sch.name: level_coef[start:start + sch.k + 1].copy()
+        beta={sch.name: levels[start:start + sch.k + 1]
               for sch, start in zip(ds.schemas, table.offsets.tolist())},
         intercept=table.y_mean - shift,
+        levels=levels,
     )
 
 

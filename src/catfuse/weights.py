@@ -76,14 +76,25 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
     ordinal step or a two-level factor whose data column is constant,
     fuses its two levels, so its θ is 0 in `path`'s λ = 0 point.
 
-    Returns full per-level vectors (reference entry 0). Raises OlsUnavailable
-    (a RankDeficient) when the design is still rank deficient, naming each
-    level that has no rows and a cluster of its own, or else the factors
-    whose columns are collinear; and ValueError (as `path` does) when the
-    schema has no factors.
+    Returns full per-level vectors (reference entry 0) in a fresh dict of
+    fresh arrays. The fit is made once per dataset and kept on it, as its
+    level table is: a Dataset does not change. Raises OlsUnavailable (a
+    RankDeficient) when the design is still rank deficient, naming each
+    level that has no rows and a cluster of its own, and the factors whose
+    columns are collinear (refit_labels); and ValueError (as `path` does)
+    when the schema has no factors.
     """
     if not ds.schemas:
         raise ValueError(NO_FACTORS)
+    # kept in the instance dict, as functools.cached_property keeps level_table
+    fit = vars(ds).get("_ols_fit")
+    if fit is None:
+        fit = vars(ds)["_ols_fit"] = _ols_fit(ds)
+    return {name: beta.copy() for name, beta in fit.beta.items()}
+
+
+def _ols_fit(ds: Dataset):
+    """ols_coefficients' refit_labels fit of ds."""
     labels = []
     for b, counts in zip(theta_layout(ds.schemas).blocks, ds.n_counts):
         lab = np.arange(b.k + 1)
@@ -94,14 +105,11 @@ def ols_coefficients(ds: Dataset) -> Dict[str, np.ndarray]:
             lab[1:] = np.cumsum((side != 0) & (side != ds.n))
         labels.append(lab)
     try:
-        return refit_labels(ds, np.concatenate(labels)).beta
+        return refit_labels(ds, np.concatenate(labels))
     except RankDeficient as e:
         named = "".join(f"; factor {sch.name!r} level index {i} has no rows"
                         for sch, counts, lab in zip(ds.schemas, ds.n_counts, labels)
                         for i in np.flatnonzero((counts == 0) & (np.bincount(lab)[lab] == 1)))
-        if not named and len(e.factors) > 1:
-            *rest, last = map(repr, e.factors)
-            named = f"; factors {', '.join(rest)} and {last} are collinear"
         raise OlsUnavailable(f"unpenalized fit: {e}{named}") from None
 
 

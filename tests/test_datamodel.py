@@ -10,7 +10,9 @@ from catfuse.datamodel import (
     Dataset,
     FactorSchema,
     ingest_csv,
+    level_values,
     load_schema,
+    row_effects,
     schema_to_json,
 )
 from catfuse.errors import (
@@ -18,6 +20,7 @@ from catfuse.errors import (
     EmptyDataset,
     MissingColumn,
     NonNumericResponse,
+    ShapeMismatch,
     UnknownLevel,
 )
 
@@ -347,3 +350,35 @@ def test_level_table_is_the_indicator_cross_product():
     assert np.allclose(table.sums, D.T @ (ds.y - ds.y.mean()), rtol=0.0, atol=1e-12)
     assert table.y_mean == float(ds.y.mean())
     assert table.n == ds.n
+
+
+def test_level_values_stacks_the_rows_and_names_a_malformed_one():
+    # one call stacks every β's vector; an empty list, a missing factor, a
+    # row of another length, ragged rows and 0-d entries keep their messages
+    g = FactorSchema("g", "nominal", ("a", "b", "c"))
+    stack = level_values([{"g": np.array([0.0, 1.0, 2.0])}, {"g": [0, 3, -1]}], g)
+    assert stack.dtype == float and stack.tolist() == [[0.0, 1.0, 2.0], [0.0, 3.0, -1.0]]
+    empty = level_values([], g)
+    assert empty.shape == (0, 3) and empty.dtype == float
+    with pytest.raises(ShapeMismatch, match="^factor 'g': no per-level values$"):
+        level_values([{"g": np.zeros(3)}, {"h": np.zeros(3)}], g)
+    for rows in ([np.zeros(3), np.zeros(2)],      # ragged rows
+                 [np.zeros(2), np.zeros(2)],      # every row of another length
+                 [np.zeros(3), 0.0],              # a 0-d entry beside a row
+                 [0.0, 0.0, 0.0],                 # 0-d entries only, as many as levels
+                 [np.zeros((1, 3))]):             # a 2-d entry of k + 1 values
+        with pytest.raises(ShapeMismatch, match="^factor 'g': expected 3 per-level values$"):
+            level_values([{"g": row} for row in rows], g)
+
+
+def test_row_effects_reads_a_level_stack_as_its_beta_dicts():
+    ds = toy_mixed_ds(seed=6, n=40)
+    offsets = ds.level_table.offsets.tolist()
+    L = offsets[-1]
+    stack = np.random.default_rng(6).normal(size=(5, L))
+    betas = [{sch.name: row[a:b] for sch, a, b in zip(ds.schemas, offsets, offsets[1:])}
+             for row in stack]
+    assert row_effects(stack, ds).tobytes() == row_effects(betas, ds).tobytes()
+    with pytest.raises(ShapeMismatch,
+                       match=fr"^level stack of shape \(5, {L - 1}\) for {L} levels$"):
+        row_effects(stack[:, 1:], ds)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from catfuse.coding import build_augmented
 from catfuse.datamodel import Dataset, FactorSchema
-from catfuse import selection
+from catfuse import selection, weights
 from catfuse.errors import FoldRankDeficient, NotConverged, ShapeMismatch
 from catfuse.selection import (
     CvConfig,
@@ -18,9 +20,10 @@ from catfuse.selection import (
     kfold_cv,
     predicted_effects,
     score_folds,
+    weighted_path,
 )
 from catfuse.simlab import evaluate, generate, make_scenario
-from catfuse.solver import path
+from catfuse.solver import PathResult, PathSolution, PrecisionReport, path
 from catfuse.structure import (
     DEFAULT_CLUSTER_TOL,
     degrees_of_freedom,
@@ -31,7 +34,7 @@ from catfuse.structure import (
 
 from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
 
-from conftest import toy_mixed_ds
+from conftest import aliased_nominal_ds, toy_mixed_ds
 from reference import grid
 
 
@@ -269,6 +272,65 @@ def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, mo
         made = calls[id(fit.train)]
         assert sorted(made) == sorted(set(keys))
         assert len(made) < len(keys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_folds_equals_per_point_reference_at_tiny_noise(seed):
+    # at noise sd 1e-9 the fits leave test errors near rounding: the scores
+    # stay byte-equal to the per-point reference and none is negative (a
+    # level-sized quadratic form of the test RSS cancels catastrophically here)
+    sc = dataclasses.replace(make_scenario("S2", seed), noise_sd=1e-9)
+    fits = compute_fold_paths(generate(sc).train, CvConfig(
+        k_folds=5, grid_size=40, seed=seed, adaptive=True, use_frequency=True))
+    for refit_inside in (False, True):
+        _, scores = score_folds(fits, 40, refit_inside)
+        _, ref = _score_folds_per_point(fits, 40, refit_inside)
+        assert scores.tobytes() == ref.tobytes()
+        assert np.all(scores >= 0.0)
+
+
+def test_a_fold_refit_on_collinear_factors_names_them():
+    # a hand-built fold whose one path point puts each level of the aliased
+    # a and b in a cluster of its own: the CV refit names both factors
+    ds = aliased_nominal_ds()
+    beta = {"a": np.array([0.0, 1.0, 2.0]), "b": np.array([0.0, 1.0, 2.0]), "c": np.zeros(3)}
+    point = PathSolution(lam=0.0, s_ratio=1.0, theta_scaled=np.zeros(0), theta=np.zeros(0),
+                         beta=beta, precision=PrecisionReport(0.0, 0.0), solves=0, sweeps=0)
+    fold = selection._FoldFit(train=ds.subset(np.arange(40)), test=ds.subset(np.arange(40, 60)),
+                              path=PathResult((point,)))
+    score_folds([fold], 5, refit_inside=False)
+    with pytest.raises(FoldRankDeficient) as err:
+        score_folds([fold], 5, refit_inside=True)
+    assert str(err.value) == ("training part of fold 0 is rank deficient: collapsed design is "
+                              "rank deficient (rank 2 < 4); factors 'a' and 'b' are collinear")
+
+
+def test_an_adaptive_path_fits_its_ols_once_per_dataset(monkeypatch):
+    # build_weights and path read one unpenalized fit per dataset, kept on
+    # it; each ols_coefficients call still hands out its own dict and arrays
+    calls = []
+
+    def counting_refit_labels(ds, labels):
+        calls.append(id(ds))
+        return refit_labels(ds, labels)
+
+    monkeypatch.setattr(weights, "refit_labels", counting_refit_labels)
+    ds = generate(make_scenario("S2", seed=3)).train
+    weighted_path(ds, CvConfig(grid_size=10, adaptive=True, use_frequency=True))
+    assert calls == [id(ds)]
+    weighted_path(ds, CvConfig(grid_size=10))
+    assert calls == [id(ds)]
+    copy = ds.subset(np.arange(ds.n))
+    weighted_path(copy, CvConfig(grid_size=10, adaptive=True))
+    assert calls == [id(ds), id(copy)]
+    first, second = ols_coefficients(ds), ols_coefficients(ds)
+    assert first is not second
+    first["nom8"][1] += 1.0
+    del first["ord4n"]
+    third = ols_coefficients(ds)
+    assert sorted(third) == sorted(second)
+    assert all(third[name].tobytes() == second[name].tobytes() for name in third)
+    assert calls == [id(ds), id(copy)]
 
 
 def test_information_criterion_equals_per_point_reference():

@@ -902,6 +902,32 @@ def test_path_leaves_its_core_unchanged(monkeypatch):
         assert snapshot(core) == before
 
 
+def test_core_holds_no_array_beyond_the_grams_and_restriction_rows(monkeypatch):
+    # besides XᵀX, |X|ᵀ|X|, A and |A| the core's arrays are O(q + r), before
+    # and after a path is solved on it
+    _, problems = _s2_problems()
+    problems += [build_augmented(ds, build_weights(ds, adaptive, True))
+                 for ds in (_rent_shaped_ds(5),) for adaptive in (False, True)]
+    from_gram, built = _Core.from_gram, []
+
+    def array_bytes(core):
+        return sum(v.nbytes for v in vars(core).values() if isinstance(v, np.ndarray))
+
+    def kept(*args):
+        core = from_gram(*args)
+        built.append((core, array_bytes(core)))
+        return core
+
+    monkeypatch.setattr(_Core, "from_gram", kept)
+    for prob in problems:
+        path(prob, grid_size=100)
+    assert len(built) == len(problems)
+    for core, before in built:
+        grams = core.XtX.nbytes + core._absXtX.nbytes + core.A.nbytes + core._absA.nbytes
+        assert before <= grams + 4 * 8 * (core.q + core.r)
+        assert array_bytes(core) == before
+
+
 def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
     # a grid point starts from its predicted θ, not by certifying the
     # previous point's θ at the new λ, so most points take one KKT round
@@ -926,6 +952,7 @@ def test_predicted_path_takes_few_kkt_rounds_and_factorisations(monkeypatch):
         points += sum(sol.lam > 0 for sol in pr.solutions)
         factorisations.append(counts["factorisations"] - before)
     assert counts["certificate"] <= 1.6 * points
+    assert counts["certificate"] == 313
     assert factorisations == [67, 53]
 
 

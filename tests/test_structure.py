@@ -21,7 +21,7 @@ from catfuse.structure import (
 )
 from catfuse.weights import ols_coefficients
 
-from conftest import rent_schema
+from conftest import aliased_nominal_ds, rent_schema
 
 
 NOM3 = (FactorSchema("g", "nominal", ("a", "b", "c")),)
@@ -200,10 +200,23 @@ def test_refit_rank_deficient():
         ),
         threshold=1e-8,
     )
-    with pytest.raises(RankDeficient, match=r"^collapsed design is rank deficient \(rank 1 < 2\)$"):
+    with pytest.raises(RankDeficient, match=r"^collapsed design is rank deficient \(rank 1 < 2\); "
+                                            r"factors 'g' and 'h' are collinear$"):
         refit(ds, part)
     with pytest.raises(OlsUnavailable, match="rank 1 < 2"):
         ols_coefficients(ds)
+
+
+def test_refit_names_the_collinear_factors():
+    # a and b share their codes; with each level in a cluster of its own the
+    # refit's error names both, in the unpenalized fit's wording
+    ds = aliased_nominal_ds()
+    part = extract_clusters({name: np.array([0.0, 1.0, 2.0]) for name in "abc"}, ds.schemas)
+    with pytest.raises(RankDeficient) as err:
+        refit(ds, part)
+    assert str(err.value) == ("collapsed design is rank deficient (rank 4 < 6); "
+                              "factors 'a' and 'b' are collinear")
+    assert err.value.factors == ("a", "b")
 
 
 def _refit_by_rows(ds: Dataset, labels: np.ndarray):
