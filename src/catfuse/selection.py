@@ -4,9 +4,10 @@ The tuned fit is three steps, each stated once: fold scores on a common
 s/s_max grid (`score_folds`), s at their first minimum mean
 (`CvCurve.from_scores`), and the fit at that s (`fit_at`). Fold λ scales
 differ, so each fold contributes its path's point nearest each grid value
-(`PathResult.nearest`). Every path, of a fold or of the full data, is
-`weighted_path` of one CvConfig. Adaptive weights are recomputed on every
-training part so no test information leaks into the weights.
+(`PathResult.nearest`); only those points are labelled, refitted and
+scored. Rows are split once (`fold_parts`), and every path, of a fold or of
+the full data, is `weighted_path` of one CvConfig. Adaptive weights are
+recomputed on every training part so no test information leaks into them.
 """
 from __future__ import annotations
 
@@ -139,19 +140,27 @@ class _FoldFit:
     path: PathResult
 
 
-def compute_fold_paths(ds: Dataset, config: CvConfig) -> List[_FoldFit]:
-    """Per-fold weighted_path of config's folds, weights and grid; shared by
-    CV scorers with and without refit (config.refit_inside is not read).
+def fold_parts(ds: Dataset, k_folds: int, seed: int) -> List[Tuple[Dataset, Dataset]]:
+    """Each fold's (training part, test part) of ds under
+    fold_assignment(ds.n, k_folds, seed): the one place CV splits rows."""
+    folds = fold_assignment(ds.n, k_folds, seed)
+    return [(ds.subset(np.sort(np.concatenate(folds[:f] + folds[f + 1:]))), ds.subset(test_rows))
+            for f, test_rows in enumerate(folds)]
+
+
+def compute_fold_paths(
+    parts: Sequence[Tuple[Dataset, Dataset]], config: CvConfig
+) -> List[_FoldFit]:
+    """weighted_path of config's weights and grid on each fold's training
+    part (fold_parts); its fold fields and refit_inside are not read, so
+    one split serves every weighting and both CV scorers.
 
     A failure names its fold: a singular training part raises
     FoldRankDeficient, and a NotConverged from the fold's path keeps its
     class with "(fold f)" added to its message.
     """
-    folds = fold_assignment(ds.n, config.k_folds, config.seed)
     fits = []
-    for f, test_rows in enumerate(folds):
-        train = ds.subset(np.sort(np.concatenate(folds[:f] + folds[f + 1:])))
-        test = ds.subset(test_rows)
+    for f, (train, test) in enumerate(parts):
         try:
             pr = weighted_path(train, config)
         except (RankDeficient, UnobservedLevel) as e:
@@ -190,21 +199,21 @@ def score_folds(
 
     scores[g, f] is fold f's test MSEP at the point of its path nearest
     s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
-    With `refit_inside`, the fold path's cluster labels are read in one
-    cluster_labels_path pass, and each distinct labelling is refitted on
-    the training part once (refit_labels); the refits are scored as one
-    level stack. Each fit is scored once, and only if a grid value reads it.
+    Only the points some grid value reads are used. With `refit_inside`,
+    their cluster labels are read in one cluster_labels_path pass, and each
+    distinct labelling is refitted on the training part once
+    (refit_labels); the refits are scored as one level stack. Each fit is
+    scored once.
     """
     s_grid = np.linspace(0.0, 1.0, grid_size)
     scores = np.empty((grid_size, len(fits)))
     for f, fit in enumerate(fits):
-        betas = [sol.beta for sol in fit.path.solutions]
-        read = fit.path.nearest(s_grid)             # the fit each grid value reads
+        # the points the grid values read, and the fit each value reads
+        points, at = np.unique(fit.path.nearest(s_grid), return_inverse=True)
+        betas = [fit.path.solutions[i].beta for i in points]
         if refit_inside:
             betas, which = _refit_levels(fit.train, betas, f)
-            read = which[read]
-        scored, at = np.unique(read, return_inverse=True)
-        betas = betas[scored] if refit_inside else [betas[i] for i in scored]
+            at = which[at]
         # each β's intercept is fitted on the training part (intercept_for)
         alpha = fit.train.y.mean() - row_effects(betas, fit.train).mean(axis=1)
         msep = ((fit.test.y - (alpha[:, None] + row_effects(betas, fit.test))) ** 2).mean(axis=1)
@@ -214,13 +223,13 @@ def score_folds(
 
 def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
     """Cross-validated prediction error over the s/s_max grid: score_folds
-    on compute_fold_paths, with s chosen by CvCurve.from_scores.
+    on compute_fold_paths of fold_parts, s by CvCurve.from_scores.
 
     Weights (including adaptive OLS references) are recomputed on each
     training part. A singular training part raises FoldRankDeficient with
     the fold index; a fold path's NotConverged names the fold too.
     """
-    fits = compute_fold_paths(ds, config)
+    fits = compute_fold_paths(fold_parts(ds, config.k_folds, config.seed), config)
     return CvCurve.from_scores(*score_folds(fits, config.grid_size, config.refit_inside))
 
 

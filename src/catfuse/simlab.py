@@ -31,13 +31,14 @@ from .selection import (
     CvCurve,
     compute_fold_paths,
     fit_at,
+    fold_parts,
     intercept_for,
     predicted_effects,
     score_folds,
     weighted_path,
 )
 from .solver import DEFAULT_GRID_SIZE, PathResult
-from .structure import degrees_of_freedom, extract_clusters
+from .structure import cluster_labels_path, degrees_of_freedom, extract_clusters
 from .weights import ols_coefficients
 
 PROBS_8 = (0.1, 0.1, 0.2, 0.05, 0.2, 0.1, 0.2, 0.05)
@@ -156,12 +157,12 @@ def evaluate(
 ) -> EvalMetrics:
     """Score an estimate against the truth.
 
-    Selection and fusion are read off the cluster labels of partitions
-    (structure.extract_clusters): the estimate's at the default tolerance, so
-    penalized and refitted estimates are judged by the same rule, the truth's
-    at tolerance 0. A factor is selected when some level has a label above 0
-    (more than one cluster); a pair (i, j) of the factor's block is fused
-    when labels[i] == labels[j]. Selection rates are over whole factors;
+    Selection and fusion are read off cluster_labels_path, sliced per
+    factor: the estimate's at the default tolerance, so penalized and
+    refitted estimates are judged by the same rule, the truth's at tolerance
+    0. A factor is selected when some level has a label above 0 (more than
+    one cluster); a pair (i, j) of the factor's block is fused when
+    labels[i] == labels[j]. Selection rates are over whole factors;
     clustering rates over differences within relevant (non-noise) factors —
     all pairs for nominal factors, adjacent pairs for ordinal ones.
     """
@@ -169,19 +170,20 @@ def evaluate(
     for sch in schemas:
         bh, bt = level_values([beta_hat, truth], sch)
         sq_err.extend(((bh - bt)[1:] ** 2).tolist())
-    est = extract_clusters(beta_hat, schemas)
-    true = extract_clusters(truth, schemas, tol=0.0)
+    blocks = theta_layout(schemas).blocks
+    cuts = np.cumsum([b.k + 1 for b in blocks])[:-1]
+    est = np.split(cluster_labels_path([beta_hat], schemas)[0], cuts)
+    true = np.split(cluster_labels_path([truth], schemas, tol=0.0)[0], cuts)
 
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
-    for b, fe, ft in zip(theta_layout(schemas).blocks, est.factors, true.factors):
-        selected = max(fe.labels) > 0
-        if max(ft.labels) > 0:
+    for b, el, tl in zip(blocks, est, true):
+        selected = el.max() > 0
+        if tl.max() > 0:
             n_rel += 1
             if not selected:
                 sel_fn += 1
             i, j = b.pair_index
-            tl, el = np.array(ft.labels), np.array(fe.labels)
             true_zero, est_zero = tl[i] == tl[j], el[i] == el[j]
             n_zero_diff += int(true_zero.sum())
             n_nonzero_diff += int((~true_zero).sum())
@@ -204,30 +206,21 @@ def evaluate(
 # study harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariantConfig:
-    label: str
-    ols_only: bool = False
-    adaptive: bool = False
-    use_frequency: bool = True
-    refit_after: bool = False
-
-
-def parse_variant(label: str) -> VariantConfig:
-    """Labels: "ols", or "stdrd"/"adapt" followed by nothing, "+rf" (refit
-    after structure discovery), "-nf" (drop class-frequency weight terms),
-    "+rf-nf" or "-nf+rf"; any other label raises ValueError."""
+def parse_variant(label: str) -> Optional[CvConfig]:
+    """The CvConfig of a variant label, or None for "ols". Labels: "ols",
+    or "stdrd"/"adapt" followed by nothing, "+rf" (refit after structure
+    discovery, in CV too: refit_inside), "-nf" (drop class-frequency weight
+    terms), "+rf-nf" or "-nf+rf"; any other label raises ValueError."""
     if label == "ols":
-        return VariantConfig(label=label, ols_only=True)
+        return None
     match = re.fullmatch(r"(stdrd|adapt)(\+rf-nf|-nf\+rf|\+rf|-nf)?", label)
     if match is None:
         raise ValueError(f"unknown variant label {label!r}")
     suffix = match.group(2) or ""
-    return VariantConfig(
-        label=label,
+    return CvConfig(
         adaptive=match.group(1) == "adapt",
         use_frequency="-nf" not in suffix,
-        refit_after="+rf" in suffix,
+        refit_inside="+rf" in suffix,
     )
 
 
@@ -282,44 +275,46 @@ def run_study(
 
     Replicate r uses scenario seed (seed + r); variants within a replicate
     see identical train/test draws, enabling paired comparisons. A penalized
-    variant is the tuned fit `catfuse cv` and `catfuse fit` make: s chosen
-    by CvCurve.from_scores on score_folds, then fit_at that s on the
-    full-data path, refitted for "+rf" (with the refit's own intercept).
-    Variants sharing a weighting share one CvConfig (refit is not in it),
-    which keys their fold paths and full-data path: refit changes only the
-    scoring and the read-out at the chosen point, so sharing roughly halves
-    the cost of refit/no-refit contrasts. A "+rf" variant's CV scoring
-    refits each distinct partition of a fold once (score_folds).
+    variant is a CvConfig (parse_variant) and the tuned fit `catfuse cv` and
+    `catfuse fit` make: s chosen by CvCurve.from_scores on score_folds, then
+    fit_at that s on the full-data path, refitted for "+rf" (with the
+    refit's own intercept). Each replicate's training set is split once
+    (fold_parts) for every weighting, and variants sharing a weighting share
+    its fold paths and full-data path (keyed by their config without
+    refit_inside, which changes only the scoring and the read-out at the
+    chosen point). CV labels and refits only the points its grid reads.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    vcs = [parse_variant(v) for v in variants]
+    variant_configs = [parse_variant(v) for v in variants]
+    tuned = any(vc is not None for vc in variant_configs)
     records: List[ReplicateRecord] = []
     for rep in range(replicates):
         data = generate(make_scenario(scenario_name, seed=seed + rep))
         train, test = data.train, data.test
+        parts = fold_parts(train, k_folds, seed + rep) if tuned else []
         # per weighting's config: fold paths and full-data path
         paths: Dict[CvConfig, Tuple[list, PathResult]] = {}
-        for vc in vcs:
-            if vc.ols_only:
+        for label, vc in zip(variants, variant_configs):
+            if vc is None:
                 beta = ols_coefficients(train)
                 part = extract_clusters(beta, train.schemas)
                 alpha, chosen_s = intercept_for(beta, train), 1.0
             else:
-                config = CvConfig(k_folds=k_folds, grid_size=grid_size, seed=seed + rep,
-                                  adaptive=vc.adaptive, use_frequency=vc.use_frequency)
+                config = dataclasses.replace(vc, k_folds=k_folds, grid_size=grid_size,
+                                             seed=seed + rep, refit_inside=False)
                 if config not in paths:
-                    paths[config] = (compute_fold_paths(train, config),
+                    paths[config] = (compute_fold_paths(parts, config),
                                      weighted_path(train, config))
                 fold_paths, full = paths[config]
-                scored = score_folds(fold_paths, grid_size, vc.refit_after)
+                scored = score_folds(fold_paths, grid_size, vc.refit_inside)
                 chosen_s = CvCurve.from_scores(*scored).chosen_s_ratio
-                _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_after)
+                _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_inside)
             df = degrees_of_freedom(part)
             m = evaluate(beta, data.beta_star, train.schemas)
             pred = alpha + predicted_effects(beta, test)
             msep = float(np.mean((test.y - pred) ** 2))
             records.append(ReplicateRecord(
-                replicate=rep, variant=vc.label, msep=msep, chosen_s_ratio=chosen_s,
+                replicate=rep, variant=label, msep=msep, chosen_s_ratio=chosen_s,
                 df=df, **dataclasses.asdict(m)))
     return SimReport(scenario=scenario_name, records=tuple(records), seed=seed)

@@ -22,7 +22,6 @@ from .errors import (
 from .structure import refit_labels
 
 ADAPTIVE_CAP = 1e12
-DEFAULT_BANDWIDTH_KM = 15.0
 DEFAULT_SPATIAL_FLOOR = 1e-6
 
 
@@ -135,10 +134,7 @@ def epanechnikov(u):
     return np.where(inside, 0.75 * (1.0 - v * v), 0.0)[()]
 
 
-def spatial_factors(
-    schema: FactorSchema,
-    h: float = DEFAULT_BANDWIDTH_KM,
-) -> np.ndarray:
+def spatial_factors(schema: FactorSchema, h: float) -> np.ndarray:
     """Kernel multipliers ζ_ij = max(K((ς_i − ς_j)/h), DEFAULT_SPATIAL_FLOOR)
     per difference.
 
@@ -154,11 +150,7 @@ def spatial_factors(
     return np.maximum(epanechnikov((coords[i] - coords[j]) / h), DEFAULT_SPATIAL_FLOOR)
 
 
-def with_spatial(
-    ws: WeightSet,
-    schemas,
-    h: float = DEFAULT_BANDWIDTH_KM,
-) -> WeightSet:
+def with_spatial(ws: WeightSet, schemas, h: float) -> WeightSet:
     """Apply spatial multipliers to every factor that has coordinates."""
     located = [sch for sch in schemas if sch.spatial_coords is not None]
     if not located:

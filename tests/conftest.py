@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catfuse.datamodel import Dataset, FactorSchema
+from catfuse.selection import compute_fold_paths, fold_parts
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -59,6 +60,12 @@ def toy_mixed_ds(seed: int = 0, n: int = 120) -> Dataset:
     )
     y = 0.5 + effects + rng.normal(0, 1, n)
     return Dataset(y, codes, schemas)
+
+
+def fold_paths(ds: Dataset, config):
+    """compute_fold_paths on the split of ds that config's fold fields name,
+    as kfold_cv makes it."""
+    return compute_fold_paths(fold_parts(ds, config.k_folds, config.seed), config)
 
 
 def aliased_nominal_ds() -> Dataset:

@@ -13,6 +13,8 @@ never calls it. Tests import it as they import conftest.
   elsewhere or does not need.
 - grad, kkt_floor: the gradient and its rounding floor as two separate
   expressions on a solver core, which _Core.certificate states together.
+- pava, balanced_nominal_fit: the exact difference-penalized fit of one
+  balanced nominal factor, by isotonic regression of its sorted level means.
 """
 from __future__ import annotations
 
@@ -162,3 +164,36 @@ def kkt_floor(core: _Core, theta: np.ndarray) -> np.ndarray:
     t = np.abs(theta)
     return 8.0 * np.finfo(float).eps * (core._absXtX @ t + core._absXty
                                         + core.gamma * (core._absA.T @ (core._absA @ t)))
+
+
+def pava(values: np.ndarray) -> np.ndarray:
+    """Equal-weight isotonic regression: the nondecreasing vector nearest
+    `values` in least squares, by pooling adjacent violators. Pooled entries
+    are exactly equal, and neighbouring pools strictly increase."""
+    pools = []                  # [mean, size] of each pool, left to right
+    for v in np.asarray(values, dtype=float):
+        pools.append([v, 1])
+        while len(pools) > 1 and pools[-2][0] >= pools[-1][0]:
+            (m2, c2), (m1, c1) = pools.pop(), pools.pop()
+            pools.append([(m1 * c1 + m2 * c2) / (c1 + c2), c1 + c2])
+    return np.concatenate([np.full(c, m) for m, c in pools])
+
+
+def balanced_nominal_fit(means: np.ndarray, count: int, w: float, lam: float) -> np.ndarray:
+    """The exact level values μ minimizing
+    Σ_l count·(m_l − μ_l)² + λw Σ_{i<j} |μ_i − μ_j| for one nominal factor
+    whose K levels each have `count` rows, with level means m (the least
+    squares part up to a constant, μ_l = α + β_l).
+
+    The optimum keeps the order of m, so with m sorted ascending the
+    penalty is linear, λw Σ_r (2r − K − 1)·μ_(r), and μ_(·) is the isotonic
+    fit of m_(r) − λw(2r − K − 1)/(2·count). Unequal counts break this
+    closed form.
+    """
+    m = np.asarray(means, dtype=float)
+    K = m.size
+    order = np.argsort(m, kind="stable")
+    r = np.arange(1, K + 1)
+    mu = np.empty(K)
+    mu[order] = pava(m[order] - lam * w * (2 * r - K - 1) / (2.0 * count))
+    return mu

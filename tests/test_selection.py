@@ -12,7 +12,6 @@ from catfuse.errors import FoldRankDeficient, NotConverged, ShapeMismatch
 from catfuse.selection import (
     CvConfig,
     build_weights,
-    compute_fold_paths,
     fit_at,
     fold_assignment,
     information_criterion,
@@ -34,7 +33,7 @@ from catfuse.structure import (
 
 from catfuse.weights import adaptive_weights, ols_coefficients, standard_weights
 
-from conftest import aliased_nominal_ds, toy_mixed_ds
+from conftest import aliased_nominal_ds, fold_paths, toy_mixed_ds
 from reference import grid
 
 
@@ -68,7 +67,7 @@ def test_each_fold_splits_the_rows_into_its_training_and_test_parts():
     ds = toy_mixed_ds(seed=2, n=60)
     numbered = Dataset(np.arange(60.0), ds.codes, ds.schemas)     # y names each row
     folds = fold_assignment(60, 4, seed=3)
-    fits = compute_fold_paths(numbered, CvConfig(k_folds=4, grid_size=10, seed=3))
+    fits = fold_paths(numbered, CvConfig(k_folds=4, grid_size=10, seed=3))
     for fit, test_rows in zip(fits, folds):
         train_rows = fit.train.y.astype(np.int64)
         assert np.array_equal(fit.test.y, test_rows)
@@ -125,7 +124,7 @@ def test_no_level_table_array_has_a_row_per_observation():
     config = CvConfig(k_folds=5, grid_size=20, seed=1, adaptive=True, use_frequency=True,
                       refit_inside=True)
     kfold_cv(ds, config)
-    fits = compute_fold_paths(ds, config)
+    fits = fold_paths(ds, config)
     score_folds(fits, config.grid_size, refit_inside=True)
     for held in [ds] + [fit.train for fit in fits]:
         for name, value in vars(held.level_table).items():
@@ -159,7 +158,7 @@ def test_cv_flat_scores_choose_smallest_s():
 
 def test_cv_refit_scoring_differs():
     ds = toy_mixed_ds(seed=22, n=180)
-    fits = compute_fold_paths(ds, CvConfig(
+    fits = fold_paths(ds, CvConfig(
         k_folds=4, grid_size=30, seed=5, adaptive=True, use_frequency=True))
     s_grid, plain = score_folds(fits, 30, refit_inside=False)
     _, refitted = score_folds(fits, 30, refit_inside=True)
@@ -177,11 +176,11 @@ def test_fold_rank_deficiency_reports_fold():
     # the fold holding the single level-c row trains without it; frequency
     # weights are undefined there
     with pytest.raises(FoldRankDeficient) as ei:
-        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=10, use_frequency=True))
+        fold_paths(ds, CvConfig(k_folds=3, grid_size=10, use_frequency=True))
     assert 0 <= ei.value.fold < 3
     # adaptive weights fail the same way through the training OLS
     with pytest.raises(FoldRankDeficient):
-        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=10, adaptive=True))
+        fold_paths(ds, CvConfig(k_folds=3, grid_size=10, adaptive=True))
 
 
 def test_information_criterion_recomputation():
@@ -240,7 +239,7 @@ def scenario_fold_paths():
     out = {}
     for name, adaptive in (("S1", False), ("S2", True)):
         train = generate(make_scenario(name, seed=2)).train
-        out[name] = compute_fold_paths(train, CvConfig(
+        out[name] = fold_paths(train, CvConfig(
             k_folds=5, grid_size=40, seed=2, adaptive=adaptive, use_frequency=True))
     return out
 
@@ -265,13 +264,19 @@ def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, mo
 
     monkeypatch.setattr(selection, "refit_labels", counting_refit_labels)
     score_folds(fits, 40, refit_inside=True)
+    unread = 0
     for fit in fits:
-        keys = [tuple(lab for fp in extract_clusters(s.beta, fit.train.schemas).factors
-                      for lab in fp.labels)
-                for s in fit.path.solutions]
+        def key(sol):
+            return tuple(lab for fp in extract_clusters(sol.beta, fit.train.schemas).factors
+                         for lab in fp.labels)
+        read = np.unique(fit.path.nearest(np.linspace(0.0, 1.0, 40)))
+        keys = [key(fit.path.solutions[g]) for g in read]
         made = calls[id(fit.train)]
+        # only the labellings of the points some grid value reads, each once
         assert sorted(made) == sorted(set(keys))
         assert len(made) < len(keys)
+        unread += len({key(sol) for sol in fit.path.solutions} - set(keys))
+    assert unread > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -280,7 +285,7 @@ def test_score_folds_equals_per_point_reference_at_tiny_noise(seed):
     # stay byte-equal to the per-point reference and none is negative (a
     # level-sized quadratic form of the test RSS cancels catastrophically here)
     sc = dataclasses.replace(make_scenario("S2", seed), noise_sd=1e-9)
-    fits = compute_fold_paths(generate(sc).train, CvConfig(
+    fits = fold_paths(generate(sc).train, CvConfig(
         k_folds=5, grid_size=40, seed=seed, adaptive=True, use_frequency=True))
     for refit_inside in (False, True):
         _, scores = score_folds(fits, 40, refit_inside)
@@ -363,6 +368,6 @@ def test_fold_path_failure_names_the_fold(monkeypatch):
 
     monkeypatch.setattr(selection, "path", failing_path)
     with pytest.raises(NotConverged) as ei:
-        compute_fold_paths(ds, CvConfig(k_folds=4, grid_size=10))
+        fold_paths(ds, CvConfig(k_folds=4, grid_size=10))
     assert type(ei.value) is NotConverged
     assert str(ei.value) == "KKT conditions not met (grid point 4, augmented solve) (fold 2)"

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from catfuse import simlab
+from catfuse import datamodel, simlab, weights
+from catfuse.datamodel import Dataset
 from catfuse.selection import CvConfig
 from catfuse.simlab import (
     PROBS_4,
@@ -152,15 +153,16 @@ def test_evaluate_shape_mismatch():
 
 
 def test_variant_labels():
-    assert parse_variant("ols").ols_only
+    assert parse_variant("ols") is None
     v = parse_variant("adapt+rf")
-    assert v.adaptive and v.refit_after and v.use_frequency
+    assert isinstance(v, CvConfig)
+    assert v.adaptive and v.refit_inside and v.use_frequency
     v = parse_variant("stdrd-nf")
-    assert not v.adaptive and not v.use_frequency and not v.refit_after
+    assert not v.adaptive and not v.use_frequency and not v.refit_inside
     v = parse_variant("adapt+rf-nf")
-    assert v.adaptive and v.refit_after and not v.use_frequency
+    assert v.adaptive and v.refit_inside and not v.use_frequency
     v = parse_variant("stdrd-nf+rf")
-    assert not v.adaptive and v.refit_after and not v.use_frequency
+    assert not v.adaptive and v.refit_inside and not v.use_frequency
     for label in ("magic", "st-nfdrd", "+rfadapt", "stdrd+rf+rf", "adapt-nf-nf",
                   "stdrd+rf-nf+rf", "adapt+", "ols+rf", "Stdrd", " stdrd"):
         with pytest.raises(ValueError, match="unknown variant label"):
@@ -202,3 +204,32 @@ def test_run_study_fits_each_weighting_once_under_one_config(monkeypatch):
     configs = [CvConfig(k_folds=3, grid_size=10, seed=seed, adaptive=adaptive, use_frequency=True)
                for seed in (3, 4) for adaptive in (False, True)]
     assert calls == [(name, c) for c in configs for name in ("compute_fold_paths", "weighted_path")]
+
+
+def test_a_replicate_splits_its_training_set_once(monkeypatch):
+    # five folds give ten parts, shared by both weightings; each of the five
+    # training parts and the full training set builds one level table and
+    # makes one unpenalized fit
+    counts = {"subset": 0, "level table": 0, "unpenalized fit": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Dataset, "subset", counting("subset", Dataset.subset))
+    monkeypatch.setattr(datamodel, "LevelTable", counting("level table", datamodel.LevelTable))
+    monkeypatch.setattr(weights, "refit_labels", counting("unpenalized fit", weights.refit_labels))
+    run_study("S2", ["ols", "stdrd", "stdrd+rf", "adapt", "adapt+rf"], replicates=1, seed=0,
+              k_folds=5, grid_size=20)
+    assert counts == {"subset": 10, "level table": 6, "unpenalized fit": 6}
+
+
+def test_an_ols_only_study_makes_no_fold():
+    # S1 trains on 180 rows, too few for 100 folds; the "ols" variant is not
+    # cross-validated, so the study never splits its rows
+    rep = run_study("S1", ["ols"], replicates=1, k_folds=100, grid_size=10)
+    assert [r.variant for r in rep.records] == ["ols"]
+    with pytest.raises(ValueError, match="need n >= 2K"):
+        run_study("S1", ["ols", "stdrd"], replicates=1, k_folds=100, grid_size=10)

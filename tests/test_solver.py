@@ -13,19 +13,20 @@ from catfuse import coding, solver
 from catfuse.coding import build_augmented, induced_theta, theta_layout
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import FoldRankDeficient, LayoutMismatch, NotConverged, RankDeficient
-from catfuse.selection import CvConfig, build_weights, compute_fold_paths, fit_at, weighted_path
+from catfuse.selection import CvConfig, build_weights, fit_at, weighted_path
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import PRECISION_SLACK, _Core, back_transform, path
-from catfuse.structure import degrees_of_freedom, extract_clusters
+from catfuse.structure import cluster_labels_path, degrees_of_freedom, extract_clusters
 from catfuse.weights import ADAPTIVE_CAP, adaptive_weights, ols_coefficients, standard_weights
 
-from conftest import ALIASED_MESSAGE, aliased_nominal_ds, rent_schema, toy_mixed_ds
+from conftest import ALIASED_MESSAGE, aliased_nominal_ds, fold_paths, rent_schema, toy_mixed_ds
 from reference import (
     core_from_design,
     grad,
     grid,
     ista_oracle,
     kkt_floor,
+    balanced_nominal_fit,
     lambda_max,
     scan_pair_rows,
     solve_lasso,
@@ -606,6 +607,36 @@ def test_many_level_nominal_path():
     assert np.max(np.abs(pr.solutions[-1].beta["g"] - ols_coefficients(ds)["g"])) < 1e-8
 
 
+@pytest.mark.parametrize("use_frequency", [False, True])
+def test_a_balanced_nominal_path_is_the_exact_sorted_fit(use_frequency):
+    # S1 has one nominal factor with 20 rows per level, so its standard
+    # weights are one w and the exact fit at every λ is
+    # reference.balanced_nominal_fit. The augmented fit leaves each fused
+    # pair apart by a restriction residual of at most λw/(2γ), and a cluster
+    # spans fewer than K pairs, so β may differ by up to Kλw/γ beyond rounding
+    gamma = coding.DEFAULT_SQRT_GAMMA ** 2
+    for seed in range(5):
+        ds = generate(make_scenario("S1", seed)).train
+        (sch,) = ds.schemas
+        K = sch.k + 1
+        count = ds.n // K
+        assert np.all(ds.n_counts[0] == count)
+        w = build_weights(ds, adaptive=False, use_frequency=use_frequency).values
+        assert np.all(w == w[0])
+        means = np.bincount(ds.codes[:, 0], weights=ds.y) / count
+        pr = weighted_path(ds, CvConfig(grid_size=100, use_frequency=use_frequency))
+        labels = cluster_labels_path([sol.beta for sol in pr.solutions], ds.schemas)
+        for sol, lab in zip(pr.solutions, labels):
+            mu = balanced_nominal_fit(means, count, float(w[0]), sol.lam)
+            # levels of equal μ share a cluster, numbered by smallest member
+            _, first, exact = np.unique(mu, return_index=True, return_inverse=True)
+            number = np.argsort(np.argsort(first))
+            assert lab.tolist() == number[exact.ravel()].tolist()
+            scale = max(1.0, float(np.abs(sol.beta["g"]).max()))
+            tol = K * sol.lam * w[0] / gamma + 1e-12 * scale
+            assert np.abs(sol.beta["g"] - (mu - mu[0])).max() <= tol
+
+
 def test_rank_deficient_fit_names_the_unobserved_level():
     rng = np.random.default_rng(5)
     schemas = (FactorSchema("a", "nominal", ("x", "y", "z", "w")),
@@ -618,7 +649,7 @@ def test_rank_deficient_fit_names_the_unobserved_level():
                               "factor 'a' level index 2 has no rows")
     # the fold mapping keeps its class and carries the named level
     with pytest.raises(FoldRankDeficient, match="factor 'a' level index 2 has no rows"):
-        compute_fold_paths(ds, CvConfig(k_folds=3, grid_size=5))
+        fold_paths(ds, CvConfig(k_folds=3, grid_size=5))
 
 
 def test_rank_deficient_fit_without_an_empty_level_keeps_its_message():
@@ -642,7 +673,7 @@ def test_rank_deficient_fit_names_the_aliased_factors(adaptive):
 
 def test_fold_rank_deficiency_names_the_aliased_factors():
     with pytest.raises(FoldRankDeficient) as err:
-        compute_fold_paths(aliased_nominal_ds(), CvConfig(k_folds=3, grid_size=5))
+        fold_paths(aliased_nominal_ds(), CvConfig(k_folds=3, grid_size=5))
     assert str(err.value) == f"training part of fold 0 is rank deficient: {ALIASED_MESSAGE}"
 
 

@@ -6,7 +6,7 @@ import pytest
 from catfuse.coding import build_augmented, u_transform
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import OlsUnavailable, RankDeficient, ShapeMismatch
-from catfuse.selection import CvConfig, build_weights, compute_fold_paths
+from catfuse.selection import CvConfig, build_weights
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import path
 from catfuse.structure import (
@@ -21,7 +21,7 @@ from catfuse.structure import (
 )
 from catfuse.weights import ols_coefficients
 
-from conftest import aliased_nominal_ds, rent_schema
+from conftest import aliased_nominal_ds, fold_paths, rent_schema
 
 
 NOM3 = (FactorSchema("g", "nominal", ("a", "b", "c")),)
@@ -264,7 +264,7 @@ def test_refit_matches_the_row_level_reference_on_every_path_partition(name):
     train = generate(make_scenario(name, seed=6)).train
     config = CvConfig(k_folds=5, grid_size=30, seed=6, adaptive=True, use_frequency=True)
     fits = [(train, path(build_augmented(train, build_weights(train, True, True)), 30))]
-    fits += [(f.train, f.path) for f in compute_fold_paths(train, config)]
+    fits += [(f.train, f.path) for f in fold_paths(train, config)]
     for ds, pr in fits:
         betas = [sol.beta for sol in pr.solutions]
         labels = cluster_labels_path(betas, ds.schemas)
