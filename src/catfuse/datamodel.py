@@ -329,6 +329,8 @@ def load_schema(path) -> Tuple[FactorSchema, ...]:
             if key not in entry:
                 raise ValueError(f"schema entry {i} has no {key!r} key")
         levels, coords = entry["levels"], entry.get("spatial_coords")
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"schema entry {i}: 'name' must be a JSON string")
         if not isinstance(levels, list):
             raise ValueError(f"schema entry {i}: 'levels' must be a JSON array")
         if coords is not None and not isinstance(coords, list):

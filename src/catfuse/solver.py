@@ -18,8 +18,7 @@ in one restriction row ρ (ThetaLayout.pair_row), so when it is active its
 stationarity row fixes v_ρ in closed form and row ρ gives θ_ij from the
 data columns. The solve therefore runs only on the active data columns
 (each factor's tree edges) and the restriction rows whose pair column is
-inactive; the elimination is exact, with no approximation in γ, and a set
-with no active pair column has nothing to eliminate.
+inactive; the elimination is exact, with no approximation in γ.
 
 γ is finite, so a fit violates the restrictions by Δ = ‖Aθ̂‖². The λ = 0
 fit θ_LS has Aθ_LS = 0 and the least RSS, so comparing the objective at θ̂
@@ -135,32 +134,29 @@ class _Core:
         checked as a 1-D one is. An active pair column c (pair_row[c] = ρ) has
         no data, so its stationarity row A[ρ, c]·v_ρ = rhs_c gives v_ρ in
         closed form. The solve then runs on the other active columns D and
-        the restriction rows K that touch D and map no active pair column:
+        the restriction rows K that touch D and map no active pair column
+        (with no active pair column E is empty and the head is rhs_D itself):
 
             [ 2·X_D'X_D   A_KD' ] [θ_D]   [ rhs_D − A_ED'·v_E ]
             [   A_KD    −I/(2γ) ] [v_K] = [         0         ]
 
         and row ρ gives θ_c = (v_ρ/(2γ) − A[ρ, D]·θ_D) / A[ρ, c]. The pivots
         A[ρ, c] are nonzero, so this system is singular exactly when the full
-        one on S is. Uses one iterative-refinement step; raises RankDeficient
-        when the system is singular.
+        one on S is. Uses one iterative-refinement step. One failure rule
+        holds for every S and every core, with or without restriction rows:
+        a singular solve, a relative residual above 1e-6 or a non-finite
+        result raises RankDeficient("augmented subspace system is singular").
         """
         rho = self.pair_row[S]
         elim = rho >= 0
-        pairs = elim.any()
-        if pairs:
-            keep = ~elim
-            D, E = S[keep], rho[elim]
-            pivot = self.A[E, S[elim]]
-            v_E = (rhs_head[elim].T / pivot).T       # .T divides each row of a stack
-            A_D = self.A[:, D]
-            A_ED = A_D[E]
-            touched = A_D.any(axis=1)
-            touched[E] = False
-            head = rhs_head[keep] - A_ED.T @ v_E
-        else:                                       # no pair column: nothing to eliminate
-            D, A_D, head = S, self.A[:, S], rhs_head
-            touched = A_D.any(axis=1)
+        keep = ~elim
+        D, E = S[keep], rho[elim]
+        pivot = self.A[E, S[elim]]
+        v_E = (rhs_head[elim].T / pivot).T           # .T divides each row of a stack
+        A_D = self.A[:, D]
+        A_ED = A_D[E]
+        touched = A_D.any(axis=1)
+        touched[E] = False
         A_KD = A_D[touched]
         m, ra = D.size, A_KD.shape[0]
         M = np.empty((m + ra, m + ra))
@@ -169,7 +165,7 @@ class _Core:
         M[m:, :m] = A_KD
         M[m:, m:] = -np.eye(ra) / (2.0 * self.gamma)
         rhs = np.zeros((m + ra,) + rhs_head.shape[1:])
-        rhs[:m] = head
+        rhs[:m] = rhs_head[keep] - A_ED.T @ v_E
         try:
             sol = np.linalg.solve(M, rhs)
             sol += np.linalg.solve(M, rhs - M @ sol)
@@ -177,20 +173,13 @@ class _Core:
             # each column's 2-norm, summed as np.linalg.norm(·, axis=0) sums it
             rel_res = (np.sqrt((res * res).sum(axis=0))
                        / np.maximum(np.sqrt((rhs * rhs).sum(axis=0)), 1.0))
-            if not (rel_res <= 1e-6).all():          # NaN fails too
-                raise np.linalg.LinAlgError("large residual")
-        except np.linalg.LinAlgError:
-            if self.r:
-                raise RankDeficient("augmented subspace system is singular")
-            sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        if pairs:
             out = np.empty(rhs_head.shape)
             out[keep] = sol[:m]
             out[elim] = ((v_E / (2.0 * self.gamma) - A_ED @ sol[:m]).T / pivot).T
-        else:
-            out = sol[:m]
-        if not np.isfinite(out).all():
-            raise RankDeficient("subspace solve produced non-finite values")
+            if not ((rel_res <= 1e-6).all() and np.isfinite(out).all()):   # NaN fails too
+                raise np.linalg.LinAlgError("large residual or non-finite result")
+        except np.linalg.LinAlgError:
+            raise RankDeficient("augmented subspace system is singular")
         return out
 
     def solve_at(self, S: np.ndarray, sigma_S: np.ndarray, lam: float) -> "_System":
@@ -405,18 +394,19 @@ class PathResult:
 def back_transform(
     theta_scaled: np.ndarray,
     layout: ThetaLayout,
-    weights,
+    w: np.ndarray,
 ) -> Dict[str, np.ndarray]:
     """Per-factor per-level coefficients from solver coordinates.
 
-    Undoes the 1/w column rescaling, then walks each block's tree edges
-    (i, parent(i)) in level order: β_i = θ_tree(i) + β_parent(i), added only
-    where parent(i) ≠ 0, so a star copies its tree columns (±0.0 too) and a
-    chain sums in np.cumsum's order. A (G × q) stack of θ̃ gives a
-    (G × (k + 1)) stack per factor, each row as its own θ̃ would.
+    Undoes the 1/w column rescaling by the weight vector w, then walks each
+    block's tree edges (i, parent(i)) in level order: β_i = θ_tree(i) +
+    β_parent(i), added only where parent(i) ≠ 0, so a star copies its tree
+    columns (±0.0 too) and a chain sums in np.cumsum's order. A (G × q)
+    stack of θ̃ gives a (G × (k + 1)) stack per factor, each row as its own
+    θ̃ would.
     """
     theta_scaled = np.asarray(theta_scaled, dtype=float)
-    w = np.asarray(getattr(weights, "values", weights), dtype=float)
+    w = np.asarray(w, dtype=float)
     if theta_scaled.shape[-1:] != (layout.q,) or w.shape != (layout.q,):
         raise LayoutMismatch(
             f"theta has shape {theta_scaled.shape}, weights {w.shape}, "

@@ -1,7 +1,8 @@
 """Reference code the tests check the package against; the package itself
 never calls it. Tests import it as they import conftest.
 
-- solve_lasso: a generic dense lasso on the package's solver core.
+- solve_lasso: a generic dense lasso on the package's solver core; a
+  singular active set raises RankDeficient, as on any core.
 - ista_oracle: an independent proximal-gradient lasso that shares no code
   with the package.
 - core_from_design, scan_pair_rows: a solver core built from an n-row
@@ -64,7 +65,8 @@ def solve_lasso(
 
     Note the objective carries no 1/2 or 1/n factor, so the all-zero
     threshold is λ_max = 2·max_j |X_j'y|. A non-finite entry of the design,
-    the response or the warm start raises ValueError naming it.
+    the response or the warm start raises ValueError naming it; a singular
+    active set raises RankDeficient("augmented subspace system is singular").
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)

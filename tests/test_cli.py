@@ -154,10 +154,19 @@ def test_fit_s_ratio_zero_collapses(tmp_path):
     assert part["partition"]["factors"]["g"]["clusters"] == [list(range(9))]
 
 
-def test_cli_reruns_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("spatial_h", [None, "3"], ids=["plain", "spatial"])
+def test_cli_reruns_are_byte_identical(tmp_path, spatial_h):
     data, schema, _ = write_inputs(tmp_path, seed=12)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["--data", data, "--schema", schema, "--adaptive", "--frequency"]
+    if spatial_h is not None:
+        # the S1 schema with spatial coordinates on g, also run without --spatial-h
+        doc = json.loads(Path(schema).read_text(encoding="utf-8"))
+        doc[0]["spatial_coords"] = [float(i) for i in range(len(doc[0]["levels"]))]
+        Path(schema).write_text(json.dumps(doc), encoding="utf-8")
+        plain = tmp_path / "plain"
+        assert main(["path", *args, "--out", str(plain), "--grid", "40"]) == 0
+        args += ["--spatial-h", spatial_h]
     for out in (out1, out2):
         assert main(["path", *args, "--out", str(out), "--grid", "40"]) == 0
         assert main(["cv", *args, "--out", str(out), "--grid", "20",
@@ -169,6 +178,9 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         a = (out1 / name).read_bytes()
         b = (out2 / name).read_bytes()
         assert a == b, name
+    if spatial_h is not None:
+        # the rows, not only the config preamble, move with the kernel weights
+        assert read_csv_rows(out1 / "path.csv") != read_csv_rows(plain / "path.csv")
 
 
 def test_simulate_single_replicate(tmp_path, capsys):
@@ -352,6 +364,10 @@ def test_spatial_bandwidth_without_coordinates_errors_as_json(tmp_path, capsys):
      "factor 'h': spatial coord 0 must be a finite number >= 0, got True"),
     ({"name": "h", "scale": "nominal", "levels": ["a", "b"], "spatial_coords": [1.0, "2.5"]},
      "factor 'h': spatial coord 1 must be a finite number >= 0, got '2.5'"),
+    ({"name": 5, "scale": "nominal", "levels": ["a", "b"]},
+     "schema entry 1: 'name' must be a JSON string"),
+    ({"name": ["h"], "scale": "nominal", "levels": ["a", "b"]},
+     "schema entry 1: 'name' must be a JSON string"),
 ])
 def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     data, schema, _ = write_inputs(tmp_path, seed=16)

@@ -541,7 +541,7 @@ def test_subspace_solve_matches_full_saddle_system():
                     full = _full_saddle_solve(core, S, rhs)
                     scale = max(1.0, float(np.max(np.abs(full))))
                     assert np.max(np.abs(ours - full)) <= 1e-9 * scale
-    # nothing to eliminate: no restriction rows, or a row whose two lone columns share it
+    # no pair column: no restriction rows, or a row whose two lone columns share it
     assert np.all(_gamma_zero_core(core).pair_row == -1)
     X, y = random_instance(rng)
     assert np.all(core_from_design(X, np.zeros((0, X.shape[1])), y).pair_row == -1)
@@ -696,7 +696,8 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
     with pytest.raises(RankDeficient, match="augmented subspace system is singular"):
         core.subspace_solve(S, 2.0 * core.Xty[S] - 0.1 * sigma)
 
-    # r = 0 falls back to lstsq: solve_lasso's generic core and a γ = 0 core
+    # r = 0 keeps the one failure rule: solve_lasso's generic core and a
+    # γ = 0 core raise the same error, with no least-squares fallback
     X, y = random_instance(rng)
     X[:, 3] = X[:, 1]
     generic = core_from_design(X, np.zeros((0, X.shape[1])), y)
@@ -708,11 +709,10 @@ def test_subspace_solve_on_two_identical_data_columns(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     for plain, S in ((generic, np.array([0, 1, 3])), (_gamma_zero_core(core), S)):
-        rhs = 2.0 * plain.Xty[S] - 0.1 * sigma
-        sol = plain.subspace_solve(S, rhs)
-        res = 2.0 * plain.XtX[np.ix_(S, S)] @ sol - rhs
-        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
-    assert len(lstsq_calls) == 2
+        assert plain.r == 0
+        with pytest.raises(RankDeficient, match="augmented subspace system is singular"):
+            plain.subspace_solve(S, 2.0 * plain.Xty[S] - 0.1 * sigma)
+    assert lstsq_calls == []
 
 
 def test_two_column_subspace_solve_matches_two_one_column_solves():
