@@ -7,8 +7,8 @@ them in the output directory, each atomically: temp file in the target
 directory, then os.replace. A JSON document is built by `_json_doc` and a
 CSV table by `_csv`, both embedding the config. Model flags map to one
 CvConfig (`_model_config`), whose path is selection.weighted_path. `fit`
-and `cv` make the same tuned fit as a study variant (selection.fit_at,
-CvCurve.from_scores).
+and `cv` make the same tuned fit as a study variant (selection.score_folds,
+fit_at).
 Errors print one JSON object to stderr and exit 1.
 """
 from __future__ import annotations

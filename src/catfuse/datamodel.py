@@ -252,8 +252,15 @@ def ingest_csv(path, schema: Sequence[FactorSchema], response_column: str) -> Da
     skipped. Data rows are numbered from 1, blank ones included, and the
     earliest failing row is reported: within it the response, then the
     factors in schema order; a short row only if no earlier row fails.
+    A level label with surrounding whitespace (no stripped cell matches it)
+    is rejected before the file is opened.
     """
     schema = tuple(schema)
+    for s in schema:
+        padded = [lab for lab in s.levels if lab != lab.strip()]
+        if padded:
+            raise ValueError(f"factor {s.name!r}: level {padded[0]!r} has surrounding whitespace, "
+                             "which CSV cells are stripped of")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -333,6 +340,12 @@ def load_schema(path) -> Tuple[FactorSchema, ...]:
             raise ValueError(f"schema entry {i}: 'name' must be a JSON string")
         if not isinstance(levels, list):
             raise ValueError(f"schema entry {i}: 'levels' must be a JSON array")
+        # str() would make a label of null or true that no CSV cell reads as meant
+        bad = [j for j, v in enumerate(levels)
+               if isinstance(v, bool) or not isinstance(v, (str, int, float))]
+        if bad:
+            raise ValueError(f"schema entry {i}: level {bad[0]} must be a JSON string or number, "
+                             f"got {json.dumps(levels[bad[0]])}")
         if coords is not None and not isinstance(coords, list):
             raise ValueError(f"schema entry {i}: 'spatial_coords' must be a JSON array")
         out.append(

@@ -1,12 +1,12 @@
 """Tuning-parameter selection: K-fold cross-validation and AIC/BIC.
 
-The tuned fit is three steps, each stated once: fold scores on a common
-s/s_max grid (`score_folds`), s at their first minimum mean
-(`CvCurve.from_scores`), and the fit at that s (`fit_at`). Fold λ scales
-differ, so each fold contributes its path's point nearest each grid value
-(`PathResult.nearest`); only those points are labelled, refitted and
-scored. Rows are split once (`fold_parts`), and every path, of a fold or of
-the full data, is `weighted_path` of one CvConfig. Adaptive weights are
+The tuned fit is one chain, each step stated once: the row split
+(`fold_parts`), a path per training part (`compute_fold_paths`), the fold
+scores on a common s/s_max grid read off the paths, their curve and s at
+its first minimum mean (`score_folds`), and the fit at that s (`fit_at`).
+Fold λ scales differ, so each fold contributes its path's point nearest
+each grid value (`PathResult.nearest`). Every path, of a fold or of the
+full data, is `weighted_path` of one CvConfig. Adaptive weights are
 recomputed on every training part so no test information leaks into them.
 """
 from __future__ import annotations
@@ -62,13 +62,6 @@ class CvCurve:
     mean_score: np.ndarray
     fold_scores: np.ndarray           # (grid_size, K)
     chosen_s_ratio: float
-
-    @classmethod
-    def from_scores(cls, s_grid: np.ndarray, fold_scores: np.ndarray) -> "CvCurve":
-        """The curve of score_folds' output; the one CV choice: s at the
-        first minimum of the mean fold score."""
-        mean_score = fold_scores.mean(axis=1)
-        return cls(s_grid, mean_score, fold_scores, float(s_grid[int(np.argmin(mean_score))]))
 
 
 class PointFit(NamedTuple):
@@ -133,13 +126,6 @@ def weighted_path(ds: Dataset, config: CvConfig) -> PathResult:
     return path(build_augmented(ds, ws), config.grid_size)
 
 
-@dataclass
-class _FoldFit:
-    train: Dataset
-    test: Dataset
-    path: PathResult
-
-
 def fold_parts(ds: Dataset, k_folds: int, seed: int) -> List[Tuple[Dataset, Dataset]]:
     """Each fold's (training part, test part) of ds under
     fold_assignment(ds.n, k_folds, seed): the one place CV splits rows."""
@@ -150,7 +136,7 @@ def fold_parts(ds: Dataset, k_folds: int, seed: int) -> List[Tuple[Dataset, Data
 
 def compute_fold_paths(
     parts: Sequence[Tuple[Dataset, Dataset]], config: CvConfig
-) -> List[_FoldFit]:
+) -> List[PathResult]:
     """weighted_path of config's weights and grid on each fold's training
     part (fold_parts); its fold fields and refit_inside are not read, so
     one split serves every weighting and both CV scorers.
@@ -159,16 +145,15 @@ def compute_fold_paths(
     FoldRankDeficient, and a NotConverged from the fold's path keeps its
     class with "(fold f)" added to its message.
     """
-    fits = []
-    for f, (train, test) in enumerate(parts):
+    paths = []
+    for f, (train, _) in enumerate(parts):
         try:
-            pr = weighted_path(train, config)
+            paths.append(weighted_path(train, config))
         except (RankDeficient, UnobservedLevel) as e:
             raise FoldRankDeficient(f, detail=str(e))
         except NotConverged as e:
             raise type(e)(f"{e} (fold {f})") from e
-        fits.append(_FoldFit(train=train, test=test, path=pr))
-    return fits
+    return paths
 
 
 def _refit_levels(
@@ -191,46 +176,47 @@ def _refit_levels(
 
 
 def score_folds(
-    fits: Sequence[_FoldFit],
-    grid_size: int,
+    parts: Sequence[Tuple[Dataset, Dataset]],
+    paths: Sequence[PathResult],
     refit_inside: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Map each fold's curve onto the common s grid; returns (s_grid, scores).
-
-    scores[g, f] is fold f's test MSEP at the point of its path nearest
-    s_grid[g] (PathResult.nearest), s_grid = linspace(0, 1, grid_size).
-    Only the points some grid value reads are used. With `refit_inside`,
-    their cluster labels are read in one cluster_labels_path pass, and each
-    distinct labelling is refitted on the training part once
-    (refit_labels); the refits are scored as one level stack. Each fit is
-    scored once.
+) -> CvCurve:
+    """The CV curve of the fold paths (compute_fold_paths) on their
+    (training, test) parts (fold_parts), on s_grid = linspace(0, 1, G) for
+    the G points of each path, and the CV choice: s at the first minimum of
+    the mean fold score. fold_scores[g, f] is fold f's test MSEP at the
+    point of its path nearest s_grid[g] (PathResult.nearest); only those
+    points are scored. With `refit_inside`, their cluster labels are read
+    in one cluster_labels_path pass and each distinct labelling is refitted
+    on the training part once (refit_labels). Parts and paths of different
+    lengths raise ValueError.
     """
-    s_grid = np.linspace(0.0, 1.0, grid_size)
-    scores = np.empty((grid_size, len(fits)))
-    for f, fit in enumerate(fits):
+    s_grid = np.linspace(0.0, 1.0, len(paths[0].solutions))
+    scores = np.empty((len(s_grid), len(paths)))
+    for f, ((train, test), pr) in enumerate(zip(parts, paths, strict=True)):
         # the points the grid values read, and the fit each value reads
-        points, at = np.unique(fit.path.nearest(s_grid), return_inverse=True)
-        betas = [fit.path.solutions[i].beta for i in points]
+        points, at = np.unique(pr.nearest(s_grid), return_inverse=True)
+        betas = [pr.solutions[i].beta for i in points]
         if refit_inside:
-            betas, which = _refit_levels(fit.train, betas, f)
+            betas, which = _refit_levels(train, betas, f)
             at = which[at]
         # each β's intercept is fitted on the training part (intercept_for)
-        alpha = fit.train.y.mean() - row_effects(betas, fit.train).mean(axis=1)
-        msep = ((fit.test.y - (alpha[:, None] + row_effects(betas, fit.test))) ** 2).mean(axis=1)
+        alpha = train.y.mean() - row_effects(betas, train).mean(axis=1)
+        msep = ((test.y - (alpha[:, None] + row_effects(betas, test))) ** 2).mean(axis=1)
         scores[:, f] = msep[at]
-    return s_grid, scores
+    mean = scores.mean(axis=1)
+    return CvCurve(s_grid, mean, scores, float(s_grid[int(np.argmin(mean))]))
 
 
 def kfold_cv(ds: Dataset, config: CvConfig) -> CvCurve:
     """Cross-validated prediction error over the s/s_max grid: score_folds
-    on compute_fold_paths of fold_parts, s by CvCurve.from_scores.
+    of fold_parts and their compute_fold_paths.
 
     Weights (including adaptive OLS references) are recomputed on each
     training part. A singular training part raises FoldRankDeficient with
     the fold index; a fold path's NotConverged names the fold too.
     """
-    fits = compute_fold_paths(fold_parts(ds, config.k_folds, config.seed), config)
-    return CvCurve.from_scores(*score_folds(fits, config.grid_size, config.refit_inside))
+    parts = fold_parts(ds, config.k_folds, config.seed)
+    return score_folds(parts, compute_fold_paths(parts, config), config.refit_inside)
 
 
 def information_criterion(ds: Dataset, path_result: PathResult, kind: str) -> np.ndarray:

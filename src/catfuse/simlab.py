@@ -28,7 +28,6 @@ from .coding import theta_layout
 from .selection import (
     DEFAULT_K_FOLDS,
     CvConfig,
-    CvCurve,
     compute_fold_paths,
     fit_at,
     fold_parts,
@@ -276,7 +275,7 @@ def run_study(
     Replicate r uses scenario seed (seed + r); variants within a replicate
     see identical train/test draws, enabling paired comparisons. A penalized
     variant is a CvConfig (parse_variant) and the tuned fit `catfuse cv` and
-    `catfuse fit` make: s chosen by CvCurve.from_scores on score_folds, then
+    `catfuse fit` make: s chosen by score_folds on the fold paths, then
     fit_at that s on the full-data path, refitted for "+rf" (with the
     refit's own intercept). Each replicate's training set is split once
     (fold_parts) for every weighting, and variants sharing a weighting share
@@ -294,7 +293,7 @@ def run_study(
         train, test = data.train, data.test
         parts = fold_parts(train, k_folds, seed + rep) if tuned else []
         # per weighting's config: fold paths and full-data path
-        paths: Dict[CvConfig, Tuple[list, PathResult]] = {}
+        paths: Dict[CvConfig, Tuple[List[PathResult], PathResult]] = {}
         for label, vc in zip(variants, variant_configs):
             if vc is None:
                 beta = ols_coefficients(train)
@@ -307,8 +306,7 @@ def run_study(
                     paths[config] = (compute_fold_paths(parts, config),
                                      weighted_path(train, config))
                 fold_paths, full = paths[config]
-                scored = score_folds(fold_paths, grid_size, vc.refit_inside)
-                chosen_s = CvCurve.from_scores(*scored).chosen_s_ratio
+                chosen_s = score_folds(parts, fold_paths, vc.refit_inside).chosen_s_ratio
                 _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_inside)
             df = degrees_of_freedom(part)
             m = evaluate(beta, data.beta_star, train.schemas)

@@ -63,9 +63,11 @@ def toy_mixed_ds(seed: int = 0, n: int = 120) -> Dataset:
 
 
 def fold_paths(ds: Dataset, config):
-    """compute_fold_paths on the split of ds that config's fold fields name,
-    as kfold_cv makes it."""
-    return compute_fold_paths(fold_parts(ds, config.k_folds, config.seed), config)
+    """(parts, paths): the split of ds that config's fold fields name
+    (fold_parts) and compute_fold_paths on it, as kfold_cv makes them; the
+    pair score_folds takes."""
+    parts = fold_parts(ds, config.k_folds, config.seed)
+    return parts, compute_fold_paths(parts, config)
 
 
 def aliased_nominal_ds() -> Dataset:

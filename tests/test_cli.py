@@ -368,6 +368,18 @@ def test_spatial_bandwidth_without_coordinates_errors_as_json(tmp_path, capsys):
      "schema entry 1: 'name' must be a JSON string"),
     ({"name": ["h"], "scale": "nominal", "levels": ["a", "b"]},
      "schema entry 1: 'name' must be a JSON string"),
+    ({"name": "h", "scale": "nominal", "levels": [None, "b"]},
+     "schema entry 1: level 0 must be a JSON string or number, got null"),
+    ({"name": "h", "scale": "nominal", "levels": [True, "True"]},
+     "schema entry 1: level 0 must be a JSON string or number, got true"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", ["a"]]},
+     "schema entry 1: level 1 must be a JSON string or number, got [\"a\"]"),
+    # CSV cells are stripped, so no cell could read these labels; the schema
+    # is rejected before the CSV header, which has no column h, is read
+    ({"name": "h", "scale": "nominal", "levels": ["a ", "b"]},
+     "factor 'h': level 'a ' has surrounding whitespace, which CSV cells are stripped of"),
+    ({"name": "h", "scale": "nominal", "levels": ["a", "\tb"]},
+     "factor 'h': level '\\tb' has surrounding whitespace, which CSV cells are stripped of"),
 ])
 def test_malformed_schema_entry_errors_as_json(tmp_path, capsys, entry, where):
     data, schema, _ = write_inputs(tmp_path, seed=16)

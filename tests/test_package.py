@@ -66,30 +66,47 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _calls():
+    """(module.function, callee) of each call in a top-level function or a
+    method of a src module."""
+    for module, tree in _src_trees():
+        for stmt in tree.body:
+            defs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for fn in defs:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call):
+                            yield f"{module}.{fn.name}", node.func
+
+
 CHAIN = {"build_weights", "build_augmented", "path"}
 
 
 def test_weights_augmented_problem_and_path_meet_only_in_weighted_path():
     # one function composes a fit's weights, augmented problem and path, so
     # the CLI, CV and the study all take theirs from selection.weighted_path
-    callers, imports = set(), {}
-    for module, tree in _src_trees():
-        imports[module] = {alias.name for node in ast.walk(tree)
-                           if isinstance(node, ast.ImportFrom) for alias in node.names}
-        for stmt in tree.body:
-            defs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
-            for fn in defs:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call):
-                        f = node.func
-                        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                        if called in CHAIN:
-                            callers.add(f"{module}.{fn.name}")
+    imports = {module: {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names}
+               for module, tree in _src_trees()}
+    callers = {caller for caller, f in _calls()
+               if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in CHAIN}
     assert callers == {"selection.weighted_path"}
     assert imports["cli"] & CHAIN == set()
     assert imports["simlab"] & CHAIN == set()
+
+
+def test_cv_curve_is_made_only_by_score_folds():
+    # the CV chain ends in one step: score_folds makes the curve and the CV
+    # choice, and CvCurve has no constructor of its own
+    def names_cv_curve(f):
+        if isinstance(f, ast.Attribute):
+            return f.attr == "CvCurve" or names_cv_curve(f.value)
+        return isinstance(f, ast.Name) and f.id == "CvCurve"
+
+    assert [caller for caller, f in _calls() if names_cv_curve(f)] == ["selection.score_folds"]
+    tree = dict(_src_trees())["selection"]
+    curve = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "CvCurve")
+    assert not any(isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)) for s in curve.body)
 
 
 def _readme() -> str:

@@ -11,6 +11,7 @@ from catfuse import selection, weights
 from catfuse.errors import FoldRankDeficient, NotConverged, ShapeMismatch
 from catfuse.selection import (
     CvConfig,
+    CvCurve,
     build_weights,
     fit_at,
     fold_assignment,
@@ -67,13 +68,14 @@ def test_each_fold_splits_the_rows_into_its_training_and_test_parts():
     ds = toy_mixed_ds(seed=2, n=60)
     numbered = Dataset(np.arange(60.0), ds.codes, ds.schemas)     # y names each row
     folds = fold_assignment(60, 4, seed=3)
-    fits = fold_paths(numbered, CvConfig(k_folds=4, grid_size=10, seed=3))
-    for fit, test_rows in zip(fits, folds):
-        train_rows = fit.train.y.astype(np.int64)
-        assert np.array_equal(fit.test.y, test_rows)
+    parts, paths = fold_paths(numbered, CvConfig(k_folds=4, grid_size=10, seed=3))
+    assert len(paths) == len(parts) == len(folds)
+    for (train, test), test_rows in zip(parts, folds, strict=True):
+        train_rows = train.y.astype(np.int64)
+        assert np.array_equal(test.y, test_rows)
         assert np.all(np.diff(train_rows) > 0)
         assert np.array_equal(np.sort(np.concatenate([train_rows, test_rows])), np.arange(60))
-        assert np.array_equal(fit.train.codes, ds.codes[train_rows])
+        assert np.array_equal(train.codes, ds.codes[train_rows])
 
 
 def test_predicted_effects_and_intercept():
@@ -124,9 +126,9 @@ def test_no_level_table_array_has_a_row_per_observation():
     config = CvConfig(k_folds=5, grid_size=20, seed=1, adaptive=True, use_frequency=True,
                       refit_inside=True)
     kfold_cv(ds, config)
-    fits = fold_paths(ds, config)
-    score_folds(fits, config.grid_size, refit_inside=True)
-    for held in [ds] + [fit.train for fit in fits]:
+    parts, paths = fold_paths(ds, config)
+    score_folds(parts, paths, refit_inside=True)
+    for held in [ds] + [train for train, _ in parts]:
         for name, value in vars(held.level_table).items():
             if isinstance(value, np.ndarray):
                 assert held.n not in value.shape, name
@@ -158,10 +160,10 @@ def test_cv_flat_scores_choose_smallest_s():
 
 def test_cv_refit_scoring_differs():
     ds = toy_mixed_ds(seed=22, n=180)
-    fits = fold_paths(ds, CvConfig(
+    parts, paths = fold_paths(ds, CvConfig(
         k_folds=4, grid_size=30, seed=5, adaptive=True, use_frequency=True))
-    s_grid, plain = score_folds(fits, 30, refit_inside=False)
-    _, refitted = score_folds(fits, 30, refit_inside=True)
+    plain = score_folds(parts, paths, refit_inside=False).fold_scores
+    refitted = score_folds(parts, paths, refit_inside=True).fold_scores
     assert plain.shape == refitted.shape == (30, 4)
     assert not np.allclose(plain, refitted)
     # at the unpenalized end both scorers see the saturated model
@@ -214,48 +216,68 @@ def test_bic_penalizes_harder_than_aic():
     assert np.allclose(bic - aic, (np.log(ds.n) - 2.0) * dfs)
 
 
-def _score_folds_per_point(fits, grid_size, refit_inside):
-    """score_folds one grid point at a time: extract_clusters, refit and
-    predicted_effects at every point."""
-    s_grid = np.linspace(0.0, 1.0, grid_size)
-    scores = np.empty((grid_size, len(fits)))
-    for f, fit in enumerate(fits):
-        fold_s = np.array([s for _, s in grid(fit.path)])
-        msep = np.empty(len(fit.path.solutions))
-        for g, sol in enumerate(fit.path.solutions):
+def _score_folds_per_point(parts, paths, refit_inside):
+    """score_folds' (s_grid, fold_scores) one grid point at a time:
+    extract_clusters, refit and predicted_effects at every point."""
+    s_grid = np.linspace(0.0, 1.0, len(paths[0].solutions))
+    scores = np.empty((len(s_grid), len(paths)))
+    for f, ((train, test), pr) in enumerate(zip(parts, paths, strict=True)):
+        fold_s = np.array([s for _, s in grid(pr)])
+        msep = np.empty(len(pr.solutions))
+        for g, sol in enumerate(pr.solutions):
             beta = sol.beta
             if refit_inside:
-                beta = refit(fit.train, extract_clusters(beta, fit.train.schemas)).beta
-            alpha = float(fit.train.y.mean() - predicted_effects(beta, fit.train).mean())
-            pred = alpha + predicted_effects(beta, fit.test)
-            msep[g] = float(np.mean((fit.test.y - pred) ** 2))
+                beta = refit(train, extract_clusters(beta, train.schemas)).beta
+            alpha = float(train.y.mean() - predicted_effects(beta, train).mean())
+            pred = alpha + predicted_effects(beta, test)
+            msep[g] = float(np.mean((test.y - pred) ** 2))
         idx = [int(np.argmin(np.abs(fold_s - s))) for s in s_grid]
         scores[:, f] = msep[idx]
     return s_grid, scores
 
 
+def _scenario_config(name):
+    return CvConfig(k_folds=5, grid_size=40, seed=2, adaptive=name == "S2", use_frequency=True)
+
+
 @pytest.fixture(scope="module")
 def scenario_fold_paths():
-    out = {}
-    for name, adaptive in (("S1", False), ("S2", True)):
-        train = generate(make_scenario(name, seed=2)).train
-        out[name] = fold_paths(train, CvConfig(
-            k_folds=5, grid_size=40, seed=2, adaptive=adaptive, use_frequency=True))
-    return out
+    return {name: fold_paths(generate(make_scenario(name, seed=2)).train, _scenario_config(name))
+            for name in ("S1", "S2")}
+
+
+def test_score_folds_makes_the_curve_kfold_cv_returns(scenario_fold_paths):
+    # the grid is read off the paths, and the curve and its CV choice are
+    # kfold_cv's, field for field
+    parts, paths = scenario_fold_paths["S2"]
+    train = generate(make_scenario("S2", seed=2)).train
+    for refit_inside in (False, True):
+        curve = score_folds(parts, paths, refit_inside)
+        assert isinstance(curve, CvCurve)
+        assert curve.s_grid.shape == (40,) and curve.fold_scores.shape == (40, 5)
+        want = kfold_cv(train, dataclasses.replace(_scenario_config("S2"),
+                                                   refit_inside=refit_inside))
+        for field in dataclasses.fields(CvCurve):
+            got, expected = getattr(curve, field.name), getattr(want, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), field.name
+    # a part without its path, or a path without its part, is not scored
+    for short_parts, short_paths in ((parts[:-1], paths), (parts, paths[:-1])):
+        with pytest.raises(ValueError):
+            score_folds(short_parts, short_paths, refit_inside=False)
 
 
 @pytest.mark.parametrize("name", ["S1", "S2"])
 @pytest.mark.parametrize("refit_inside", [False, True])
 def test_score_folds_equals_per_point_reference(scenario_fold_paths, name, refit_inside):
-    fits = scenario_fold_paths[name]
-    s_grid, scores = score_folds(fits, 40, refit_inside)
-    ref_grid, ref = _score_folds_per_point(fits, 40, refit_inside)
-    assert s_grid.tobytes() == ref_grid.tobytes()
-    assert scores.tobytes() == ref.tobytes()
+    parts, paths = scenario_fold_paths[name]
+    curve = score_folds(parts, paths, refit_inside)
+    ref_grid, ref = _score_folds_per_point(parts, paths, refit_inside)
+    assert curve.s_grid.tobytes() == ref_grid.tobytes()
+    assert curve.fold_scores.tobytes() == ref.tobytes()
 
 
 def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, monkeypatch):
-    fits = scenario_fold_paths["S2"]
+    parts, paths = scenario_fold_paths["S2"]
     calls = {}
 
     def counting_refit_labels(ds, labels):
@@ -263,19 +285,19 @@ def test_score_folds_refits_each_distinct_partition_once(scenario_fold_paths, mo
         return refit_labels(ds, labels)
 
     monkeypatch.setattr(selection, "refit_labels", counting_refit_labels)
-    score_folds(fits, 40, refit_inside=True)
+    score_folds(parts, paths, refit_inside=True)
     unread = 0
-    for fit in fits:
+    for (train, _), pr in zip(parts, paths, strict=True):
         def key(sol):
-            return tuple(lab for fp in extract_clusters(sol.beta, fit.train.schemas).factors
+            return tuple(lab for fp in extract_clusters(sol.beta, train.schemas).factors
                          for lab in fp.labels)
-        read = np.unique(fit.path.nearest(np.linspace(0.0, 1.0, 40)))
-        keys = [key(fit.path.solutions[g]) for g in read]
-        made = calls[id(fit.train)]
+        read = np.unique(pr.nearest(np.linspace(0.0, 1.0, 40)))
+        keys = [key(pr.solutions[g]) for g in read]
+        made = calls[id(train)]
         # only the labellings of the points some grid value reads, each once
         assert sorted(made) == sorted(set(keys))
         assert len(made) < len(keys)
-        unread += len({key(sol) for sol in fit.path.solutions} - set(keys))
+        unread += len({key(sol) for sol in pr.solutions} - set(keys))
     assert unread > 0
 
 
@@ -285,11 +307,11 @@ def test_score_folds_equals_per_point_reference_at_tiny_noise(seed):
     # stay byte-equal to the per-point reference and none is negative (a
     # level-sized quadratic form of the test RSS cancels catastrophically here)
     sc = dataclasses.replace(make_scenario("S2", seed), noise_sd=1e-9)
-    fits = fold_paths(generate(sc).train, CvConfig(
+    parts, paths = fold_paths(generate(sc).train, CvConfig(
         k_folds=5, grid_size=40, seed=seed, adaptive=True, use_frequency=True))
     for refit_inside in (False, True):
-        _, scores = score_folds(fits, 40, refit_inside)
-        _, ref = _score_folds_per_point(fits, 40, refit_inside)
+        scores = score_folds(parts, paths, refit_inside).fold_scores
+        _, ref = _score_folds_per_point(parts, paths, refit_inside)
         assert scores.tobytes() == ref.tobytes()
         assert np.all(scores >= 0.0)
 
@@ -301,11 +323,11 @@ def test_a_fold_refit_on_collinear_factors_names_them():
     beta = {"a": np.array([0.0, 1.0, 2.0]), "b": np.array([0.0, 1.0, 2.0]), "c": np.zeros(3)}
     point = PathSolution(lam=0.0, s_ratio=1.0, theta_scaled=np.zeros(0), theta=np.zeros(0),
                          beta=beta, precision=PrecisionReport(0.0, 0.0), solves=0, sweeps=0)
-    fold = selection._FoldFit(train=ds.subset(np.arange(40)), test=ds.subset(np.arange(40, 60)),
-                              path=PathResult((point,)))
-    score_folds([fold], 5, refit_inside=False)
+    parts = [(ds.subset(np.arange(40)), ds.subset(np.arange(40, 60)))]
+    paths = [PathResult((point,))]
+    score_folds(parts, paths, refit_inside=False)
     with pytest.raises(FoldRankDeficient) as err:
-        score_folds([fold], 5, refit_inside=True)
+        score_folds(parts, paths, refit_inside=True)
     assert str(err.value) == ("training part of fold 0 is rank deficient: collapsed design is "
                               "rank deficient (rank 2 < 4); factors 'a' and 'b' are collinear")
 

@@ -7,7 +7,7 @@ import pytest
 
 from catfuse import datamodel, simlab, weights
 from catfuse.datamodel import Dataset
-from catfuse.selection import CvConfig
+from catfuse.selection import CvConfig, fit_at, kfold_cv, predicted_effects, weighted_path
 from catfuse.simlab import (
     PROBS_4,
     PROBS_8,
@@ -18,7 +18,7 @@ from catfuse.simlab import (
     parse_variant,
     run_study,
 )
-from catfuse.structure import extract_clusters
+from catfuse.structure import degrees_of_freedom, extract_clusters
 
 
 def test_balanced_design_rejects_n_not_divisible_by_the_level_count():
@@ -204,6 +204,23 @@ def test_run_study_fits_each_weighting_once_under_one_config(monkeypatch):
     configs = [CvConfig(k_folds=3, grid_size=10, seed=seed, adaptive=adaptive, use_frequency=True)
                for seed in (3, 4) for adaptive in (False, True)]
     assert calls == [(name, c) for c in configs for name in ("compute_fold_paths", "weighted_path")]
+
+
+@pytest.mark.parametrize("scenario", ["S1", "S2"])
+def test_a_study_variant_is_kfold_cv_then_fit_at_on_the_weighted_path(scenario):
+    # the tuned fit `catfuse cv` and `catfuse fit` make, bit for bit
+    variants = ["stdrd", "stdrd+rf", "adapt", "adapt+rf", "stdrd-nf+rf"]
+    rep = run_study(scenario, variants, replicates=1, seed=4, k_folds=4, grid_size=20)
+    data = generate(make_scenario(scenario, seed=4))
+    for label, record in zip(variants, rep.records, strict=True):
+        assert record.variant == label
+        config = replace(parse_variant(label), k_folds=4, grid_size=20, seed=4)
+        chosen = kfold_cv(data.train, config).chosen_s_ratio
+        fit = fit_at(weighted_path(data.train, config), data.train, chosen, config.refit_inside)
+        pred = fit.intercept + predicted_effects(fit.beta, data.test)
+        assert record.chosen_s_ratio == chosen
+        assert record.df == degrees_of_freedom(fit.partition)
+        assert record.msep == float(np.mean((data.test.y - pred) ** 2))
 
 
 def test_a_replicate_splits_its_training_set_once(monkeypatch):

@@ -264,7 +264,8 @@ def test_refit_matches_the_row_level_reference_on_every_path_partition(name):
     train = generate(make_scenario(name, seed=6)).train
     config = CvConfig(k_folds=5, grid_size=30, seed=6, adaptive=True, use_frequency=True)
     fits = [(train, path(build_augmented(train, build_weights(train, True, True)), 30))]
-    fits += [(f.train, f.path) for f in fold_paths(train, config)]
+    parts, paths = fold_paths(train, config)
+    fits += [(tr, pr) for (tr, _), pr in zip(parts, paths, strict=True)]
     for ds, pr in fits:
         betas = [sol.beta for sol in pr.solutions]
         labels = cluster_labels_path(betas, ds.schemas)
