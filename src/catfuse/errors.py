@@ -12,6 +12,18 @@ class CatfuseError(Exception):
     def as_dict(self) -> dict:
         return {"error": type(self).__name__, "message": str(self)}
 
+    def __reduce__(self):
+        # Exception pickles as cls(*self.args), which hands a subclass its
+        # formatted message in place of its constructor's arguments; rebuild
+        # without __init__, from the message and the attributes it set
+        return _restore, (type(self), self.args, vars(self))
+
+
+def _restore(cls: type, args: tuple, attributes: dict) -> CatfuseError:
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(attributes)
+    return error
+
 
 # ---------------------------------------------------------------------------
 # data model

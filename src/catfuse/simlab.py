@@ -17,9 +17,11 @@ clustering FPR/FNR over coefficient differences within relevant factors.
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .selection import (
     score_folds,
     weighted_path,
 )
-from .solver import DEFAULT_GRID_SIZE, PathResult
+from .solver import DEFAULT_GRID_SIZE
 from .structure import cluster_labels_path, degrees_of_freedom, extract_clusters
 from .weights import ols_coefficients
 
@@ -262,6 +264,112 @@ class SimReport:
         return out
 
 
+class _Unit(NamedTuple):
+    """One weighting of one replicate: the variants that share its paths."""
+    replicate: int
+    data: GeneratedData
+    parts: List[Tuple[Dataset, Dataset]]     # the replicate's fold_parts
+    config: Optional[CvConfig]               # None for "ols"
+    labels: Tuple[str, ...]
+
+
+def _run_unit(unit: _Unit) -> List[ReplicateRecord]:
+    """The records of a unit's variants, in label order. A weighting makes
+    its fold paths and full-data path once; each variant then takes s from
+    score_folds and its fit from fit_at that s. "ols" is the unpenalized fit."""
+    train, test = unit.data.train, unit.data.test
+    if unit.config is not None:
+        fold_paths = compute_fold_paths(unit.parts, unit.config)
+        full = weighted_path(train, unit.config)
+    records = []
+    for label in unit.labels:
+        if unit.config is None:
+            beta = ols_coefficients(train)
+            part = extract_clusters(beta, train.schemas)
+            alpha, chosen_s = intercept_for(beta, train), 1.0
+        else:
+            refit_inside = parse_variant(label).refit_inside
+            chosen_s = score_folds(unit.parts, fold_paths, refit_inside).chosen_s_ratio
+            _, beta, part, alpha = fit_at(full, train, chosen_s, refit_inside)
+        df = degrees_of_freedom(part)
+        m = evaluate(beta, unit.data.beta_star, train.schemas)
+        pred = alpha + predicted_effects(beta, test)
+        msep = float(np.mean((test.y - pred) ** 2))
+        records.append(ReplicateRecord(
+            replicate=unit.replicate, variant=label, msep=msep, chosen_s_ratio=chosen_s,
+            df=df, **dataclasses.asdict(m)))
+    return records
+
+
+# the records of the units a process ran, and the exception that stopped it
+_Outcome = Tuple[List[List[ReplicateRecord]], Optional[Exception]]
+
+
+def _run_units(units: Sequence[_Unit]) -> _Outcome:
+    """Run units in order up to the first that raises: the records of the
+    units before it, and its exception (None when every unit ran)."""
+    done = []
+    for unit in units:
+        try:
+            done.append(_run_unit(unit))
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
+# in a child forked by _run_all: every unit of the study, as at the fork
+_inherited: Sequence[_Unit] = ()
+
+
+def _inherit(units: Sequence[_Unit]) -> None:
+    global _inherited
+    _inherited = units
+
+
+def _run_inherited(start: int, step: int) -> _Outcome:
+    return _run_units(_inherited[start::step])
+
+
+def _worker_count(units: int) -> int:
+    """The processes a study's units run on: min(units, usable CPUs), or 1
+    off Linux and in a daemonic process, which may not start children."""
+    if sys.platform != "linux":
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    w = min(units, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if w > 1:
+        from multiprocessing import current_process
+        if current_process().daemon:
+            return 1
+    return w
+
+
+def _run_all(units: Sequence[_Unit]) -> List[List[ReplicateRecord]]:
+    """Each unit's records, in unit order, from w = _worker_count processes:
+    this one runs units[0::w] and w - 1 forked children run units[i::w].
+    A failure raises what a run in one process raises: the exception of the
+    lowest-numbered unit that raised. Every child has ended on return."""
+    w = _worker_count(len(units))
+    if w == 1:
+        outcomes = [_run_units(units)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        # submit forks the children before this process runs a unit, so they
+        # inherit the units rather than unpickle them
+        with ProcessPoolExecutor(w - 1, mp_context=get_context("fork"), initializer=_inherit,
+                                 initargs=(units,)) as pool:
+            futures = [pool.submit(_run_inherited, i, w) for i in range(1, w)]
+            outcomes = [_run_units(units[0::w])] + [f.result() for f in futures]
+    failed = [(i + w * len(done), exc) for i, (done, exc) in enumerate(outcomes) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    records: List[List[ReplicateRecord]] = [[] for _ in units]
+    for i, (done, _) in enumerate(outcomes):
+        records[i::w] = done
+    return records
+
+
 def run_study(
     scenario_name: str,
     variants: Sequence[str],
@@ -282,37 +390,35 @@ def run_study(
     its fold paths and full-data path (keyed by their config without
     refit_inside, which changes only the scoring and the read-out at the
     chosen point). CV labels and refits only the points its grid reads.
+
+    Each (replicate, weighting) pair, and each replicate's "ols", is one
+    unit of work, and the units run on the usable CPUs: on Linux, one
+    process per CPU of this process's affinity mask, up to one per unit.
+    The records, and so every output of `catfuse simulate`, are identical
+    to those of a run on one CPU, and an error is the one that run raises;
+    `taskset -c 0` pins a run to one CPU.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    variant_configs = [parse_variant(v) for v in variants]
-    tuned = any(vc is not None for vc in variant_configs)
-    records: List[ReplicateRecord] = []
+    # per weighting (a config without seed and refit_inside; None for "ols"):
+    # the positions of its variants
+    weightings: Dict[Optional[CvConfig], List[int]] = {}
+    for pos, vc in enumerate(map(parse_variant, variants)):
+        key = None if vc is None else dataclasses.replace(
+            vc, k_folds=k_folds, grid_size=grid_size, refit_inside=False)
+        weightings.setdefault(key, []).append(pos)
+    tuned = any(key is not None for key in weightings)
+    units: List[_Unit] = []
+    slots: List[List[int]] = []     # each unit's records' positions in the report
     for rep in range(replicates):
         data = generate(make_scenario(scenario_name, seed=seed + rep))
-        train, test = data.train, data.test
-        parts = fold_parts(train, k_folds, seed + rep) if tuned else []
-        # per weighting's config: fold paths and full-data path
-        paths: Dict[CvConfig, Tuple[List[PathResult], PathResult]] = {}
-        for label, vc in zip(variants, variant_configs):
-            if vc is None:
-                beta = ols_coefficients(train)
-                part = extract_clusters(beta, train.schemas)
-                alpha, chosen_s = intercept_for(beta, train), 1.0
-            else:
-                config = dataclasses.replace(vc, k_folds=k_folds, grid_size=grid_size,
-                                             seed=seed + rep, refit_inside=False)
-                if config not in paths:
-                    paths[config] = (compute_fold_paths(parts, config),
-                                     weighted_path(train, config))
-                fold_paths, full = paths[config]
-                chosen_s = score_folds(parts, fold_paths, vc.refit_inside).chosen_s_ratio
-                _, beta, part, alpha = fit_at(full, train, chosen_s, vc.refit_inside)
-            df = degrees_of_freedom(part)
-            m = evaluate(beta, data.beta_star, train.schemas)
-            pred = alpha + predicted_effects(beta, test)
-            msep = float(np.mean((test.y - pred) ** 2))
-            records.append(ReplicateRecord(
-                replicate=rep, variant=label, msep=msep, chosen_s_ratio=chosen_s,
-                df=df, **dataclasses.asdict(m)))
+        parts = fold_parts(data.train, k_folds, seed + rep) if tuned else []
+        for key, positions in weightings.items():
+            config = None if key is None else dataclasses.replace(key, seed=seed + rep)
+            units.append(_Unit(rep, data, parts, config, tuple(variants[p] for p in positions)))
+            slots.append([rep * len(variants) + p for p in positions])
+    records: List[Optional[ReplicateRecord]] = [None] * len(variants) * replicates
+    for slot, done in zip(slots, _run_all(units)):
+        for pos, record in zip(slot, done):
+            records[pos] = record
     return SimReport(scenario=scenario_name, records=tuple(records), seed=seed)

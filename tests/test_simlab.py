@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from catfuse import datamodel, simlab, weights
 from catfuse.datamodel import Dataset
+from catfuse.errors import NotConverged, UnobservedLevel
 from catfuse.selection import CvConfig, fit_at, kfold_cv, predicted_effects, weighted_path
 from catfuse.simlab import (
     PROBS_4,
@@ -19,6 +23,15 @@ from catfuse.simlab import (
     run_study,
 )
 from catfuse.structure import degrees_of_freedom, extract_clusters
+
+
+DEFAULT_VARIANTS = ["ols", "stdrd", "stdrd+rf", "adapt", "adapt+rf"]
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="units fork only on Linux")
+
+
+def pin_workers(monkeypatch, w):
+    """Run a study's units on w processes (or as many as there are units)."""
+    monkeypatch.setattr(simlab, "_worker_count", lambda units: min(units, w))
 
 
 def test_balanced_design_rejects_n_not_divisible_by_the_level_count():
@@ -199,6 +212,7 @@ def test_run_study_fits_each_weighting_once_under_one_config(monkeypatch):
 
     for name in ("compute_fold_paths", "weighted_path"):
         monkeypatch.setattr(simlab, name, recording(name))
+    pin_workers(monkeypatch, 1)      # a child's calls are not seen here
     run_study("S1", ["stdrd", "stdrd+rf", "adapt+rf", "adapt"], replicates=2, seed=3,
               k_folds=3, grid_size=10)
     configs = [CvConfig(k_folds=3, grid_size=10, seed=seed, adaptive=adaptive, use_frequency=True)
@@ -238,9 +252,15 @@ def test_a_replicate_splits_its_training_set_once(monkeypatch):
     monkeypatch.setattr(Dataset, "subset", counting("subset", Dataset.subset))
     monkeypatch.setattr(datamodel, "LevelTable", counting("level table", datamodel.LevelTable))
     monkeypatch.setattr(weights, "refit_labels", counting("unpenalized fit", weights.refit_labels))
-    run_study("S2", ["ols", "stdrd", "stdrd+rf", "adapt", "adapt+rf"], replicates=1, seed=0,
-              k_folds=5, grid_size=20)
+    pin_workers(monkeypatch, 1)      # a child's calls are not seen here
+    run_study("S2", DEFAULT_VARIANTS, replicates=1, seed=0, k_folds=5, grid_size=20)
     assert counts == {"subset": 10, "level table": 6, "unpenalized fit": 6}
+    if sys.platform == "linux":     # units fork only on Linux
+        # the caller splits, whatever process runs the units
+        counts["subset"] = 0
+        pin_workers(monkeypatch, 2)
+        run_study("S2", DEFAULT_VARIANTS, replicates=1, seed=0, k_folds=5, grid_size=20)
+        assert counts["subset"] == 10
 
 
 def test_an_ols_only_study_makes_no_fold():
@@ -250,3 +270,75 @@ def test_an_ols_only_study_makes_no_fold():
     assert [r.variant for r in rep.records] == ["ols"]
     with pytest.raises(ValueError, match="need n >= 2K"):
         run_study("S1", ["ols", "stdrd"], replicates=1, k_folds=100, grid_size=10)
+
+
+@linux_only
+def test_units_on_several_processes_give_the_records_of_one(monkeypatch):
+    def records(w):
+        pin_workers(monkeypatch, w)
+        return run_study("S2", DEFAULT_VARIANTS, replicates=3, grid_size=20).records
+
+    serial = records(1)
+    assert [(r.replicate, r.variant) for r in serial] == [
+        (rep, v) for rep in range(3) for v in DEFAULT_VARIANTS]
+    for w in (2, 3):
+        assert records(w) == serial
+        assert multiprocessing.active_children() == []
+
+
+@linux_only
+@pytest.mark.parametrize("planted", [
+    # unit 5 of six (adapt, replicate 1) runs in a child at w = 2 and 3
+    lambda config: NotConverged("planted") if config.adaptive and config.seed == 1 else None,
+    # so does UnobservedLevel, whose pickled form once broke the pool
+    lambda config: (UnobservedLevel("nom8", "3") if config.adaptive and config.seed == 1
+                    else None),
+    # units 1 and 4 (stdrd): at w = 2 the child's unit 1 is the lower
+    lambda config: None if config.adaptive else NotConverged(f"planted at seed {config.seed}"),
+], ids=["in-a-child", "unobserved-level", "lowest-unit-wins"])
+def test_an_error_in_a_child_is_the_one_a_single_process_raises(monkeypatch, planted):
+    real = simlab.weighted_path
+
+    def failing(ds, config):
+        error = planted(config)
+        if error is not None:
+            raise error
+        return real(ds, config)
+
+    monkeypatch.setattr(simlab, "weighted_path", failing)
+    raised = {}
+    for w in (1, 2, 3):
+        pin_workers(monkeypatch, w)
+        with pytest.raises(Exception) as info:
+            run_study("S2", DEFAULT_VARIANTS, replicates=2, grid_size=20)
+        raised[w] = (type(info.value), str(info.value))
+        assert multiprocessing.active_children() == []
+    assert raised[1][0] in (NotConverged, UnobservedLevel)
+    assert raised[2] == raised[3] == raised[1]
+
+
+@linux_only
+def test_one_usable_cpu_starts_no_process(monkeypatch):
+    expected = run_study("S1", ["ols", "stdrd", "adapt+rf"], replicates=2, k_folds=3,
+                         grid_size=10).records
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert simlab._worker_count(6) == 1
+    assert run_study("S1", ["ols", "stdrd", "adapt+rf"], replicates=2, k_folds=3,
+                     grid_size=10).records == expected
+
+
+def test_a_daemonic_process_or_another_platform_runs_units_itself(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert simlab._worker_count(6) == 4
+    assert simlab._worker_count(3) == 3
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert simlab._worker_count(6) == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert simlab._worker_count(6) == 1
