@@ -301,22 +301,6 @@ def _run_unit(unit: _Unit) -> List[ReplicateRecord]:
     return records
 
 
-# the records of the units a process ran, and the exception that stopped it
-_Outcome = Tuple[List[List[ReplicateRecord]], Optional[Exception]]
-
-
-def _run_units(units: Sequence[_Unit]) -> _Outcome:
-    """Run units in order up to the first that raises: the records of the
-    units before it, and its exception (None when every unit ran)."""
-    done = []
-    for unit in units:
-        try:
-            done.append(_run_unit(unit))
-        except Exception as exc:
-            return done, exc
-    return done, None
-
-
 # in a child forked by _run_all: every unit of the study, as at the fork
 _inherited: Sequence[_Unit] = ()
 
@@ -326,48 +310,35 @@ def _inherit(units: Sequence[_Unit]) -> None:
     _inherited = units
 
 
-def _run_inherited(start: int, step: int) -> _Outcome:
-    return _run_units(_inherited[start::step])
+def _run_inherited(i: int) -> List[ReplicateRecord]:
+    return _run_unit(_inherited[i])
 
 
 def _worker_count(units: int) -> int:
-    """The processes a study's units run on: min(units, usable CPUs), or 1
-    off Linux and in a daemonic process, which may not start children."""
-    if sys.platform != "linux":
+    """The processes a study's units run on: min(units, usable CPUs), the
+    CPUs of this process's affinity mask; 1 off Linux and in a daemonic
+    process, which may not start children."""
+    from multiprocessing import current_process
+    if sys.platform != "linux" or current_process().daemon:
         return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    w = min(units, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if w > 1:
-        from multiprocessing import current_process
-        if current_process().daemon:
-            return 1
-    return w
+    return min(units, len(os.sched_getaffinity(0)))
 
 
 def _run_all(units: Sequence[_Unit]) -> List[List[ReplicateRecord]]:
-    """Each unit's records, in unit order, from w = _worker_count processes:
-    this one runs units[0::w] and w - 1 forked children run units[i::w].
+    """Each unit's records, in unit order. At w = _worker_count > 1, w forked
+    children each take the next unit when free, and this process runs none.
     A failure raises what a run in one process raises: the exception of the
-    lowest-numbered unit that raised. Every child has ended on return."""
+    first failing unit in unit order. Units not yet started are cancelled,
+    and no child outlives the call."""
     w = _worker_count(len(units))
     if w == 1:
-        outcomes = [_run_units(units)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        # submit forks the children before this process runs a unit, so they
-        # inherit the units rather than unpickle them
-        with ProcessPoolExecutor(w - 1, mp_context=get_context("fork"), initializer=_inherit,
-                                 initargs=(units,)) as pool:
-            futures = [pool.submit(_run_inherited, i, w) for i in range(1, w)]
-            outcomes = [_run_units(units[0::w])] + [f.result() for f in futures]
-    failed = [(i + w * len(done), exc) for i, (done, exc) in enumerate(outcomes) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    records: List[List[ReplicateRecord]] = [[] for _ in units]
-    for i, (done, _) in enumerate(outcomes):
-        records[i::w] = done
-    return records
+        return [_run_unit(unit) for unit in units]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    # the children inherit the units at the fork rather than unpickle them
+    with ProcessPoolExecutor(w, mp_context=get_context("fork"), initializer=_inherit,
+                             initargs=(units,)) as pool:
+        return list(pool.map(_run_inherited, range(len(units))))
 
 
 def run_study(
@@ -392,33 +363,32 @@ def run_study(
     chosen point). CV labels and refits only the points its grid reads.
 
     Each (replicate, weighting) pair, and each replicate's "ols", is one
-    unit of work, and the units run on the usable CPUs: on Linux, one
-    process per CPU of this process's affinity mask, up to one per unit.
-    The records, and so every output of `catfuse simulate`, are identical
-    to those of a run on one CPU, and an error is the one that run raises;
+    unit of work. On Linux with w > 1 usable CPUs (this process's affinity
+    mask, up to one per unit), w forked children each take the next unit
+    when free, and this process runs none. The records, and so every output
+    of `catfuse simulate`, and any error are those of a run on one CPU;
     `taskset -c 0` pins a run to one CPU.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if not variants:
+        raise ValueError("variants must name at least one variant")
     # per weighting (a config without seed and refit_inside; None for "ols"):
-    # the positions of its variants
-    weightings: Dict[Optional[CvConfig], List[int]] = {}
-    for pos, vc in enumerate(map(parse_variant, variants)):
+    # the labels of its variants
+    weightings: Dict[Optional[CvConfig], List[str]] = {}
+    for label, vc in zip(variants, map(parse_variant, variants)):
         key = None if vc is None else dataclasses.replace(
             vc, k_folds=k_folds, grid_size=grid_size, refit_inside=False)
-        weightings.setdefault(key, []).append(pos)
+        weightings.setdefault(key, []).append(label)
     tuned = any(key is not None for key in weightings)
     units: List[_Unit] = []
-    slots: List[List[int]] = []     # each unit's records' positions in the report
     for rep in range(replicates):
         data = generate(make_scenario(scenario_name, seed=seed + rep))
         parts = fold_parts(data.train, k_folds, seed + rep) if tuned else []
-        for key, positions in weightings.items():
+        for key, labels in weightings.items():
             config = None if key is None else dataclasses.replace(key, seed=seed + rep)
-            units.append(_Unit(rep, data, parts, config, tuple(variants[p] for p in positions)))
-            slots.append([rep * len(variants) + p for p in positions])
-    records: List[Optional[ReplicateRecord]] = [None] * len(variants) * replicates
-    for slot, done in zip(slots, _run_all(units)):
-        for pos, record in zip(slot, done):
-            records[pos] = record
-    return SimReport(scenario=scenario_name, records=tuple(records), seed=seed)
+            units.append(_Unit(rep, data, parts, config, tuple(labels)))
+    # a unit's records come in its label order; the report's, in variant order
+    done = {(r.replicate, r.variant): r for unit_records in _run_all(units) for r in unit_records}
+    records = tuple(done[rep, label] for rep in range(replicates) for label in variants)
+    return SimReport(scenario=scenario_name, records=records, seed=seed)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,11 @@ def test_unknown_scenario():
 def test_run_study_needs_a_replicate():
     with pytest.raises(ValueError, match="^replicates must be >= 1$"):
         run_study("S1", ["stdrd"], replicates=0, seed=0, k_folds=3, grid_size=10)
+
+
+def test_run_study_needs_a_variant():
+    with pytest.raises(ValueError, match="^variants must name at least one variant$"):
+        run_study("S1", [], replicates=1)
 
 
 def test_evaluate_perfect_estimate():
@@ -273,17 +279,48 @@ def test_an_ols_only_study_makes_no_fold():
 
 
 @linux_only
-def test_units_on_several_processes_give_the_records_of_one(monkeypatch):
+@pytest.mark.parametrize("variants", [
+    DEFAULT_VARIANTS,
+    # four weightings whose variants interleave: each unit's records come
+    # back in its label order, the report's in variant order
+    ["adapt", "ols", "stdrd+rf", "adapt+rf-nf", "stdrd", "adapt+rf"],
+], ids=["default", "interleaved"])
+def test_units_on_several_processes_give_the_records_of_one(monkeypatch, variants):
     def records(w):
         pin_workers(monkeypatch, w)
-        return run_study("S2", DEFAULT_VARIANTS, replicates=3, grid_size=20).records
+        return run_study("S2", variants, replicates=3, grid_size=20).records
 
     serial = records(1)
     assert [(r.replicate, r.variant) for r in serial] == [
-        (rep, v) for rep in range(3) for v in DEFAULT_VARIANTS]
+        (rep, v) for rep in range(3) for v in variants]
     for w in (2, 3):
         assert records(w) == serial
         assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_free_process_takes_the_next_unit(monkeypatch, tmp_path):
+    # replicate 0's unit waits until replicate 2's has run, so the study ends
+    # only if the other process takes both units 1 and 2 while the first waits
+    signal = tmp_path / "replicate-2-ran"
+    real = simlab._run_unit
+
+    def ordered(unit):
+        if unit.replicate == 0:
+            deadline = time.monotonic() + 10.0
+            while not signal.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("replicate 2's unit did not run while replicate 0's waited")
+                time.sleep(0.01)
+        elif unit.replicate == 2:
+            signal.touch()
+        return real(unit)
+
+    monkeypatch.setattr(simlab, "_run_unit", ordered)
+    pin_workers(monkeypatch, 2)
+    rep = run_study("S1", ["stdrd"], replicates=3, k_folds=3, grid_size=10)
+    assert [r.replicate for r in rep.records] == [0, 1, 2]
+    assert multiprocessing.active_children() == []
 
 
 @linux_only
@@ -293,7 +330,7 @@ def test_units_on_several_processes_give_the_records_of_one(monkeypatch):
     # so does UnobservedLevel, whose pickled form once broke the pool
     lambda config: (UnobservedLevel("nom8", "3") if config.adaptive and config.seed == 1
                     else None),
-    # units 1 and 4 (stdrd): at w = 2 the child's unit 1 is the lower
+    # units 1 and 4 (stdrd): unit 1's error is the one a single process raises
     lambda config: None if config.adaptive else NotConverged(f"planted at seed {config.seed}"),
 ], ids=["in-a-child", "unobserved-level", "lowest-unit-wins"])
 def test_an_error_in_a_child_is_the_one_a_single_process_raises(monkeypatch, planted):
