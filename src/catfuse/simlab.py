@@ -158,14 +158,15 @@ def evaluate(
 ) -> EvalMetrics:
     """Score an estimate against the truth.
 
-    Selection and fusion are read off cluster_labels_path, sliced per
-    factor: the estimate's at the default tolerance, so penalized and
-    refitted estimates are judged by the same rule, the truth's at tolerance
-    0. A factor is selected when some level has a label above 0 (more than
-    one cluster); a pair (i, j) of the factor's block is fused when
-    labels[i] == labels[j]. Selection rates are over whole factors;
-    clustering rates over differences within relevant (non-noise) factors —
-    all pairs for nominal factors, adjacent pairs for ordinal ones.
+    Selection and fusion are read off one cluster_labels_path pass over
+    estimate and truth at the method's cut, sliced per factor, so penalized
+    and refitted estimates are judged by the same rule; the scenario truths
+    are integers, so the cut reads their exact groups. A factor is selected
+    when some level has a label above 0 (more than one cluster); a pair
+    (i, j) of the factor's block is fused when labels[i] == labels[j].
+    Selection rates are over whole factors; clustering rates over
+    differences within relevant (non-noise) factors — all pairs for nominal
+    factors, adjacent pairs for ordinal ones.
     """
     sq_err = []
     for sch in schemas:
@@ -173,8 +174,7 @@ def evaluate(
         sq_err.extend(((bh - bt)[1:] ** 2).tolist())
     blocks = theta_layout(schemas).blocks
     cuts = np.cumsum([b.k + 1 for b in blocks])[:-1]
-    est = np.split(cluster_labels_path([beta_hat], schemas)[0], cuts)
-    true = np.split(cluster_labels_path([truth], schemas, tol=0.0)[0], cuts)
+    est, true = (np.split(row, cuts) for row in cluster_labels_path([beta_hat, truth], schemas))
 
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0

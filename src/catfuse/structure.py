@@ -1,9 +1,10 @@
 """Cluster extraction, OLS refitting, and degrees of freedom.
 
 A fitted coefficient vector is turned into a partition of each factor's
-levels (levels whose coefficients coincide within tolerance form one
+levels (levels whose coefficients coincide within the cluster cut form one
 cluster); the partition drives refitting on the collapsed design and the
-model's degree-of-freedom count.
+model's degree-of-freedom count. The cut is DEFAULT_CLUSTER_TOL·max(1, max|β̂|):
+like γ, the cut is a constant of the method, and no function takes it.
 
 One sort-and-cut rule reads every factor's partition: order the levels
 (by β̂ for a nominal factor, by level for an ordinal one) and cut wherever
@@ -37,8 +38,8 @@ from .datamodel import Dataset, FactorSchema, level_values, row_effects
 from .errors import RankDeficient, ShapeMismatch
 from .coding import u_transform
 
-# matched to γ = coding.DEFAULT_SQRT_GAMMA²: absorbs the O(λ/γ) gap left
-# between fused levels
+# the relative cluster cut, matched to γ = coding.DEFAULT_SQRT_GAMMA²: absorbs
+# the O(λ/γ) gap left between fused levels (read when a read-out runs)
 DEFAULT_CLUSTER_TOL = 1e-8
 
 # Rank rule of every unpenalized least-squares fit: its Gram G has full rank
@@ -121,10 +122,10 @@ class ClusterPartition:
 def _read_out(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
-    tol: float,
 ) -> Tuple[List[np.ndarray], np.ndarray, List[np.ndarray]]:
     """Per factor, the (grid × levels) stack of β̂ and the cluster label of
-    every level at every row; and each row's threshold tol·max(1, max|β̂|).
+    every level at every row; and each row's threshold
+    DEFAULT_CLUSTER_TOL·max(1, max|β̂|), the cut read when called.
 
     The sort-and-cut rule (module docstring): take the levels in fusion
     order, step from each to the next, and start a new cluster wherever a
@@ -138,13 +139,11 @@ def _read_out(
     count towards max|β̂|. Clusters are numbered by smallest member, so
     level 0 is in cluster 0.
     """
-    if not tol >= 0:            # NaN fails too
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
     stacks = [level_values(betas, sch) for sch in schemas]
     scale = np.zeros(len(betas))
     for B in stacks:
         scale = np.fmax(scale, np.abs(B).max(axis=1))
-    thresholds = tol * np.maximum(1.0, scale)
+    thresholds = DEFAULT_CLUSTER_TOL * np.maximum(1.0, scale)
     labels = []
     for sch, B in zip(schemas, stacks):
         if sch.penalty_scale == "nominal":
@@ -169,30 +168,28 @@ def _read_out(
 def cluster_labels_path(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
-    tol: float = DEFAULT_CLUSTER_TOL,
 ) -> np.ndarray:
-    """(len(betas) × L) cluster labels of every level, the factors' levels
-    stacked as in `Dataset.level_table`: row g holds the partition
-    extract_clusters_path reads off betas[g], each factor's clusters
-    numbered by smallest member."""
-    _, _, labels = _read_out(betas, schemas, tol)
+    """(len(betas) × L) cluster labels of every level at the method's cut,
+    the factors' levels stacked as in `Dataset.level_table`: row g holds the
+    partition extract_clusters_path reads off betas[g], each factor's
+    clusters numbered by smallest member. Rows are read independently."""
+    _, _, labels = _read_out(betas, schemas)
     return np.hstack(labels)
 
 
 def extract_clusters_path(
     betas: Sequence[Dict[str, np.ndarray]],
     schemas: Sequence[FactorSchema],
-    tol: float = DEFAULT_CLUSTER_TOL,
 ) -> List[ClusterPartition]:
     """One ClusterPartition per β dict: levels grouped whose coefficients
-    agree within that β's threshold tol·max(1, max|β̂|), by the
+    agree within that β's threshold DEFAULT_CLUSTER_TOL·max(1, max|β̂|), by the
     sort-and-cut rule (module docstring), whose labels cluster_labels_path
     returns.
 
     `betas[g][name]` is a full per-level vector (reference entry 0). A
     cluster's coefficient is its members' mean.
     """
-    stacks, thresholds, labels = _read_out(betas, schemas, tol)
+    stacks, thresholds, labels = _read_out(betas, schemas)
     per_factor = [_factor_partitions(sch, B, lab)
                   for sch, B, lab in zip(schemas, stacks, labels)]
     return [
@@ -229,10 +226,9 @@ def _factor_partitions(
 def extract_clusters(
     beta: Dict[str, np.ndarray],
     schemas: Sequence[FactorSchema],
-    tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ClusterPartition:
     """The partition of one β: the one-row case of extract_clusters_path."""
-    return extract_clusters_path([beta], schemas, tol)[0]
+    return extract_clusters_path([beta], schemas)[0]
 
 
 @dataclass(frozen=True)

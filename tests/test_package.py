@@ -109,6 +109,15 @@ def test_cv_curve_is_made_only_by_score_folds():
     assert not any(isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)) for s in curve.body)
 
 
+def test_no_function_takes_gamma_or_the_cluster_cut():
+    # γ (coding.DEFAULT_SQRT_GAMMA) and the cut matched to it
+    # (structure.DEFAULT_CLUSTER_TOL) are constants of the method
+    taking = [f"{module}.py:{arg.lineno} {arg.arg}" for module, tree in _src_trees()
+              for arg in ast.walk(tree)
+              if isinstance(arg, ast.arg) and arg.arg in {"tol", "gamma", "sqrt_gamma"}]
+    assert taking == []
+
+
 def _readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

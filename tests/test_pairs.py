@@ -175,7 +175,7 @@ def test_evaluate_matches_per_pair_cluster_comparison():
              "o": np.array([0.0, 0.0, 2.0, 0.0])}
     est = {"g": np.array([0.0, 1.0, 1.0, 1.0, -2.0]), "s": np.array([0.0, 0.0]),
            "o": np.array([0.0, 2.0, 2.0, 0.0])}
-    fe, ft = extract_clusters(est, SCHEMAS), extract_clusters(truth, SCHEMAS, tol=0.0)
+    fe, ft = extract_clusters(est, SCHEMAS), extract_clusters(truth, SCHEMAS)
     fp = fn = zero = nonzero = 0
     for b, pe, pt in zip(LAYOUT.blocks, fe.factors, ft.factors):
         if len(pt.clusters) == 1:

@@ -25,7 +25,6 @@ from catfuse.selection import (
 from catfuse.simlab import evaluate, generate, make_scenario
 from catfuse.solver import PathResult, PathSolution, PrecisionReport, path
 from catfuse.structure import (
-    DEFAULT_CLUSTER_TOL,
     degrees_of_freedom,
     extract_clusters,
     refit,
@@ -197,7 +196,7 @@ def test_information_criterion_recomputation():
     sol = pr.solutions[g]
     alpha = intercept_for(sol.beta, ds)
     rss = float(np.sum((ds.y - alpha - predicted_effects(sol.beta, ds)) ** 2))
-    df = degrees_of_freedom(extract_clusters(sol.beta, ds.schemas, DEFAULT_CLUSTER_TOL))
+    df = degrees_of_freedom(extract_clusters(sol.beta, ds.schemas))
     assert aic[g] == pytest.approx(ds.n * np.log(rss / ds.n) + 2 * df)
     assert bic[g] == pytest.approx(ds.n * np.log(rss / ds.n) + np.log(ds.n) * df)
     with pytest.raises(ValueError):

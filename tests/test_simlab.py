@@ -48,7 +48,7 @@ def test_s1_layout():
     d = generate(sc)
     assert d.train.n == 180
     assert np.all(d.train.n_counts[0] == 20)
-    truth = extract_clusters(d.beta_star, sc.schemas, tol=0.0)
+    truth = extract_clusters(d.beta_star, sc.schemas)
     assert truth.factor("g").clusters == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
@@ -78,7 +78,7 @@ def test_s2_truth_and_sizes():
     # 40 dummy coefficients across the eight factors
     assert sum(s.k for s in sc.schemas) == 40
     d = generate(sc)
-    truth = extract_clusters(d.beta_star, sc.schemas, tol=0.0)
+    truth = extract_clusters(d.beta_star, sc.schemas)
     assert truth.factor("nom8").clusters == ((0, 1), (2, 3, 4, 5), (6, 7))
     assert truth.factor("ord4").clusters == ((0, 1), (2, 3))
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from catfuse import structure
 from catfuse.coding import build_augmented, u_transform
 from catfuse.datamodel import Dataset, FactorSchema
 from catfuse.errors import OlsUnavailable, RankDeficient, ShapeMismatch
-from catfuse.selection import CvConfig, build_weights
+from catfuse.selection import CvConfig, build_weights, weighted_path
 from catfuse.simlab import generate, make_scenario
 from catfuse.solver import path
 from catfuse.structure import (
@@ -40,7 +43,7 @@ def test_nominal_clusters_transitive():
     # |b[0]-b[2]| alone exceeds the threshold
     schemas = (FactorSchema("g", "nominal", ("a", "b", "c", "d")),)
     beta = {"g": np.array([0.0, 6e-9, 1.2e-8, 1.0])}
-    part = extract_clusters(beta, schemas, tol=1e-8)
+    part = extract_clusters(beta, schemas)
     fp = part.factor("g")
     assert fp.clusters == ((0, 1, 2), (3,))
     assert fp.zero_cluster == 0
@@ -56,12 +59,12 @@ def test_threshold_scales_with_magnitude():
     schemas = NOM3
     beta = {"g": np.array([0.0, 3e-8, 100.0])}
     # max|beta| = 100 inflates the absolute threshold to 1e-6
-    part = extract_clusters(beta, schemas, tol=1e-8)
+    part = extract_clusters(beta, schemas)
     assert part.factor("g").clusters == ((0, 1), (2,))
     assert part.threshold == pytest.approx(1e-6)
     # with everything order 1 the same gap stays separate
     beta2 = {"g": np.array([0.0, 3e-8, 1.0])}
-    part2 = extract_clusters(beta2, schemas, tol=1e-8)
+    part2 = extract_clusters(beta2, schemas)
     assert part2.factor("g").clusters == ((0,), (1,), (2,))
 
 
@@ -69,7 +72,7 @@ def test_ordinal_merges_adjacent_only():
     schemas = (FactorSchema("g", "ordinal", ("0", "1", "2", "3", "4")),)
     # levels 0 and 4 share the value 0 but the run through 2.0 separates them
     beta = {"g": np.array([0.0, 0.0, 2.0, 2.0, 0.0])}
-    part = extract_clusters(beta, schemas, tol=1e-8)
+    part = extract_clusters(beta, schemas)
     fp = part.factor("g")
     assert fp.clusters == ((0, 1), (2, 3), (4,))
     assert fp.zero_cluster == 0
@@ -79,7 +82,7 @@ def test_ordinal_merges_adjacent_only():
 def test_cluster_coefficient_is_member_mean():
     schemas = NOM3
     beta = {"g": np.array([0.0, 1.0, 1.0 + 5e-9])}
-    fp = extract_clusters(beta, schemas, tol=1e-8).factor("g")
+    fp = extract_clusters(beta, schemas).factor("g")
     assert fp.clusters == ((0,), (1, 2))
     assert fp.coefficients[1] == pytest.approx(1.0 + 2.5e-9, abs=1e-15)
 
@@ -114,10 +117,39 @@ def test_partition_rejects_a_coefficient_count_other_than_the_cluster_count(coef
         FactorPartition("g", (0, 1, 1), coefficients)
 
 
-def test_zero_tolerance_keeps_exact_groups():
+def test_cluster_cut_is_the_method_constant_not_a_parameter(monkeypatch):
+    # like γ (coding.DEFAULT_SQRT_GAMMA), the cut is read off the module
+    # when a read-out runs, and no read-out takes another
+    for read in (structure._read_out, cluster_labels_path, extract_clusters_path,
+                 extract_clusters):
+        assert "tol" not in inspect.signature(read).parameters, read.__name__
+    monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", 1e-3)
+    for beta in ({"g": np.array([0.0, 0.5, -0.25])}, {"g": np.array([0.0, 0.5, -64.0])}):
+        assert extract_clusters(beta, NOM3).threshold == 1e-3 * max(1.0, np.abs(beta["g"]).max())
+
+
+def test_cluster_cut_sits_on_a_plateau_matched_to_gamma(monkeypatch):
+    # fused levels are O(λ/γ) apart: cuts 1e-8 to 1e-6 read the same df at
+    # every point, while a cut of 0 splits some of those fused levels
+    ds = generate(make_scenario("S2", 0)).train
+    for adaptive in (False, True):
+        pr = weighted_path(ds, CvConfig(grid_size=30, adaptive=adaptive, use_frequency=True))
+        betas = [sol.beta for sol in pr.solutions]
+
+        def df_at(cut):
+            monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", cut)
+            return [degrees_of_freedom(p) for p in extract_clusters_path(betas, ds.schemas)]
+
+        df = df_at(1e-8)
+        assert df_at(1e-7) == df and df_at(1e-6) == df, adaptive
+        assert sum(a != b for a, b in zip(df_at(0.0), df)) >= 1, adaptive
+
+
+def test_zero_tolerance_keeps_exact_groups(monkeypatch):
+    monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", 0.0)
     schemas = (FactorSchema("g", "nominal", tuple(str(i) for i in range(5))),)
     beta = {"g": np.array([0.0, 0.0, 2.0, 2.0, 3.0])}
-    fp = extract_clusters(beta, schemas, tol=0.0).factor("g")
+    fp = extract_clusters(beta, schemas).factor("g")
     assert fp.clusters == ((0, 1), (2, 3), (4,))
 
 
@@ -130,7 +162,7 @@ def test_degrees_of_freedom_hand_counts():
         "g": np.array([0.0, 0.0, 2.0, 5.0]),          # clusters {0,1},{2},{3}
         "h": np.array([0.0, 2.0, 2.0, 0.0, 0.0]),     # {0},{1,2},{3,4} back at 0
     }
-    part = extract_clusters(beta, schemas, tol=1e-8)
+    part = extract_clusters(beta, schemas)
     # g adds 2; h adds only the 2.0 run, its trailing zero run has
     # coefficient 0 and must not count
     assert degrees_of_freedom(part) == 1 + 2 + 1
@@ -152,7 +184,7 @@ def test_degrees_of_freedom_rent_all_singleton():
             vals.append(v)
             v += 1.0
         beta[sch.name] = np.array(vals)
-    part = extract_clusters(beta, schemas, tol=1e-8)
+    part = extract_clusters(beta, schemas)
     assert degrees_of_freedom(part) == 58
 
 
@@ -397,10 +429,11 @@ def _draw_factor_values(rng, k1, scale, threshold):
     return b
 
 
-def test_extract_clusters_matches_all_pairs_closure():
+def test_extract_clusters_matches_all_pairs_closure(monkeypatch):
     rng = np.random.default_rng(20240611)
     for _ in range(2000):
         tol = float(rng.choice([0.0, 1e-8, 1e-3, 0.02]))
+        monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", tol)
         scale = float(rng.choice([1.0, 64.0]))
         threshold = tol * scale
         # a binary factor at ±scale pins max|β| and so the threshold
@@ -411,7 +444,7 @@ def test_extract_clusters_matches_all_pairs_closure():
             scale_kind = "nominal" if rng.random() < 0.5 else "ordinal"
             schemas.append(FactorSchema(f"f{f}", scale_kind, tuple(map(str, range(k1)))))
             beta[f"f{f}"] = _draw_factor_values(rng, k1, scale, threshold)
-        part = extract_clusters(beta, schemas, tol=tol)
+        part = extract_clusters(beta, schemas)
         assert part.threshold == threshold
         for sch, fp in zip(schemas, part.factors):
             b = beta[sch.name]
@@ -433,10 +466,11 @@ def _same_partition(a: ClusterPartition, b: ClusterPartition) -> bool:
     )
 
 
-def test_extract_clusters_path_matches_per_row():
+def test_extract_clusters_path_matches_per_row(monkeypatch):
     rng = np.random.default_rng(20261018)
     for _ in range(300):
         tol = float(rng.choice([0.0, 1e-8, 1e-3]))
+        monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", tol)
         schemas = [FactorSchema("pin", "binary", ("0", "1"))]
         kinds = [("nominal" if rng.random() < 0.5 else "ordinal", int(rng.integers(2, 10)))
                  for _ in range(rng.integers(1, 4))]
@@ -450,23 +484,24 @@ def test_extract_clusters_path_matches_per_row():
             for f, (_, k1) in enumerate(kinds):
                 beta[f"f{f}"] = _draw_factor_values(rng, k1, scale, tol * max(1.0, scale))
             betas.append(beta)
-        parts = extract_clusters_path(betas, schemas, tol=tol)
+        parts = extract_clusters_path(betas, schemas)
         assert len(parts) == len(betas)
         for beta, part in zip(betas, parts):
-            assert _same_partition(part, extract_clusters(beta, schemas, tol=tol)), (beta, tol)
+            assert _same_partition(part, extract_clusters(beta, schemas)), (beta, tol)
 
 
-def test_nan_factor_does_not_set_any_threshold():
+def test_nan_factor_does_not_set_any_threshold(monkeypatch):
     # a factor holding a NaN is left out of max|β̂|, whichever its position,
     # and only in its own row
+    monkeypatch.setattr(structure, "DEFAULT_CLUSTER_TOL", 1e-3)
     schemas = (FactorSchema("a", "nominal", ("0", "1", "2")),
                FactorSchema("b", "ordinal", ("0", "1")))
     nan_row = {"a": np.array([0.0, np.nan, 100.0]), "b": np.array([0.0, 5.0])}
     big_row = {"a": np.array([0.0, 1.0, 100.0]), "b": np.array([0.0, 5.0])}
-    nan_first = extract_clusters_path([nan_row, big_row], schemas, tol=1e-3)
+    nan_first = extract_clusters_path([nan_row, big_row], schemas)
     assert [p.threshold for p in nan_first] == [1e-3 * 5.0, 1e-3 * 100.0]
     flipped = (schemas[1], schemas[0])
-    nan_last = extract_clusters_path([big_row, nan_row], flipped, tol=1e-3)
+    nan_last = extract_clusters_path([big_row, nan_row], flipped)
     assert [p.threshold for p in nan_last] == [1e-3 * 100.0, 1e-3 * 5.0]
     assert extract_clusters_path([], schemas) == []
 
@@ -485,16 +520,6 @@ def test_refit_rejects_a_wrong_label_count_by_factor(g_labels, h_labels):
                             threshold=1e-8)
     with pytest.raises(ShapeMismatch, match="^factor 'g': 2 cluster labels for 3 levels"):
         refit(ds, part)
-
-
-def test_a_nan_cluster_tolerance_is_rejected():
-    # a NaN threshold would cut every step, yet df compares against it too
-    ds = generate(make_scenario("S1", 0)).train
-    beta = ols_coefficients(ds)
-    for read in (extract_clusters, lambda b, s, tol: extract_clusters_path([b], s, tol),
-                 lambda b, s, tol: cluster_labels_path([b], s, tol)):
-        with pytest.raises(ValueError, match="got nan"):
-            read(beta, ds.schemas, tol=float("nan"))
 
 
 def test_refit_names_each_factor_the_partition_lacks():
@@ -527,8 +552,6 @@ def test_extract_clusters_path_checks_shapes():
     betas = [{"g": np.zeros(3)}, {"g": np.zeros(2)}]
     with pytest.raises(ValueError, match="'g': expected 3"):
         extract_clusters_path(betas, NOM3)
-    with pytest.raises(ValueError):
-        extract_clusters_path(betas[:1], NOM3, tol=-1.0)
 
 
 def test_refit_reads_partition_by_factor_name():
