@@ -78,6 +78,8 @@ def fold_assignment(n: int, k_folds: int, seed: int) -> List[np.ndarray]:
         raise ValueError("K must be >= 2")
     if n < 2 * k_folds:
         raise ValueError(f"need n >= 2K observations, got n={n}, K={k_folds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, k_folds)]
 

@@ -13,6 +13,7 @@ S3  S2 plus 4 nominal and 4 ordinal pure-noise factors with 6 uniform
 Metrics follow the usual fusion-study conventions: coefficient MSE over
 dummy coefficients, test-set MSEP, selection FPR/FNR over whole factors,
 clustering FPR/FNR over coefficient differences within relevant factors.
+Rates and df read one partition, the one the tuned fit returns.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .selection import (
     weighted_path,
 )
 from .solver import DEFAULT_GRID_SIZE
-from .structure import cluster_labels_path, degrees_of_freedom, extract_clusters
+from .structure import ClusterPartition, degrees_of_freedom, extract_clusters
 from .weights import ols_coefficients
 
 PROBS_8 = (0.1, 0.1, 0.2, 0.05, 0.2, 0.1, 0.2, 0.05)
@@ -86,6 +87,8 @@ def make_scenario(name: str, seed: int = 0) -> Scenario:
     """Built-in scenario factory; names S1, S2, S3 (intercept 1 each)."""
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected S1, S2 or S3")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     noise_sd, n_train, n_test, factors = _SCENARIOS[name]
     return Scenario(
         name=name,
@@ -153,47 +156,41 @@ class EvalMetrics:
 
 def evaluate(
     beta_hat: Dict[str, np.ndarray],
+    partition: ClusterPartition,
     truth: Dict[str, np.ndarray],
     schemas: Sequence[FactorSchema],
 ) -> EvalMetrics:
-    """Score an estimate against the truth.
+    """Score an estimate β̂ and the partition its fit returns (the one its
+    df counts; no labels are read again) against the truth.
 
-    Selection and fusion are read off one cluster_labels_path pass over
-    estimate and truth at the method's cut, sliced per factor, so penalized
-    and refitted estimates are judged by the same rule; the scenario truths
-    are integers, so the cut reads their exact groups. A factor is selected
-    when some level has a label above 0 (more than one cluster); a pair
-    (i, j) of the factor's block is fused when labels[i] == labels[j].
-    Selection rates are over whole factors; clustering rates over
-    differences within relevant (non-noise) factors — all pairs for nominal
-    factors, adjacent pairs for ordinal ones.
-    """
+    A pair (i, j) of a factor's block is fused when the partition's labels
+    agree, and truly fused when the true effects are equal: the truth's
+    groups are its equal effects. A factor is selected when some pair is not
+    fused, and relevant when some pair is not truly fused. Selection rates
+    are over whole factors; clustering rates over differences within
+    relevant factors: all pairs of a nominal factor, adjacent ones of an
+    ordinal. A factor β̂, truth or partition lacks or sizes wrongly raises
+    ShapeMismatch naming it."""
+    labels = {fp.name: fp.labels for fp in partition.factors}
     sq_err = []
-    for sch in schemas:
-        bh, bt = level_values([beta_hat, truth], sch)
-        sq_err.extend(((bh - bt)[1:] ** 2).tolist())
-    blocks = theta_layout(schemas).blocks
-    cuts = np.cumsum([b.k + 1 for b in blocks])[:-1]
-    est, true = (np.split(row, cuts) for row in cluster_labels_path([beta_hat, truth], schemas))
-
     sel_fp = sel_fn = n_noise = n_rel = 0
     clu_fp = clu_fn = n_zero_diff = n_nonzero_diff = 0
-    for b, el, tl in zip(blocks, est, true):
-        selected = el.max() > 0
-        if tl.max() > 0:
+    for sch, b in zip(schemas, theta_layout(schemas).blocks):
+        bh, bt, el = level_values([beta_hat, truth, labels], sch)
+        sq_err.extend(((bh - bt)[1:] ** 2).tolist())
+        i, j = b.pair_index
+        true_zero, est_zero = bt[i] == bt[j], el[i] == el[j]
+        selected = not est_zero.all()
+        if not true_zero.all():
             n_rel += 1
-            if not selected:
-                sel_fn += 1
-            i, j = b.pair_index
-            true_zero, est_zero = tl[i] == tl[j], el[i] == el[j]
+            sel_fn += not selected
             n_zero_diff += int(true_zero.sum())
             n_nonzero_diff += int((~true_zero).sum())
             clu_fp += int((true_zero & ~est_zero).sum())
             clu_fn += int((~true_zero & est_zero).sum())
         else:
             n_noise += 1
-            if selected:
-                sel_fp += 1
+            sel_fp += selected
     return EvalMetrics(
         coef_mse=float(np.mean(sq_err)),
         selection_fpr=sel_fp / n_noise if n_noise else 0.0,
@@ -276,7 +273,8 @@ class _Unit(NamedTuple):
 def _run_unit(unit: _Unit) -> List[ReplicateRecord]:
     """The records of a unit's variants, in label order. A weighting makes
     its fold paths and full-data path once; each variant then takes s from
-    score_folds and its fit from fit_at that s. "ols" is the unpenalized fit."""
+    score_folds and its fit from fit_at that s. "ols" is the unpenalized fit.
+    Each fit is read once: df and evaluate read the partition it returns."""
     train, test = unit.data.train, unit.data.test
     if unit.config is not None:
         fold_paths = compute_fold_paths(unit.parts, unit.config)
@@ -292,7 +290,7 @@ def _run_unit(unit: _Unit) -> List[ReplicateRecord]:
             chosen_s = score_folds(unit.parts, fold_paths, refit_inside).chosen_s_ratio
             _, beta, part, alpha = fit_at(full, train, chosen_s, refit_inside)
         df = degrees_of_freedom(part)
-        m = evaluate(beta, unit.data.beta_star, train.schemas)
+        m = evaluate(beta, part, unit.data.beta_star, train.schemas)
         pred = alpha + predicted_effects(beta, test)
         msep = float(np.mean((test.y - pred) ** 2))
         records.append(ReplicateRecord(

@@ -258,6 +258,19 @@ def test_bad_level_errors_as_json(tmp_path, capsys):
     assert err["error"] == "UnknownLevel"
 
 
+@pytest.mark.parametrize("command", ["cv", "simulate"])
+def test_a_negative_seed_errors_as_json_naming_the_seed(tmp_path, capsys, command):
+    data, schema, _ = write_inputs(tmp_path, seed=19)
+    inputs = {"cv": ["--data", data, "--schema", schema, "--grid", "10", "--k-folds", "3"],
+              "simulate": ["--scenario", "S1", "--replicates", "1", "--grid", "10"]}
+    out = tmp_path / "o"
+    rc = main([command, *inputs[command], "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", ["{}", "[1]", '{"chosen_s_ratio": null}'])
 def test_fit_rejects_chosen_file_without_numeric_s_ratio(tmp_path, capsys, doc):
     data, schema, _ = write_inputs(tmp_path, seed=14)

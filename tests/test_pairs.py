@@ -185,6 +185,6 @@ def test_evaluate_matches_per_pair_cluster_comparison():
             ez = pe.cluster_of(i) == pe.cluster_of(j)
             zero, nonzero = zero + tz, nonzero + (not tz)
             fp, fn = fp + (tz and not ez), fn + (ez and not tz)
-    m = evaluate(est, truth, SCHEMAS)
+    m = evaluate(est, fe, truth, SCHEMAS)
     assert (m.clustering_fpr, m.clustering_fnr) == (fp / zero, fn / nonzero)
     assert type(m.clustering_fpr) is float and type(m.clustering_fnr) is float

@@ -110,7 +110,8 @@ def test_a_beta_without_a_factor_raises_shape_mismatch_naming_it():
         "predicted_effects": lambda: predicted_effects(beta, ds),
         "intercept_for": lambda: intercept_for(beta, ds),
         "adaptive_weights": lambda: adaptive_weights(standard_weights(ds), beta),
-        "evaluate": lambda: evaluate(beta, sc.beta_star, sc.schemas),
+        "evaluate": lambda: evaluate(beta, extract_clusters(sc.beta_star, sc.schemas),
+                                     sc.beta_star, sc.schemas),
     }
     for name, consumer in consumers.items():
         with pytest.raises(ShapeMismatch, match="^factor 'ord4n': no per-level values$"):

@@ -4,12 +4,12 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from catfuse import datamodel, simlab, weights
+from catfuse import datamodel, simlab, structure, weights
 from catfuse.datamodel import Dataset
 from catfuse.errors import NotConverged, UnobservedLevel
 from catfuse.selection import CvConfig, fit_at, kfold_cv, predicted_effects, weighted_path
@@ -23,7 +23,12 @@ from catfuse.simlab import (
     parse_variant,
     run_study,
 )
-from catfuse.structure import degrees_of_freedom, extract_clusters
+from catfuse.structure import (
+    ClusterPartition,
+    FactorPartition,
+    degrees_of_freedom,
+    extract_clusters,
+)
 
 
 DEFAULT_VARIANTS = ["ols", "stdrd", "stdrd+rf", "adapt", "adapt+rf"]
@@ -128,7 +133,8 @@ def test_run_study_needs_a_variant():
 
 def test_evaluate_perfect_estimate():
     d = generate(make_scenario("S2", seed=2))
-    m = evaluate(d.beta_star, d.beta_star, d.train.schemas)
+    schemas = d.train.schemas
+    m = evaluate(d.beta_star, extract_clusters(d.beta_star, schemas), d.beta_star, schemas)
     assert m == EvalMetrics(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -139,7 +145,7 @@ def test_evaluate_hand_counts():
     est["nom4n"] = np.array([0.0, 0.7, 0.0, 0.0])
     # one relevant factor fully zeroed: selection FN 1 of 4
     est["ord4"] = np.zeros(4)
-    m = evaluate(est, sc.beta_star, sc.schemas)
+    m = evaluate(est, extract_clusters(est, sc.schemas), sc.beta_star, sc.schemas)
     assert m.selection_fpr == pytest.approx(0.25)
     assert m.selection_fnr == pytest.approx(0.25)
     # zeroing ord4 fuses its truly-distinct adjacent pair (2,1): 1 FN among
@@ -156,7 +162,7 @@ def test_evaluate_clustering_fp_hand_count():
     est["nom8"] = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.3, -2.0, -2.0])
     # splitting level 5 off its cluster breaks pairs (5,2),(5,3),(5,4) and
     # (5,0),(5,1) stay unequal-true so: truly-zero pairs broken = 3
-    m = evaluate(est, sc.beta_star, sc.schemas)
+    m = evaluate(est, extract_clusters(est, sc.schemas), sc.beta_star, sc.schemas)
     # relevant factors hold 4+1+? truly-zero pairs; count for nom8: pairs
     # within {0,1}: 1, within {2,3,4,5}: 6, within {6,7}: 1 -> 8; nom4: 2;
     # ord8 adjacent zeros: 4; ord4: 2 -> total 16
@@ -167,8 +173,16 @@ def test_evaluate_clustering_fp_hand_count():
 def test_evaluate_shape_mismatch():
     from catfuse.errors import ShapeMismatch
     sc = make_scenario("S1", seed=0)
-    with pytest.raises(ShapeMismatch):
-        evaluate({"g": np.zeros(5)}, {"g": np.zeros(9)}, sc.schemas)
+    part = extract_clusters(sc.beta_star, sc.schemas)
+    with pytest.raises(ShapeMismatch, match="^factor 'g': expected 9 per-level values$"):
+        evaluate({"g": np.zeros(5)}, part, {"g": np.zeros(9)}, sc.schemas)
+    # the partition is checked as β̂ and the truth are: a factor it lacks, or
+    # one it gives 5 labels for 9 levels, is named
+    short = ClusterPartition((FactorPartition("g", (0,) * 5, (0.0,)),), part.threshold)
+    lacking = ClusterPartition((FactorPartition("h", (0,) * 9, (0.0,)),), part.threshold)
+    for bad, message in ((lacking, "no per-level values"), (short, "expected 9 per-level values")):
+        with pytest.raises(ShapeMismatch, match=f"^factor 'g': {message}$"):
+            evaluate(sc.beta_star, bad, sc.beta_star, sc.schemas)
 
 
 def test_variant_labels():
@@ -241,6 +255,29 @@ def test_a_study_variant_is_kfold_cv_then_fit_at_on_the_weighted_path(scenario):
         assert record.chosen_s_ratio == chosen
         assert record.df == degrees_of_freedom(fit.partition)
         assert record.msep == float(np.mean((data.test.y - pred) ** 2))
+        # the rates score the partition df counts, the one fit_at returns
+        m = evaluate(fit.beta, fit.partition, data.beta_star, data.train.schemas)
+        assert asdict(m) == {name: getattr(record, name) for name in asdict(m)}
+
+
+def test_each_fit_is_read_once(monkeypatch):
+    # each variant's tuned fit is read once, by fit_at (or extract_clusters
+    # for "ols"): five one-row read-outs, and no second read of a fit with
+    # the truth (two rows). The multi-row read-outs are CV's, one per "+rf"
+    # fold path
+    rows = []
+    real = structure._read_out
+
+    def counting(betas, schemas):
+        rows.append(len(betas))
+        return real(betas, schemas)
+
+    monkeypatch.setattr(structure, "_read_out", counting)
+    pin_workers(monkeypatch, 1)      # a child's calls are not seen here
+    run_study("S2", DEFAULT_VARIANTS, replicates=1, seed=0, grid_size=20)
+    assert 2 not in rows
+    assert rows.count(1) == 5
+    assert len([n for n in rows if n > 2]) == 2 * 5
 
 
 def test_a_replicate_splits_its_training_set_once(monkeypatch):
